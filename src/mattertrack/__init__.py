@@ -7,8 +7,6 @@ from .types import (
     ModelState,
     NumericalDomainError,
     Observations,
-    ParticleState,
-    PointObservation,
     ValidationError,
 )
 from .model import cluster_induced_velocity, log_joint, sample_forward
@@ -39,8 +37,6 @@ __all__ = [
     "ModelState",
     "NumericalDomainError",
     "Observations",
-    "ParticleState",
-    "PointObservation",
     "SceneSpec",
     "Step",
     "SweepSchedule",

@@ -2,7 +2,7 @@
 
 Offline, file-driven: observations come in as JSON lines, states and metric
 reports go out the same way.  Every command is deterministic for a fixed
-seed and any thread count.
+seed; ``--threads`` is accepted and ignored.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .geweke import default_check_hyper, run_geweke
 from .gibbs import full_sweep_schedule, sweep
 from .initialization import data_dependent_hyperparams, init_state
 from .model import sample_forward
-from .parallel import set_num_threads
 from .render import render_frame_svg
 from .rng import substream
 from .sva import sva_cluster
@@ -39,8 +38,11 @@ def _load_config(path: str | None) -> mio.Config:
     return mio.load_config(path) if path else mio.Config()
 
 
-def _setup(threads: int) -> None:
-    set_num_threads(threads)
+# Every Gibbs step is one vectorized kernel on the calling thread, so a thread
+# count has nothing to control; the option stays so existing command lines run.
+_threads_option = click.option(
+    "--threads", type=int, default=1, show_default=True,
+    help="No effect; accepted so existing command lines keep working.")
 
 
 @click.group()
@@ -60,11 +62,10 @@ def main() -> None:
               help="Ground-truth cluster label sidecar.")
 @click.option("--state-out", type=click.Path(), default=None,
               help="Dump the sampled latent state.")
-@click.option("--threads", type=int, default=1, show_default=True)
+@_threads_option
 def simulate(dim, num_clusters, num_particles, num_points, seed, config_path,
              out_path, labels_out, state_out, threads):
     """Sample one frame from the forward model into an observation file."""
-    _setup(threads)
     cfg = _load_config(config_path)
     hyper = cfg.resolve_hyper(dim)
     m_r, m_t = cfg.candidate_sizes()
@@ -85,10 +86,9 @@ def simulate(dim, num_clusters, num_particles, num_points, seed, config_path,
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--labels-out", type=click.Path(), default=None)
-@click.option("--threads", type=int, default=1, show_default=True)
+@_threads_option
 def rdk_gen(spec_path, seed, out_path, labels_out, threads):
     """Generate a moving-dot stimulus plus ground truth from a scene spec."""
-    _setup(threads)
     with open(spec_path) as fh:
         spec = scene_spec_from_dict(json.load(fh))
     frames, labels = make_rigid_scene(spec, seed)
@@ -112,11 +112,10 @@ def rdk_gen(spec_path, seed, out_path, labels_out, threads):
               help="Seed the grouping with a fast/slow velocity split.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--plot", "plot_path", type=click.Path(), default=None)
-@click.option("--threads", type=int, default=1, show_default=True)
+@_threads_option
 def fit(obs_path, num_clusters, num_particles, sweeps, seed, config_path,
         subsample, auto_hyper, flow_split, out_path, plot_path, threads):
     """Infer the latent state of the first frame of an observation file."""
-    _setup(threads)
     frames = mio.read_observations(obs_path)
     if not frames:
         raise click.ClickException("observation file holds no frames")
@@ -156,11 +155,10 @@ def fit(obs_path, num_clusters, num_particles, sweeps, seed, config_path,
 @click.option("--plot", "plot_path", type=click.Path(), default=None,
               help="SVG output; a '{t}' placeholder renders every frame, "
                    "otherwise only the final frame is drawn.")
-@click.option("--threads", type=int, default=1, show_default=True)
+@_threads_option
 def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsample,
               auto_hyper, flow_split, resume_from, out_path, plot_path, threads):
     """Track a full observation sequence."""
-    _setup(threads)
     frames = mio.read_observations(obs_path)
     cfg = _load_config(config_path)
     tcfg = cfg.resolve_track()
@@ -214,11 +212,10 @@ def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsampl
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--subsample", type=float, default=1.0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--threads", type=int, default=1, show_default=True)
+@_threads_option
 def sva_cmd(obs_path, num_clusters, num_particles, max_iter, seed, subsample,
             out_path, threads):
     """Hard-assignment baseline clustering of the first frame."""
-    _setup(threads)
     frames = mio.read_observations(obs_path)
     if not frames:
         raise click.ClickException("observation file holds no frames")
@@ -252,11 +249,10 @@ def sva_cmd(obs_path, num_clusters, num_particles, max_iter, seed, subsample,
 @click.option("--foreground-label", type=int, default=None,
               help="Ground-truth label treated as foreground (default: all non-noise).")
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--threads", type=int, default=1, show_default=True)
+@_threads_option
 def eval_cmd(states_path, obs_path, gt_path, subsample, seed, grid, probes,
              foreground_label, out_path, threads):
     """Score a state dump against ground-truth labels."""
-    _setup(threads)
     records = mio.read_states(states_path)
     frames = mio.read_observations(obs_path)
     gt = mio.read_labels(gt_path)
@@ -315,11 +311,10 @@ def eval_cmd(states_path, obs_path, gt_path, subsample, seed, grid, probes,
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--threshold", type=float, default=4.0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--threads", type=int, default=1, show_default=True)
+@_threads_option
 def geweke_cmd(dim, num_clusters, num_particles, num_points, iters, sweeps_per_iter,
                seed, config_path, threshold, out_path, threads):
     """Forward vs Gibbs marginal consistency report (exit 1 on failure)."""
-    _setup(threads)
     cfg = _load_config(config_path)
     hyper = cfg.resolve_hyper(dim, base=default_check_hyper(dim))
     m_r, m_t = cfg.candidate_sizes()

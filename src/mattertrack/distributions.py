@@ -58,6 +58,84 @@ def spd_inverse(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
+def chol_spd_stack(covs: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a (n, D, D) stack of SPD matrices.
+
+    One LAPACK call over the stack.  If any matrix fails, only the matrices
+    that ``_marginal_spd`` flags are factored one by one through
+    ``chol_spd``, so the jitter retry and its error stay per matrix, and the
+    rest still take one stacked call.  Every factor equals ``chol_spd`` of
+    its matrix either way.
+    """
+    covs = np.asarray(covs, dtype=np.float64)
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        pass
+    marginal = _marginal_spd(covs)
+    out = np.empty_like(covs)
+    safe = ~marginal
+    try:
+        out[safe] = np.linalg.cholesky(covs[safe])
+    except np.linalg.LinAlgError:  # the screen missed one: factor all singly
+        return np.stack([chol_spd(c) for c in covs])
+    for i in np.flatnonzero(marginal):
+        out[i] = chol_spd(covs[i])
+    return out
+
+
+def _marginal_spd(covs: np.ndarray) -> np.ndarray:
+    """Flags matrices of a (n, D, D) stack whose Cholesky factorization may fail.
+
+    Runs the factorization entry by entry across the stack and flags a
+    matrix when a pivot is not above 1e-8 of its diagonal entry, or is not
+    finite.  Rounding moves a pivot by a few ulps of that entry, far less
+    than the margin, so LAPACK factors every unflagged matrix; should it
+    not, ``chol_spd_stack`` factors the whole stack singly.
+    """
+    n, d, _ = covs.shape
+    lower = [[None] * d for _ in range(d)]
+    marginal = np.zeros(n, dtype=bool)
+    for j in range(d):
+        diag = covs[:, j, j]
+        pivot = diag.copy()
+        for k in range(j):
+            pivot -= lower[j][k] * lower[j][k]
+        marginal |= ~(pivot > 1e-8 * np.abs(diag))
+        root = np.sqrt(np.where(marginal, 1.0, pivot))
+        for i in range(j + 1, d):
+            entry = covs[:, i, j].copy()
+            for k in range(j):
+                entry -= lower[i][k] * lower[j][k]
+            lower[i][j] = entry / root
+    return marginal
+
+
+def tril_inverse_stack(factors: np.ndarray) -> np.ndarray:
+    """Inverses of a (n, D, D) stack of lower-triangular matrices.
+
+    Forward substitution against the identity, one row at a time across the
+    whole stack: row i of the inverse is -L[i, :i] @ inv[:i, :i] / L[i, i]
+    left of the diagonal and 1 / L[i, i] on it.
+    """
+    d = factors.shape[1]
+    out = np.zeros_like(factors)
+    for i in range(d):
+        diag = factors[:, i, i]
+        out[:, i, i] = 1.0 / diag
+        if i:
+            row = np.einsum("nk,nkj->nj", factors[:, i, :i], out[:, :i, :i])
+            out[:, i, :i] = -row / diag[:, None]
+    return out
+
+
+def spd_inverse_stack(covs: np.ndarray) -> np.ndarray:
+    """Symmetric inverses of a (n, D, D) stack of SPD matrices."""
+    inv_l = tril_inverse_stack(chol_spd_stack(covs))
+    inv = np.einsum("nki,nkj->nij", inv_l, inv_l)
+    return 0.5 * (inv + np.swapaxes(inv, 1, 2))
+
+
 def mvn_logpdf(x, mean, cov) -> float:
     x = np.asarray(x, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
@@ -73,6 +151,38 @@ def mvn_logpdf_rows(X: np.ndarray, mean, cov) -> np.ndarray:
     Z = solve_triangular(L, (X - mean).T, lower=True)
     quad = np.einsum("dn,dn->n", Z, Z)
     return -0.5 * (X.shape[1] * _LOG_2PI + quad) - np.log(np.diag(L)).sum()
+
+
+def mvn_logpdf_rows_all(X: np.ndarray, means: np.ndarray, covs: np.ndarray,
+                        add_to: np.ndarray | None = None) -> np.ndarray:
+    """(N, M) log densities of every row of X under each of M Gaussians.
+
+    With W_m the inverse Cholesky factor of covariance m, entry j of the
+    whitened residual is ``[x, 1] @ [W_m[j], -W_m[j] @ mean_m]``: one
+    (N, D+1) x (D+1, M) product per j, squared and accumulated in place, so
+    no (N, M, D) temporary is built.  With ``add_to`` the densities are added
+    into that (N, M) array, which is returned.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    factors = chol_spd_stack(covs)
+    m = len(factors)
+    # scaling W by sqrt(1/2) folds the -1/2 of the exponent into the square
+    white = tril_inverse_stack(factors) * math.sqrt(0.5)
+    proj = np.empty((d, d + 1, m))
+    proj[:, :d] = white.transpose(1, 2, 0)
+    proj[:, d] = -np.einsum("mjk,mk->jm", white, np.asarray(means, dtype=np.float64))
+    x_aug = np.empty((n, d + 1))
+    x_aug[:, :d] = X
+    x_aug[:, d] = 1.0
+    out = np.zeros((n, m)) if add_to is None else add_to
+    out -= 0.5 * d * _LOG_2PI + np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
+    resid = np.empty((n, m))
+    for j in range(d):
+        np.matmul(x_aug, proj[j], out=resid)
+        np.square(resid, out=resid)
+        out -= resid
+    return out
 
 
 def isotropic_logpdf_rows(X: np.ndarray, mean, var: float) -> np.ndarray:
@@ -192,8 +302,9 @@ def categorical_sample_rows(log_weights: np.ndarray, rng: np.random.Generator) -
     m = np.max(lw, axis=1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise ValidationError("no admissible component: a row has all -inf weights")
-    p = np.exp(lw - m)
-    c = np.cumsum(p, axis=1)
+    c = lw - m
+    np.exp(c, out=c)
+    np.cumsum(c, axis=1, out=c)
     u = rng.random((lw.shape[0], 1)) * c[:, -1:]
     return (u > c).sum(axis=1).astype(np.int64)
 

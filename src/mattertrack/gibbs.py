@@ -2,13 +2,32 @@
 
 Each update resamples one block of variables from its exact conditional given
 the rest of the state.  Within a block all components are conditionally
-independent and read the pre-step state; blocks compose sequentially.  The
-``*_conditional`` / ``*_posterior`` / ``*_log_probs`` helpers expose the
-conditional parameters so tests can check them against closed forms without
-going through sampling.
+independent and read the pre-step state; blocks compose sequentially.
+
+Every conditional is one kernel over the stacked component arrays, (L, D, D)
+for particles and (K, D, D) for clusters, with no per-component Python loop.
+The kernels read sufficient statistics gathered in one ``np.bincount`` pass
+keyed by ``z_B`` or ``z_H``: counts, sums and scatter entries.  Covariances
+are factored and inverted as stacks, assignment scores are one (N, L)
+quadratic form, and the rotation and translation grids are scored from
+per-cluster moments rather than candidate by candidate.
+
+Draw-order contract: each step takes exactly the variates, in exactly the
+order, that a loop over components would take from its stream, so a seeded
+chain does not depend on how a step is vectorized.  Gaussian steps draw one
+``standard_normal((n, D))`` block, equal to n calls of
+``standard_normal(D)``.  Inverse-Wishart steps draw their Bartlett variates
+component by component, interleaving chi-square and normal draws as
+``inverse_wishart_sample`` does.  Transform steps draw one uniform per
+cluster in cluster order, and assignment steps one uniform per row.
+
+The ``*_conditional`` / ``*_posterior`` / ``*_log_probs`` helpers expose one
+component's slice of these kernels so tests can check them against closed
+forms without going through sampling.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,18 +37,17 @@ from .distributions import (
     TransformCandidates,
     categorical_sample,
     categorical_sample_rows,
+    chol_spd_stack,
     dirichlet_sample,
     gamma_logpdf,
-    inverse_wishart_sample,
     isotropic_logpdf_rows,
-    moments_from_precision,
-    mvn_logpdf_rows,
-    mvn_sample,
-    spd_inverse,
+    mvn_logpdf_rows_all,
+    spd_inverse_stack,
+    tril_inverse_stack,
 )
-from .model import induced_velocities
-from .parallel import parallel_map
 from .types import Assignments, HyperParams, ModelState, Observations, ValidationError
+
+_LOG_2PI = math.log(2.0 * math.pi)
 
 # Step identifiers, in canonical full-sweep order.
 ASSIGN_POINTS = "assign_points"
@@ -180,31 +198,82 @@ def tracking_frame_schedule(**flags) -> SweepSchedule:
 
 
 # --------------------------------------------------------------------------
-# Sufficient statistics helpers
+# Sufficient statistics and stacked draws
 # --------------------------------------------------------------------------
 
-def _inlier_counts(z: np.ndarray, L: int) -> np.ndarray:
-    return np.bincount(z[z < L], minlength=L)
+def _group_counts(z: np.ndarray, n: int) -> np.ndarray:
+    """Members per group; labels >= n (the outlier sentinel) are dropped."""
+    return np.bincount(z, minlength=n)[:n]
 
 
-def _group_sums(z: np.ndarray, L: int, values: np.ndarray) -> np.ndarray:
-    out = np.zeros((L, values.shape[1]))
-    mask = z < L
-    np.add.at(out, z[mask], values[mask])
+def _group_sums(z: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
+    """Per-group sums of the rows of ``values`` (M, P), one bincount per column."""
+    out = np.empty((n, values.shape[1]))
+    for p, col in enumerate(values.T):
+        out[:, p] = np.bincount(z, weights=col, minlength=n)[:n]
     return out
 
 
-def _group_scatter(z: np.ndarray, L: int, values: np.ndarray,
-                   centers: np.ndarray) -> np.ndarray:
-    """Per-group scatter matrices of values about per-group centers."""
-    d = values.shape[1]
-    out = np.zeros((L, d, d))
-    mask = z < L
-    if not np.any(mask):
-        return out
-    diff = values[mask] - centers[z[mask]]
-    np.add.at(out, z[mask], np.einsum("ni,nj->nij", diff, diff))
+def _group_outer(z: np.ndarray, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-group sums of the outer products a_i b_i^T, shape (n, D, D)."""
+    d = a.shape[1]
+    a_cols, b_cols = a.T.copy(), b.T.copy()
+    out = np.empty((n, d, d))
+    for i in range(d):
+        for j in range(d):
+            out[:, i, j] = np.bincount(z, weights=a_cols[i] * b_cols[j], minlength=n)[:n]
     return out
+
+
+def _scatter_posteriors(z: np.ndarray, n: int, values: np.ndarray, centers: np.ndarray,
+                        psi: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-Wishart posteriors from each group's scatter about its center."""
+    # outlier rows (label n) gather a clipped center; their group is dropped
+    diff = values - np.take(centers, z, axis=0, mode="clip")
+    return psi + _group_outer(z, n, diff, diff), nu + _group_counts(z, n)
+
+
+def _gaussians_from_precision(m_vec: np.ndarray,
+                              precision: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (mean, covariance) of N(P^{-1} m, P^{-1})."""
+    cov = spd_inverse_stack(precision)
+    return np.einsum("nij,nj->ni", cov, m_vec), cov
+
+
+def _mvn_sample_stack(means: np.ndarray, covs: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
+    """One draw per row, equal to ``mvn_sample`` called row by row."""
+    noise = rng.standard_normal(means.shape)
+    return means + np.einsum("nij,nj->ni", chol_spd_stack(covs), noise)
+
+
+def _inverse_wishart_stack(psi: np.ndarray, nu: np.ndarray,
+                           rng: np.random.Generator) -> np.ndarray:
+    """One IW(psi_i, nu_i) draw per component, equal to ``inverse_wishart_sample``
+    called component by component.
+
+    The Bartlett variates interleave chi-square and normal draws within a
+    component, so they are drawn in a scalar loop; the algebra is stacked.
+    """
+    n, d, _ = psi.shape
+    if not np.all(nu > d - 1):
+        raise ValidationError(f"nu must exceed dim - 1 = {d - 1}, got {nu.min()}")
+    scale = chol_spd_stack(spd_inverse_stack(psi))
+    bartlett = np.zeros((n, d, d))
+    for a, dof in zip(bartlett, nu):
+        for i in range(d):
+            a[i, i] = math.sqrt(rng.chisquare(dof - i))
+            for j in range(i):
+                a[i, j] = rng.standard_normal()
+    c_inv = tril_inverse_stack(scale @ bartlett)
+    out = np.einsum("nki,nkj->nij", c_inv, c_inv)
+    return 0.5 * (out + np.swapaxes(out, 1, 2))
+
+
+def _isotropic_sum_loglik(counts: np.ndarray, sq: np.ndarray, d: int,
+                          var: float) -> np.ndarray:
+    """Summed log N(r; 0, var I) of ``counts`` D-vectors whose squared norms sum to ``sq``."""
+    return -0.5 * (counts[:, None] * (d * (_LOG_2PI + math.log(var))) + sq / var)
 
 
 # --------------------------------------------------------------------------
@@ -227,24 +296,25 @@ def point_assignment_log_probs(state: ModelState, obs: Observations, hyper: Hype
             raise ValidationError("feature likelihood requested but state has no feature means")
         if hyper.sigma2_F is None:
             raise ValidationError("feature likelihood requested but sigma2_F is unset")
+    L = state.L
+    outlier = include_outlier and hyper.p_outlier > 0
+    scores = np.empty((len(obs), L + 1 if outlier else L))
+    inliers = scores[:, :L]
     with np.errstate(divide="ignore"):
-        log_pi = np.log(state.pi_B)
-
-    def column(ell: int) -> np.ndarray:
-        ll = mvn_logpdf_rows(obs.positions, state.mu_B[ell], state.Sigma_B[ell])
-        if not position_only:
-            ll = ll + mvn_logpdf_rows(obs.velocities, state.vel[ell], state.Sigma_V[ell])
-            if use_features:
-                ll = ll + isotropic_logpdf_rows(obs.features, state.feat[ell], hyper.sigma2_F)
-        return log_pi[ell] + ll
-
-    scores = np.column_stack(parallel_map(column, range(state.L)))
-    if include_outlier and hyper.p_outlier > 0:
-        scores = scores + np.log1p(-hyper.p_outlier)
+        inliers[...] = np.log(state.pi_B)
+    if outlier:
+        inliers += np.log1p(-hyper.p_outlier)
+    mvn_logpdf_rows_all(obs.positions, state.mu_B, state.Sigma_B, add_to=inliers)
+    if not position_only:
+        mvn_logpdf_rows_all(obs.velocities, state.vel, state.Sigma_V, add_to=inliers)
+        if use_features:
+            F = obs.features.shape[1]
+            iso = np.broadcast_to(hyper.sigma2_F * np.eye(F), (L, F, F))
+            mvn_logpdf_rows_all(obs.features, state.feat, iso, add_to=inliers)
+    if outlier:
         speeds = np.linalg.norm(obs.velocities, axis=1)
-        out_col = np.log(hyper.p_outlier) + gamma_logpdf(
+        scores[:, L] = np.log(hyper.p_outlier) + gamma_logpdf(
             speeds, hyper.outlier_gamma_shape, hyper.outlier_gamma_rate)
-        scores = np.column_stack([scores, out_col])
     return scores
 
 
@@ -264,19 +334,36 @@ def assign_points_to_particles(state: ModelState, obs: Observations, hyper: Hype
 
 def update_particle_weights(state: ModelState, hyper: HyperParams,
                             rng: np.random.Generator) -> np.ndarray:
-    counts = _inlier_counts(state.z_B, state.L)
+    counts = _group_counts(state.z_B, state.L)
     return dirichlet_sample(hyper.beta_vec(state.L) + counts, rng)
 
 
 def update_cluster_weights(state: ModelState, hyper: HyperParams,
                            rng: np.random.Generator) -> np.ndarray:
-    counts = np.bincount(state.z_H, minlength=state.K)
+    counts = _group_counts(state.z_H, state.K)
     return dirichlet_sample(hyper.alpha_vec(state.K) + counts, rng)
 
 
 # --------------------------------------------------------------------------
 # Particle parameter conditionals
 # --------------------------------------------------------------------------
+
+def _particle_mean_conditionals(state: ModelState, obs: Observations,
+                                hyper: HyperParams) -> tuple[np.ndarray, np.ndarray]:
+    z_h = state.z_H
+    A = state.rot - np.eye(state.dim)
+    b = state.trans - np.einsum("kij,kj->ki", A, state.mu_H)
+    inv_sh = spd_inverse_stack(state.Sigma_H)
+    inv_sb = spd_inverse_stack(state.Sigma_B)
+    counts = _group_counts(state.z_B, state.L)
+    sum_x = _group_sums(state.z_B, state.L, obs.positions)
+    AtA = np.einsum("kji,kjl->kil", A, A) / hyper.sigma2_V
+    precision = inv_sh[z_h] + counts[:, None, None] * inv_sb + AtA[z_h]
+    m_vec = (np.einsum("kij,kj->ki", inv_sh, state.mu_H)[z_h]
+             + np.einsum("lij,lj->li", inv_sb, sum_x)
+             + np.einsum("lji,lj->li", A[z_h], state.vel - b[z_h]) / hyper.sigma2_V)
+    return _gaussians_from_precision(m_vec, precision)
+
 
 def particle_mean_conditional(state: ModelState, obs: Observations, hyper: HyperParams,
                               ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,90 +373,74 @@ def particle_mean_conditional(state: ModelState, obs: Observations, hyper: Hyper
     points, and the rigid-motion velocity constraint, which is linear in the
     mean.  Empty particles keep prior plus velocity terms only.
     """
-    d = state.dim
-    k = state.z_H[ell]
-    A = state.rot[k] - np.eye(d)
-    b = state.trans[k] - A @ state.mu_H[k]
-    inv_sh = spd_inverse(state.Sigma_H[k])
-    inv_sb = spd_inverse(state.Sigma_B[ell])
-    mask = state.z_B == ell
-    n_ell = int(mask.sum())
-    sum_x = obs.positions[mask].sum(axis=0) if n_ell else np.zeros(d)
-    precision = inv_sh + n_ell * inv_sb + (A.T @ A) / hyper.sigma2_V
-    m_vec = inv_sh @ state.mu_H[k] + inv_sb @ sum_x + A.T @ (state.vel[ell] - b) / hyper.sigma2_V
-    return moments_from_precision(m_vec, precision)
+    means, covs = _particle_mean_conditionals(state, obs, hyper)
+    return means[ell], covs[ell]
 
 
 def update_particle_means(state: ModelState, obs: Observations, hyper: HyperParams,
                           rng: np.random.Generator) -> np.ndarray:
-    out = np.empty_like(state.mu_B)
-    conds = parallel_map(lambda ell: particle_mean_conditional(state, obs, hyper, ell),
-                         range(state.L))
-    for ell, (mean, cov) in enumerate(conds):
-        out[ell] = mvn_sample(mean, cov, rng)
-    return out
+    return _mvn_sample_stack(*_particle_mean_conditionals(state, obs, hyper), rng)
+
+
+def _particle_cov_posteriors(state: ModelState, obs: Observations,
+                             hyper: HyperParams) -> tuple[np.ndarray, np.ndarray]:
+    return _scatter_posteriors(state.z_B, state.L, obs.positions, state.mu_B,
+                               hyper.Psi_B, hyper.nu_B)
 
 
 def particle_cov_posterior(state: ModelState, obs: Observations, hyper: HyperParams,
                            ell: int) -> tuple[np.ndarray, float]:
     """Inverse-Wishart posterior parameters for one particle's spatial covariance."""
-    mask = state.z_B == ell
-    diff = obs.positions[mask] - state.mu_B[ell]
-    scatter = diff.T @ diff
-    return hyper.Psi_B + scatter, hyper.nu_B + int(mask.sum())
+    psi, nu = _particle_cov_posteriors(state, obs, hyper)
+    return psi[ell], float(nu[ell])
 
 
 def update_particle_covariances(state: ModelState, obs: Observations, hyper: HyperParams,
                                 rng: np.random.Generator) -> np.ndarray:
-    out = np.empty_like(state.Sigma_B)
-    for ell in range(state.L):
-        psi, nu = particle_cov_posterior(state, obs, hyper, ell)
-        out[ell] = inverse_wishart_sample(psi, nu, rng)
-    return out
+    return _inverse_wishart_stack(*_particle_cov_posteriors(state, obs, hyper), rng)
+
+
+def _velocity_mean_conditionals(state: ModelState, obs: Observations,
+                                hyper: HyperParams) -> tuple[np.ndarray, np.ndarray]:
+    d, z_h = state.dim, state.z_H
+    vbar = state.trans[z_h] + np.einsum(
+        "lij,lj->li", (state.rot - np.eye(d))[z_h], state.mu_B - state.mu_H[z_h])
+    inv_sv = spd_inverse_stack(state.Sigma_V)
+    counts = _group_counts(state.z_B, state.L)
+    sum_v = _group_sums(state.z_B, state.L, obs.velocities)
+    precision = np.eye(d) / hyper.sigma2_V + counts[:, None, None] * inv_sv
+    m_vec = vbar / hyper.sigma2_V + np.einsum("lij,lj->li", inv_sv, sum_v)
+    return _gaussians_from_precision(m_vec, precision)
 
 
 def velocity_mean_conditional(state: ModelState, obs: Observations, hyper: HyperParams,
                               ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian conditional of one particle's velocity mean."""
-    d = state.dim
-    k = state.z_H[ell]
-    vbar = induced_velocities(state.rot[k], state.trans[k], state.mu_H[k],
-                              state.mu_B[ell][None])[0]
-    inv_sv = spd_inverse(state.Sigma_V[ell])
-    mask = state.z_B == ell
-    n_ell = int(mask.sum())
-    sum_v = obs.velocities[mask].sum(axis=0) if n_ell else np.zeros(d)
-    precision = np.eye(d) / hyper.sigma2_V + n_ell * inv_sv
-    m_vec = vbar / hyper.sigma2_V + inv_sv @ sum_v
-    return moments_from_precision(m_vec, precision)
+    means, covs = _velocity_mean_conditionals(state, obs, hyper)
+    return means[ell], covs[ell]
 
 
 def update_particle_velocity_means(state: ModelState, obs: Observations, hyper: HyperParams,
                                    rng: np.random.Generator) -> np.ndarray:
-    out = np.empty_like(state.vel)
-    conds = parallel_map(lambda ell: velocity_mean_conditional(state, obs, hyper, ell),
-                         range(state.L))
-    for ell, (mean, cov) in enumerate(conds):
-        out[ell] = mvn_sample(mean, cov, rng)
-    return out
+    return _mvn_sample_stack(*_velocity_mean_conditionals(state, obs, hyper), rng)
+
+
+def _velocity_cov_posteriors(state: ModelState, obs: Observations,
+                             hyper: HyperParams) -> tuple[np.ndarray, np.ndarray]:
+    return _scatter_posteriors(state.z_B, state.L, obs.velocities, state.vel,
+                               hyper.Psi_V, hyper.nu_V)
 
 
 def velocity_cov_posterior(state: ModelState, obs: Observations, hyper: HyperParams,
                            ell: int) -> tuple[np.ndarray, float]:
-    mask = state.z_B == ell
-    diff = obs.velocities[mask] - state.vel[ell]
-    scatter = diff.T @ diff
-    return hyper.Psi_V + scatter, hyper.nu_V + int(mask.sum())
+    psi, nu = _velocity_cov_posteriors(state, obs, hyper)
+    return psi[ell], float(nu[ell])
 
 
 def update_particle_velocity_covariances(state: ModelState, obs: Observations,
                                          hyper: HyperParams,
                                          rng: np.random.Generator) -> np.ndarray:
-    out = np.empty_like(state.Sigma_V)
-    for ell in range(state.L):
-        psi, nu = velocity_cov_posterior(state, obs, hyper, ell)
-        out[ell] = inverse_wishart_sample(psi, nu, rng)
-    return out
+    return _inverse_wishart_stack(*_velocity_cov_posteriors(state, obs, hyper), rng)
 
 
 def update_particle_features(state: ModelState, obs: Observations) -> np.ndarray:
@@ -377,7 +448,7 @@ def update_particle_features(state: ModelState, obs: Observations) -> np.ndarray
     if state.feat is None or obs.features is None:
         raise ValidationError("feature update requires features on both state and observations")
     z = state.z_B
-    counts = _inlier_counts(z, state.L)
+    counts = _group_counts(z, state.L)
     sums = _group_sums(z, state.L, obs.features)
     out = state.feat.copy()
     nonzero = counts > 0
@@ -391,16 +462,16 @@ def update_particle_features(state: ModelState, obs: Observations) -> np.ndarray
 
 def cluster_assignment_log_probs(state: ModelState, hyper: HyperParams) -> np.ndarray:
     """(L, K) log scores: cluster weight x spatial fit x rigid-motion velocity fit."""
+    d = state.dim
     with np.errstate(divide="ignore"):
-        log_pi = np.log(state.pi_H)
-
-    def column(k: int) -> np.ndarray:
-        spatial = mvn_logpdf_rows(state.mu_B, state.mu_H[k], state.Sigma_H[k])
-        vbar = induced_velocities(state.rot[k], state.trans[k], state.mu_H[k], state.mu_B)
-        velocity = isotropic_logpdf_rows(state.vel, vbar, hyper.sigma2_V)
-        return log_pi[k] + spatial + velocity
-
-    return np.column_stack(parallel_map(column, range(state.K)))
+        scores = np.tile(np.log(state.pi_H), (state.L, 1))
+    mvn_logpdf_rows_all(state.mu_B, state.mu_H, state.Sigma_H, add_to=scores)
+    # velocity each cluster's rigid transform induces at each particle, (L, K, D)
+    offsets = state.mu_B[:, None, :] - state.mu_H[None, :, :]
+    vbar = state.trans + np.einsum("kij,lkj->lki", state.rot - np.eye(d), offsets)
+    resid = (state.vel[:, None, :] - vbar).reshape(-1, d)
+    scores += isotropic_logpdf_rows(resid, 0.0, hyper.sigma2_V).reshape(state.L, state.K)
+    return scores
 
 
 def assign_particles_to_clusters(state: ModelState, hyper: HyperParams,
@@ -412,6 +483,24 @@ def assign_particles_to_clusters(state: ModelState, hyper: HyperParams,
 # Cluster parameter conditionals
 # --------------------------------------------------------------------------
 
+def _cluster_mean_conditionals(state: ModelState,
+                               hyper: HyperParams) -> tuple[np.ndarray, np.ndarray]:
+    d, K, z_h = state.dim, state.K, state.z_H
+    A = np.eye(d) - state.rot
+    counts = _group_counts(z_h, K)
+    inv_sh = spd_inverse_stack(state.Sigma_H)
+    sum_mu = _group_sums(z_h, K, state.mu_B)
+    # velocity residuals of the rigid-motion model, linear in mu_H through A
+    b = state.trans[z_h] - np.einsum("lij,lj->li", A[z_h], state.mu_B)
+    resid_sum = _group_sums(z_h, K, state.vel - b)
+    AtA = np.einsum("kji,kjl->kil", A, A) / hyper.sigma2_V
+    precision = np.eye(d) / hyper.sigma2_mu_H + counts[:, None, None] * (inv_sh + AtA)
+    m_vec = (hyper.mu_H_prior / hyper.sigma2_mu_H
+             + np.einsum("kij,kj->ki", inv_sh, sum_mu)
+             + np.einsum("kji,kj->ki", A, resid_sum) / hyper.sigma2_V)
+    return _gaussians_from_precision(m_vec, precision)
+
+
 def cluster_mean_conditional(state: ModelState, hyper: HyperParams,
                              k: int) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian conditional of one cluster's spatial mean.
@@ -420,108 +509,99 @@ def cluster_mean_conditional(state: ModelState, hyper: HyperParams,
     velocity residuals of the rigid-motion model (linear in the mean through
     A = I - R).
     """
-    d = state.dim
-    A = np.eye(d) - state.rot[k]
-    mask = state.z_H == k
-    n_k = int(mask.sum())
-    inv_sh = spd_inverse(state.Sigma_H[k])
-    sum_mu = state.mu_B[mask].sum(axis=0) if n_k else np.zeros(d)
-    if n_k:
-        b = state.trans[k] - state.mu_B[mask] @ A.T
-        resid_sum = (state.vel[mask] - b).sum(axis=0)
-    else:
-        resid_sum = np.zeros(d)
-    precision = np.eye(d) / hyper.sigma2_mu_H + n_k * (inv_sh + (A.T @ A) / hyper.sigma2_V)
-    m_vec = (hyper.mu_H_prior / hyper.sigma2_mu_H + inv_sh @ sum_mu
-             + A.T @ resid_sum / hyper.sigma2_V)
-    return moments_from_precision(m_vec, precision)
+    means, covs = _cluster_mean_conditionals(state, hyper)
+    return means[k], covs[k]
 
 
 def update_cluster_means(state: ModelState, hyper: HyperParams,
                          rng: np.random.Generator) -> np.ndarray:
-    out = np.empty_like(state.mu_H)
-    for k in range(state.K):
-        mean, cov = cluster_mean_conditional(state, hyper, k)
-        out[k] = mvn_sample(mean, cov, rng)
-    return out
+    return _mvn_sample_stack(*_cluster_mean_conditionals(state, hyper), rng)
+
+
+def _cluster_cov_posteriors(state: ModelState,
+                            hyper: HyperParams) -> tuple[np.ndarray, np.ndarray]:
+    return _scatter_posteriors(state.z_H, state.K, state.mu_B, state.mu_H,
+                               hyper.Psi_H, hyper.nu_H)
 
 
 def cluster_cov_posterior(state: ModelState, hyper: HyperParams,
                           k: int) -> tuple[np.ndarray, float]:
-    mask = state.z_H == k
-    diff = state.mu_B[mask] - state.mu_H[k]
-    scatter = diff.T @ diff
-    return hyper.Psi_H + scatter, hyper.nu_H + int(mask.sum())
+    psi, nu = _cluster_cov_posteriors(state, hyper)
+    return psi[k], float(nu[k])
 
 
 def update_cluster_covariances(state: ModelState, hyper: HyperParams,
                                rng: np.random.Generator) -> np.ndarray:
-    out = np.empty_like(state.Sigma_H)
-    for k in range(state.K):
-        psi, nu = cluster_cov_posterior(state, hyper, k)
-        out[k] = inverse_wishart_sample(psi, nu, rng)
-    return out
+    return _inverse_wishart_stack(*_cluster_cov_posteriors(state, hyper), rng)
 
 
 # --------------------------------------------------------------------------
 # Discrete rigid transforms
 # --------------------------------------------------------------------------
 
+def _rotation_log_probs(state: ModelState, hyper: HyperParams,
+                        candidates: TransformCandidates) -> np.ndarray:
+    """(K, M_r) rotation scores from per-cluster moments.
+
+    Over a cluster's particles, with offsets o = mu_B - mu_H, residuals
+    u = vel - t and B_j = R_j - I, the squared velocity misfit of candidate j
+    is sum |u|^2 - 2 <B_j, sum u o^T> + <B_j^T B_j, sum o o^T>.
+    """
+    K, z_h = state.K, state.z_H
+    offsets = state.mu_B - state.mu_H[z_h]
+    resid = state.vel - state.trans[z_h]
+    B = candidates.rotations - np.eye(state.dim)
+    gram = np.einsum("jca,jcb->jab", B, B)
+    sq = (_group_sums(z_h, K, np.einsum("ld,ld->l", resid, resid)[:, None])
+          - 2.0 * np.einsum("jab,kab->kj", B, _group_outer(z_h, K, resid, offsets))
+          + np.einsum("jab,kab->kj", gram, _group_outer(z_h, K, offsets, offsets)))
+    loglik = _isotropic_sum_loglik(_group_counts(z_h, K), sq, state.dim, hyper.sigma2_V)
+    return candidates.rotation_log_prior + loglik
+
+
 def rotation_log_probs(state: ModelState, hyper: HyperParams,
                        candidates: TransformCandidates, k: int) -> np.ndarray:
     """Log scores over rotation candidates for cluster k."""
-    mask = state.z_H == k
-    if not np.any(mask):
-        return candidates.rotation_log_prior.copy()
-    offsets = state.mu_B[mask] - state.mu_H[k]
-    vel = state.vel[mask]
-    d = state.dim
-    eye = np.eye(d)
-
-    def score(j: int) -> float:
-        pred = state.trans[k] + offsets @ (candidates.rotations[j] - eye).T
-        return float(isotropic_logpdf_rows(vel, pred, hyper.sigma2_V).sum())
-
-    loglik = np.array(parallel_map(score, range(candidates.num_rotations)))
-    return candidates.rotation_log_prior + loglik
+    return _rotation_log_probs(state, hyper, candidates)[k]
 
 
 def update_cluster_rotations(state: ModelState, hyper: HyperParams,
                              candidates: TransformCandidates,
                              rng: np.random.Generator) -> np.ndarray:
-    out = np.empty_like(state.rot)
-    for k in range(state.K):
-        idx = categorical_sample(rotation_log_probs(state, hyper, candidates, k), rng)
-        out[k] = candidates.rotations[idx]
-    return out
+    scores = _rotation_log_probs(state, hyper, candidates)
+    return candidates.rotations[[categorical_sample(row, rng) for row in scores]]
+
+
+def _translation_log_probs(state: ModelState, hyper: HyperParams,
+                           candidates: TransformCandidates) -> np.ndarray:
+    """(K, M_t) translation scores from per-cluster moments.
+
+    With r = vel - (R - I)(mu_B - mu_H) over a cluster's particles, the
+    squared misfit of candidate t_m is sum |r|^2 - 2 t_m . sum r + n |t_m|^2.
+    """
+    K, z_h = state.K, state.z_H
+    offsets = state.mu_B - state.mu_H[z_h]
+    resid = state.vel - np.einsum("lij,lj->li", (state.rot - np.eye(state.dim))[z_h], offsets)
+    counts = _group_counts(z_h, K)
+    T = candidates.translations
+    sq = (_group_sums(z_h, K, np.einsum("ld,ld->l", resid, resid)[:, None])
+          - 2.0 * _group_sums(z_h, K, resid) @ T.T
+          + counts[:, None] * np.einsum("md,md->m", T, T))
+    loglik = _isotropic_sum_loglik(counts, sq, state.dim, hyper.sigma2_V)
+    return candidates.translation_log_prior + loglik
 
 
 def translation_log_probs(state: ModelState, hyper: HyperParams,
                           candidates: TransformCandidates, k: int) -> np.ndarray:
     """Log scores over translation candidates for cluster k."""
-    mask = state.z_H == k
-    if not np.any(mask):
-        return candidates.translation_log_prior.copy()
-    offsets = state.mu_B[mask] - state.mu_H[k]
-    rotated = offsets @ (state.rot[k] - np.eye(state.dim)).T
-    vel = state.vel[mask]
-
-    def score(m: int) -> float:
-        pred = candidates.translations[m] + rotated
-        return float(isotropic_logpdf_rows(vel, pred, hyper.sigma2_V).sum())
-
-    loglik = np.array(parallel_map(score, range(candidates.num_translations)))
-    return candidates.translation_log_prior + loglik
+    return _translation_log_probs(state, hyper, candidates)[k]
 
 
 def update_cluster_translations(state: ModelState, hyper: HyperParams,
                                 candidates: TransformCandidates,
                                 rng: np.random.Generator) -> np.ndarray:
-    out = np.empty_like(state.trans)
-    for k in range(state.K):
-        idx = categorical_sample(translation_log_probs(state, hyper, candidates, k), rng)
-        out[k] = candidates.translations[idx]
-    return out
+    scores = _translation_log_probs(state, hyper, candidates)
+    return candidates.translations[[categorical_sample(row, rng) for row in scores]]
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Thread-count control for within-step parallelism.
+"""Thread-count control for within-step parallelism (no longer used).
+
+The Gibbs steps are single vectorized kernels and do not call
+``parallel_map``, so the thread count set here changes nothing the package
+computes.  The module stays for code that still imports it: the benchmark
+tracer counts ``parallel_map`` items, and the CLI tests reset the count.
 
 Workers only evaluate deterministic numpy expressions over disjoint component
 slices; results are reassembled in index order, so output is bitwise identical

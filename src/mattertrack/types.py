@@ -51,15 +51,6 @@ def _is_spd(mat: np.ndarray, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class PointObservation:
-    """One datum: position, velocity, optional feature vector."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    feature: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class Observations:
     """A frame of N point observations in columnar form.
 
@@ -101,10 +92,6 @@ class Observations:
     @property
     def feature_dim(self) -> int | None:
         return None if self.features is None else self.features.shape[1]
-
-    def __getitem__(self, n: int) -> PointObservation:
-        feat = None if self.features is None else self.features[n]
-        return PointObservation(self.positions[n], self.velocities[n], feat)
 
     def take(self, idx: np.ndarray) -> "Observations":
         feat = None if self.features is None else self.features[idx]
@@ -253,18 +240,6 @@ class Assignments:
 
 
 @dataclass(frozen=True)
-class ParticleState:
-    """View of one particle: spatial and velocity Gaussians plus weight."""
-
-    mu_B: np.ndarray
-    Sigma_B: np.ndarray
-    v: np.ndarray
-    Sigma_V: np.ndarray
-    weight: float
-    f: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class ClusterState:
     """View of one cluster: spatial Gaussian and rigid transform."""
 
@@ -349,23 +324,6 @@ class ModelState:
     @property
     def outlier_index(self) -> int:
         return self.L
-
-    def particle(self, ell: int) -> ParticleState:
-        f = None if self.feat is None else self.feat[ell]
-        return ParticleState(self.mu_B[ell], self.Sigma_B[ell], self.vel[ell],
-                             self.Sigma_V[ell], float(self.pi_B[ell]), f)
-
-    def cluster(self, k: int) -> ClusterState:
-        return ClusterState(self.mu_H[k], self.Sigma_H[k], self.rot[k],
-                            self.trans[k], float(self.pi_H[k]))
-
-    @property
-    def particles(self) -> list[ParticleState]:
-        return [self.particle(i) for i in range(self.L)]
-
-    @property
-    def clusters(self) -> list[ClusterState]:
-        return [self.cluster(k) for k in range(self.K)]
 
     def replace(self, **kw) -> "ModelState":
         return dataclasses.replace(self, **kw)

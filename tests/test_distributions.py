@@ -10,6 +10,7 @@ from mattertrack.distributions import (
     categorical_sample,
     categorical_sample_rows,
     chol_spd,
+    chol_spd_stack,
     dirichlet_logpdf,
     dirichlet_sample,
     fibonacci_sphere,
@@ -23,10 +24,13 @@ from mattertrack.distributions import (
     moments_from_precision,
     mvn_logpdf,
     mvn_logpdf_rows,
+    mvn_logpdf_rows_all,
     mvn_sample,
     rotation_2d,
     rotation_angle,
     rotation_from_axis_angle,
+    spd_inverse,
+    spd_inverse_stack,
 )
 from mattertrack.types import NumericalDomainError, ValidationError
 
@@ -93,6 +97,57 @@ def test_chol_spd_failure_raises_numerical_error():
     bad = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(NumericalDomainError):
         chol_spd(bad)
+
+
+def random_spd_stack(rng, n, d):
+    a = rng.standard_normal((n, d, d))
+    return a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_factorizations_match_single_matrix(d):
+    covs = random_spd_stack(np.random.default_rng(20 + d), 9, d)
+    np.testing.assert_array_equal(chol_spd_stack(covs), [chol_spd(c) for c in covs])
+    np.testing.assert_allclose(spd_inverse_stack(covs), [spd_inverse(c) for c in covs],
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_chol_spd_stack_keeps_per_matrix_jitter_and_error():
+    covs = random_spd_stack(np.random.default_rng(8), 3, 2)
+    covs[1] = [[1.0, 1.0], [1.0, 1.0]]           # singular: factored after jitter
+    np.testing.assert_array_equal(chol_spd_stack(covs), [chol_spd(c) for c in covs])
+    covs[2] = [[1.0, 0.0], [0.0, -1.0]]
+    with pytest.raises(NumericalDomainError):
+        chol_spd_stack(covs)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_chol_spd_stack_mixed_stack_matches_per_matrix(d):
+    """Stacks mixing well-conditioned, rank-one and barely definite matrices
+    at scales 1e-6 to 1e6 factor exactly as chol_spd does matrix by matrix."""
+    rng = np.random.default_rng(40 + d)
+    for _ in range(200):
+        a = rng.standard_normal((9, d, d)) * 10.0 ** rng.uniform(-6, 6, (9, 1, 1))
+        covs = a @ np.swapaxes(a, 1, 2)
+        v = a[0, 0]
+        covs[rng.integers(9)] = np.outer(v, v)
+        covs[rng.integers(9)] += 1e-13 * np.abs(covs[0]).max() * np.eye(d)
+        np.testing.assert_array_equal(chol_spd_stack(covs), [chol_spd(c) for c in covs])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mvn_logpdf_rows_all_matches_columns(d):
+    rng = np.random.default_rng(30 + d)
+    covs = random_spd_stack(rng, 7, d)
+    means = 3.0 * rng.standard_normal((7, d))
+    X = 3.0 * rng.standard_normal((40, d))
+    columns = np.column_stack([mvn_logpdf_rows(X, m, c) for m, c in zip(means, covs)])
+    np.testing.assert_allclose(mvn_logpdf_rows_all(X, means, covs), columns,
+                               rtol=1e-12, atol=1e-12)
+    base = rng.standard_normal((40, 7))
+    out = base.copy()
+    assert mvn_logpdf_rows_all(X, means, covs, add_to=out) is out
+    np.testing.assert_allclose(out, base + columns, rtol=1e-12, atol=1e-12)
 
 
 def test_moments_from_precision_roundtrip():
@@ -186,6 +241,17 @@ def test_categorical_ratio():
     draws = categorical_sample_rows(np.broadcast_to(lw, (100_000, 2)), rng)
     frac = (draws == 1).mean()
     assert frac == pytest.approx(0.75, abs=0.02 * 0.75)
+
+
+def test_categorical_rows_matches_out_of_place_form():
+    lw = np.random.default_rng(9).standard_normal((300, 12)) * 4.0
+    lw[::7, 3] = -np.inf
+    before = lw.copy()
+    draws = categorical_sample_rows(lw, np.random.default_rng(10))
+    np.testing.assert_array_equal(lw, before)
+    c = np.cumsum(np.exp(lw - lw.max(axis=1, keepdims=True)), axis=1)
+    u = np.random.default_rng(10).random((300, 1)) * c[:, -1:]
+    np.testing.assert_array_equal(draws, (u > c).sum(axis=1))
 
 
 def test_categorical_all_neg_inf_errors():
