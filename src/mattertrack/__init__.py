@@ -2,14 +2,13 @@
 
 from .types import (
     Assignments,
-    ClusterState,
     HyperParams,
     ModelState,
     NumericalDomainError,
     Observations,
     ValidationError,
 )
-from .model import cluster_induced_velocity, log_joint, sample_forward
+from .model import log_joint, sample_forward
 from .distributions import TransformCandidates, make_transform_candidates
 from .gibbs import SweepSchedule, Step, Block, full_sweep_schedule, sweep, tracking_frame_schedule
 from .initialization import data_dependent_hyperparams, init_state, kabsch_align, kmeans_pp
@@ -32,7 +31,6 @@ __all__ = [
     "Assignments",
     "Block",
     "Body",
-    "ClusterState",
     "HyperParams",
     "ModelState",
     "NumericalDomainError",
@@ -44,7 +42,6 @@ __all__ = [
     "TransformCandidates",
     "ValidationError",
     "adjusted_rand_index",
-    "cluster_induced_velocity",
     "data_dependent_hyperparams",
     "default_check_hyper",
     "flow_split_proposal",

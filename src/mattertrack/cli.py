@@ -31,7 +31,7 @@ from .render import render_frame_svg
 from .rng import substream
 from .sva import sva_cluster
 from .synth import flow_split_proposal, make_rigid_scene, scene_spec_from_dict
-from .tracker import subsample_frame, track
+from .tracker import subsample_frame, subsample_indices, track
 
 
 def _load_config(path: str | None) -> mio.Config:
@@ -262,12 +262,10 @@ def eval_cmd(states_path, obs_path, gt_path, subsample, seed, grid, probes,
         t = rec.t
         if t >= len(frames) or t >= len(gt):
             raise click.ClickException(f"state for frame {t} has no matching obs/labels")
-        obs_t = subsample_frame(frames[t], subsample, substream(seed, rngmod.SUBSAMPLE, t))
-        lab_t = gt[t]
-        if subsample < 1.0:
-            idx = np.sort(substream(seed, rngmod.SUBSAMPLE, t)
-                          .choice(len(frames[t]), size=len(obs_t), replace=False))
-            lab_t = lab_t[idx]
+        obs_t, lab_t = frames[t], gt[t]
+        keep = subsample_indices(len(obs_t), subsample, substream(seed, rngmod.SUBSAMPLE, t))
+        if keep is not None:
+            obs_t, lab_t = obs_t.take(keep), lab_t[keep]
         pred = point_cluster_labels(rec.state)
         if len(pred) != len(lab_t):
             raise click.ClickException(f"frame {t}: point counts differ between state and labels")

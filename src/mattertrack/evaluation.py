@@ -123,13 +123,11 @@ def _components(pred: np.ndarray, label: int, cache: dict) -> tuple[np.ndarray, 
     return cache[key]
 
 
-def state_to_segments(state: ModelState, obs: Observations, grid_shape: tuple[int, int],
-                      extent=None) -> np.ndarray:
-    """Rasterize inferred point groupings onto a grid of cluster labels.
+def _grid_cells(obs: Observations, grid_shape: tuple[int, int],
+                extent=None) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of the grid cell each point falls in (first two coordinates).
 
-    Each point lands in a cell (first two coordinates); the cell's label is
-    the majority cluster among its points.  Cells without points, and points
-    assigned to the outlier component, stay -1.
+    The grid spans ``extent`` ((x0, x1), (y0, y1)), or the points' bounding box.
     """
     H, W = grid_shape
     pos = obs.positions[:, :2]
@@ -143,11 +141,20 @@ def state_to_segments(state: ModelState, obs: Observations, grid_shape: tuple[in
     span = np.maximum(hi - lo, 1e-12)
     cols = np.clip(((pos[:, 0] - lo[0]) / span[0] * W).astype(int), 0, W - 1)
     rows = np.clip(((pos[:, 1] - lo[1]) / span[1] * H).astype(int), 0, H - 1)
+    return rows, cols
 
-    z = state.z_B
-    inlier = z < state.L
-    cluster_of_point = np.full(len(obs), -1, dtype=np.int64)
-    cluster_of_point[inlier] = state.z_H[z[inlier]]
+
+def state_to_segments(state: ModelState, obs: Observations, grid_shape: tuple[int, int],
+                      extent=None) -> np.ndarray:
+    """Rasterize inferred point groupings onto a grid of cluster labels.
+
+    Each point lands in a cell (first two coordinates); the cell's label is
+    the majority cluster among its points.  Cells without points, and points
+    assigned to the outlier component, stay -1.
+    """
+    H, W = grid_shape
+    rows, cols = _grid_cells(obs, grid_shape, extent)
+    cluster_of_point = point_cluster_labels(state)
 
     votes = np.zeros((H, W, state.K), dtype=np.int64)
     ok = cluster_of_point >= 0
@@ -162,17 +169,7 @@ def rasterize_mask(obs: Observations, point_mask: np.ndarray,
                    grid_shape: tuple[int, int], extent=None) -> np.ndarray:
     """Boolean grid marking cells where masked points outnumber unmasked ones."""
     H, W = grid_shape
-    pos = obs.positions[:, :2]
-    if extent is None:
-        lo = pos.min(axis=0)
-        hi = pos.max(axis=0)
-    else:
-        (x0, x1), (y0, y1) = extent
-        lo = np.array([x0, y0])
-        hi = np.array([x1, y1])
-    span = np.maximum(hi - lo, 1e-12)
-    cols = np.clip(((pos[:, 0] - lo[0]) / span[0] * W).astype(int), 0, W - 1)
-    rows = np.clip(((pos[:, 1] - lo[1]) / span[1] * H).astype(int), 0, H - 1)
+    rows, cols = _grid_cells(obs, grid_shape, extent)
     mask = np.asarray(point_mask, dtype=bool)
     yes = np.zeros((H, W), dtype=np.int64)
     no = np.zeros((H, W), dtype=np.int64)

@@ -104,14 +104,13 @@ class Block:
 
 @dataclass(frozen=True)
 class SweepSchedule:
-    """Ordered Gibbs steps with repeat counts plus behavior flags."""
+    """Ordered Gibbs steps with repeat counts plus the flags ``sweep`` reads."""
 
     steps: tuple
     freeze_Sigma_B: bool = False
     freeze_z_H: bool = False
     enable_outliers: bool = False
     enable_features: bool = False
-    position_only_assignment: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -145,11 +144,6 @@ class SweepSchedule:
 
         walk(self.steps)
         return tuple(out)
-
-    def replace_flags(self, **kw) -> "SweepSchedule":
-        import dataclasses
-
-        return dataclasses.replace(self, **kw)
 
 
 def full_sweep_schedule(**flags) -> SweepSchedule:
@@ -608,45 +602,44 @@ def update_cluster_translations(state: ModelState, hyper: HyperParams,
 # Sweep
 # --------------------------------------------------------------------------
 
+# step id -> (state field, update).  An update takes (state, obs, hyper,
+# schedule, candidates, rng) and returns the field's new value.  The lambdas
+# look their kernel up in the module globals when called, so a kernel rebound
+# after import (as the benchmark tracer does) is the one that runs.
+_STEP_UPDATES = {
+    ASSIGN_POINTS: ("assignments", lambda s, o, h, sc, c, r: Assignments(
+        assign_points_to_particles(s, o, h, r, include_outlier=sc.enable_outliers,
+                                   use_features=sc.enable_features), s.z_H)),
+    ASSIGN_POINTS_SPATIAL: ("assignments", lambda s, o, h, sc, c, r: Assignments(
+        assign_points_to_particles(s, o, h, r, position_only=True), s.z_H)),
+    PARTICLE_WEIGHTS: ("pi_B", lambda s, o, h, sc, c, r: update_particle_weights(s, h, r)),
+    PARTICLE_MEANS: ("mu_B", lambda s, o, h, sc, c, r: update_particle_means(s, o, h, r)),
+    PARTICLE_COVS: ("Sigma_B", lambda s, o, h, sc, c, r:
+                    update_particle_covariances(s, o, h, r)),
+    PARTICLE_VELOCITIES: ("vel", lambda s, o, h, sc, c, r:
+                          update_particle_velocity_means(s, o, h, r)),
+    PARTICLE_VELOCITY_COVS: ("Sigma_V", lambda s, o, h, sc, c, r:
+                             update_particle_velocity_covariances(s, o, h, r)),
+    PARTICLE_FEATURES: ("feat", lambda s, o, h, sc, c, r: update_particle_features(s, o)),
+    ASSIGN_PARTICLES: ("assignments", lambda s, o, h, sc, c, r: Assignments(
+        s.z_B, assign_particles_to_clusters(s, h, r))),
+    CLUSTER_WEIGHTS: ("pi_H", lambda s, o, h, sc, c, r: update_cluster_weights(s, h, r)),
+    CLUSTER_MEANS: ("mu_H", lambda s, o, h, sc, c, r: update_cluster_means(s, h, r)),
+    CLUSTER_COVS: ("Sigma_H", lambda s, o, h, sc, c, r: update_cluster_covariances(s, h, r)),
+    CLUSTER_ROTATIONS: ("rot", lambda s, o, h, sc, c, r:
+                        update_cluster_rotations(s, h, c, r)),
+    CLUSTER_TRANSLATIONS: ("trans", lambda s, o, h, sc, c, r:
+                           update_cluster_translations(s, h, c, r)),
+}
+
+
 def _apply_step(name: str, state: ModelState, obs: Observations, hyper: HyperParams,
                 schedule: SweepSchedule, candidates: TransformCandidates,
                 rng: np.random.Generator) -> ModelState:
-    if name == ASSIGN_POINTS:
-        z = assign_points_to_particles(
-            state, obs, hyper, rng,
-            position_only=schedule.position_only_assignment,
-            include_outlier=schedule.enable_outliers,
-            use_features=schedule.enable_features and not schedule.position_only_assignment)
-        return state.replace(assignments=Assignments(z, state.z_H))
-    if name == ASSIGN_POINTS_SPATIAL:
-        z = assign_points_to_particles(state, obs, hyper, rng, position_only=True)
-        return state.replace(assignments=Assignments(z, state.z_H))
-    if name == PARTICLE_WEIGHTS:
-        return state.replace(pi_B=update_particle_weights(state, hyper, rng))
-    if name == PARTICLE_MEANS:
-        return state.replace(mu_B=update_particle_means(state, obs, hyper, rng))
-    if name == PARTICLE_COVS:
-        return state.replace(Sigma_B=update_particle_covariances(state, obs, hyper, rng))
-    if name == PARTICLE_VELOCITIES:
-        return state.replace(vel=update_particle_velocity_means(state, obs, hyper, rng))
-    if name == PARTICLE_VELOCITY_COVS:
-        return state.replace(Sigma_V=update_particle_velocity_covariances(state, obs, hyper, rng))
-    if name == PARTICLE_FEATURES:
-        return state.replace(feat=update_particle_features(state, obs))
-    if name == ASSIGN_PARTICLES:
-        z_h = assign_particles_to_clusters(state, hyper, rng)
-        return state.replace(assignments=Assignments(state.z_B, z_h))
-    if name == CLUSTER_WEIGHTS:
-        return state.replace(pi_H=update_cluster_weights(state, hyper, rng))
-    if name == CLUSTER_MEANS:
-        return state.replace(mu_H=update_cluster_means(state, hyper, rng))
-    if name == CLUSTER_COVS:
-        return state.replace(Sigma_H=update_cluster_covariances(state, hyper, rng))
-    if name == CLUSTER_ROTATIONS:
-        return state.replace(rot=update_cluster_rotations(state, hyper, candidates, rng))
-    if name == CLUSTER_TRANSLATIONS:
-        return state.replace(trans=update_cluster_translations(state, hyper, candidates, rng))
-    raise ValidationError(f"unknown schedule step {name!r}")
+    if name not in _STEP_UPDATES:
+        raise ValidationError(f"unknown schedule step {name!r}")
+    field, update = _STEP_UPDATES[name]
+    return state.replace(**{field: update(state, obs, hyper, schedule, candidates, rng)})
 
 
 def sweep(state: ModelState, obs: Observations, hyper: HyperParams,

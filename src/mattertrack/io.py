@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .gibbs import Block, Step, SweepSchedule
+from .gibbs import Block, Step
 from .rng import RngState
 from .tracker import TrackConfig
 from .types import Assignments, HyperParams, ModelState, Observations, ValidationError
@@ -208,25 +208,6 @@ def schedule_items_from_json(raw) -> tuple:
     return tuple(items)
 
 
-_SCHEDULE_FLAGS = ("freeze_Sigma_B", "freeze_z_H", "enable_outliers",
-                   "enable_features", "position_only_assignment")
-
-
-def schedule_to_dict(sched: SweepSchedule) -> dict:
-    out: dict[str, Any] = {"steps": schedule_items_to_json(sched.steps)}
-    for flag in _SCHEDULE_FLAGS:
-        out[flag] = getattr(sched, flag)
-    return out
-
-
-def schedule_from_dict(d: dict) -> SweepSchedule:
-    unknown = set(d) - {"steps", *_SCHEDULE_FLAGS}
-    if unknown:
-        raise ValidationError(f"unknown schedule keys: {sorted(unknown)}")
-    flags = {flag: bool(d[flag]) for flag in _SCHEDULE_FLAGS if flag in d}
-    return SweepSchedule(steps=schedule_items_from_json(d.get("steps", [])), **flags)
-
-
 _TRACK_FIELDS = {f.name for f in dataclasses.fields(TrackConfig)}
 
 
@@ -235,8 +216,13 @@ def track_config_from_dict(d: dict) -> TrackConfig:
     if unknown:
         raise ValidationError(f"unknown track config keys: {sorted(unknown)}")
     kw = dict(d)
-    if "per_frame_schedule" in kw and kw["per_frame_schedule"] is not None:
-        kw["per_frame_schedule"] = schedule_from_dict(kw["per_frame_schedule"])
+    raw = kw.get("per_frame_schedule")
+    if raw is not None:
+        if not isinstance(raw, dict) or set(raw) != {"steps"}:
+            raise ValidationError(
+                f'per_frame_schedule must be {{"steps": [...]}}, got {raw!r}; '
+                "freeze and enable flags belong in the track section")
+        kw["per_frame_schedule"] = schedule_items_from_json(raw["steps"])
     return TrackConfig(**kw)
 
 
@@ -244,8 +230,8 @@ def track_config_to_dict(cfg: TrackConfig) -> dict:
     out: dict[str, Any] = {}
     for f in dataclasses.fields(TrackConfig):
         val = getattr(cfg, f.name)
-        if f.name == "per_frame_schedule":
-            val = None if val is None else schedule_to_dict(val)
+        if f.name == "per_frame_schedule" and val is not None:
+            val = {"steps": schedule_items_to_json(val)}
         out[f.name] = val
     return out
 
@@ -289,10 +275,7 @@ def load_config(path: str) -> Config:
         bad = set(cfg.hyper) - _HYPER_FIELDS
         if bad:
             raise ValidationError(f"unknown hyperparameter keys: {sorted(bad)}")
-    if cfg.track is not None:
-        bad = set(cfg.track) - _TRACK_FIELDS
-        if bad:
-            raise ValidationError(f"unknown track config keys: {sorted(bad)}")
+    cfg.resolve_track()
     cfg.candidate_sizes()
     return cfg
 
@@ -301,30 +284,29 @@ def load_config(path: str) -> Config:
 # State dumps
 # --------------------------------------------------------------------------
 
+# (JSON key, ModelState field) of each per-particle and per-cluster record, in
+# dump order; "f" is present only when the state carries feature means
+_PARTICLE_KEYS = (("mu_B", "mu_B"), ("Sigma_B", "Sigma_B"), ("v", "vel"),
+                  ("Sigma_V", "Sigma_V"), ("f", "feat"))
+_CLUSTER_KEYS = (("mu_H", "mu_H"), ("Sigma_H", "Sigma_H"), ("R", "rot"), ("t", "trans"))
+
+
+def _records(state: ModelState, table) -> list[dict]:
+    cols = {key: getattr(state, field).tolist() for key, field in table
+            if getattr(state, field) is not None}
+    return [dict(zip(cols, row)) for row in zip(*cols.values())]
+
+
+def _stacked(records: list[dict], table) -> dict[str, np.ndarray]:
+    return {field: np.asarray([r[key] for r in records], dtype=np.float64)
+            for key, field in table if key != "f" or (records and "f" in records[0])}
+
+
 def state_to_dict(state: ModelState) -> dict:
-    particles = []
-    for ell in range(state.L):
-        rec: dict[str, Any] = {
-            "mu_B": state.mu_B[ell].tolist(),
-            "Sigma_B": state.Sigma_B[ell].tolist(),
-            "v": state.vel[ell].tolist(),
-            "Sigma_V": state.Sigma_V[ell].tolist(),
-        }
-        if state.feat is not None:
-            rec["f"] = state.feat[ell].tolist()
-        particles.append(rec)
-    clusters = []
-    for k in range(state.K):
-        clusters.append({
-            "mu_H": state.mu_H[k].tolist(),
-            "Sigma_H": state.Sigma_H[k].tolist(),
-            "R": state.rot[k].tolist(),
-            "t": state.trans[k].tolist(),
-        })
     return {
         "dim": state.dim,
-        "particles": particles,
-        "clusters": clusters,
+        "particles": _records(state, _PARTICLE_KEYS),
+        "clusters": _records(state, _CLUSTER_KEYS),
         "pi_B": state.pi_B.tolist(),
         "pi_H": state.pi_H.tolist(),
         "z_B": state.z_B.tolist(),
@@ -334,27 +316,15 @@ def state_to_dict(state: ModelState) -> dict:
 
 
 def state_from_dict(d: dict) -> ModelState:
-    particles = d["particles"]
-    clusters = d["clusters"]
-    feat = None
-    if particles and "f" in particles[0]:
-        feat = np.asarray([p["f"] for p in particles], dtype=np.float64)
     return ModelState(
         dim=int(d["dim"]),
-        mu_B=np.asarray([p["mu_B"] for p in particles], dtype=np.float64),
-        Sigma_B=np.asarray([p["Sigma_B"] for p in particles], dtype=np.float64),
-        vel=np.asarray([p["v"] for p in particles], dtype=np.float64),
-        Sigma_V=np.asarray([p["Sigma_V"] for p in particles], dtype=np.float64),
+        **_stacked(d["particles"], _PARTICLE_KEYS),
+        **_stacked(d["clusters"], _CLUSTER_KEYS),
         pi_B=np.asarray(d["pi_B"], dtype=np.float64),
-        mu_H=np.asarray([c["mu_H"] for c in clusters], dtype=np.float64),
-        Sigma_H=np.asarray([c["Sigma_H"] for c in clusters], dtype=np.float64),
-        rot=np.asarray([c["R"] for c in clusters], dtype=np.float64),
-        trans=np.asarray([c["t"] for c in clusters], dtype=np.float64),
         pi_H=np.asarray(d["pi_H"], dtype=np.float64),
         assignments=Assignments(np.asarray(d["z_B"], dtype=np.int64),
                                 np.asarray(d["z_H"], dtype=np.int64)),
         rng=RngState.from_dict(d["rng"]),
-        feat=feat,
     )
 
 

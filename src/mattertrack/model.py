@@ -30,7 +30,6 @@ from .distributions import (
 from .rng import RngState, substream
 from .types import (
     Assignments,
-    ClusterState,
     HyperParams,
     ModelState,
     Observations,
@@ -38,20 +37,13 @@ from .types import (
 )
 
 
-def cluster_induced_velocity(cluster: ClusterState, particle_mean: np.ndarray) -> np.ndarray:
-    """Velocity a cluster's rigid transform induces at a particle location.
-
-    Equals t + (R - I)(mu - mu_H): translation plus the first-order effect of
-    rotating about the cluster center.
-    """
-    particle_mean = np.asarray(particle_mean, dtype=np.float64)
-    offset = particle_mean - cluster.mu_H
-    return cluster.t + (cluster.R - np.eye(len(particle_mean))) @ offset
-
-
 def induced_velocities(rot: np.ndarray, trans: np.ndarray, mu_H: np.ndarray,
                        means: np.ndarray) -> np.ndarray:
-    """Rowwise cluster-induced velocities of ``means`` under one transform."""
+    """Rowwise cluster-induced velocities of ``means`` under one transform.
+
+    Each row is t + (R - I)(mu - mu_H): translation plus the first-order
+    effect of rotating about the cluster center.
+    """
     A = rot - np.eye(rot.shape[0])
     return trans + (means - mu_H) @ A.T
 

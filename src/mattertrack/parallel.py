@@ -25,10 +25,6 @@ def set_num_threads(n: int) -> None:
     _num_threads = max(1, int(n))
 
 
-def get_num_threads() -> int:
-    return _num_threads
-
-
 def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
     """Map ``fn`` over ``items``, preserving order."""
     if _num_threads == 1 or len(items) <= 1:

@@ -44,10 +44,14 @@ from .types import HyperParams, ModelState, Observations, ValidationError
 
 @dataclass(frozen=True)
 class TrackConfig:
-    """Knobs of the sequential tracking procedure."""
+    """Knobs of the sequential tracking procedure.
+
+    ``per_frame_schedule`` holds only schedule items (``Step``/``Block``);
+    the four flags here apply to the frame-0 sweeps and to every later frame.
+    """
 
     init_sweeps: int = 50
-    per_frame_schedule: SweepSchedule | None = None
+    per_frame_schedule: tuple | None = None
     freeze_z_H: bool = False
     freeze_Sigma_B: bool = True
     subsample_rate: float = 1.0
@@ -59,12 +63,15 @@ class TrackConfig:
             raise ValidationError("init_sweeps must be non-negative")
         if not 0 < self.subsample_rate <= 1:
             raise ValidationError(f"subsample_rate must be in (0, 1], got {self.subsample_rate}")
+        if self.per_frame_schedule is not None:
+            SweepSchedule(self.per_frame_schedule)  # rejects unknown steps and bad repeats
 
     def frame_schedule(self) -> SweepSchedule:
-        base = self.per_frame_schedule
-        if base is None:
-            base = tracking_frame_schedule()
-        return base.replace_flags(
+        steps = self.per_frame_schedule
+        if steps is None:
+            steps = tracking_frame_schedule().steps
+        return SweepSchedule(
+            steps,
             freeze_z_H=self.freeze_z_H,
             freeze_Sigma_B=self.freeze_Sigma_B,
             enable_outliers=self.enable_outliers,
@@ -77,13 +84,22 @@ def propagate(state: ModelState) -> ModelState:
     return state.replace(mu_B=state.mu_B + state.vel)
 
 
+def subsample_indices(n: int, rate: float, rng: np.random.Generator) -> np.ndarray | None:
+    """Sorted indices of the ceil(rate * n) points a frame of n keeps.
+
+    None when ``rate >= 1`` keeps every point.  Draws from ``rng`` only when
+    points are dropped.
+    """
+    if rate >= 1.0:
+        return None
+    m = max(1, math.ceil(rate * n))
+    return np.sort(rng.choice(n, size=m, replace=False))
+
+
 def subsample_frame(obs: Observations, rate: float, rng: np.random.Generator) -> Observations:
     """Uniformly keep ceil(rate * N) points, preserving original order."""
-    if rate >= 1.0:
-        return obs
-    m = max(1, math.ceil(rate * len(obs)))
-    idx = np.sort(rng.choice(len(obs), size=m, replace=False))
-    return obs.take(idx)
+    idx = subsample_indices(len(obs), rate, rng)
+    return obs if idx is None else obs.take(idx)
 
 
 def track(frames: list[Observations], K: int, L: int, hyper: HyperParams,
@@ -167,15 +183,15 @@ def gestalt_track_config(init_sweeps: int = 50, velocity_iters: int = 20,
         ),
         repeat=velocity_iters,
     )
-    full_block = Block(items=tuple(tracking_frame_schedule().steps), repeat=full_sweeps)
-    schedule = SweepSchedule(steps=(
+    full_block = Block(items=tracking_frame_schedule().steps, repeat=full_sweeps)
+    steps = (
         Step(ASSIGN_POINTS_SPATIAL),
         Step(PARTICLE_WEIGHTS),
         Step(PARTICLE_MEANS),
         velocity_block,
         full_block,
-    ))
-    return TrackConfig(init_sweeps=init_sweeps, per_frame_schedule=schedule,
+    )
+    return TrackConfig(init_sweeps=init_sweeps, per_frame_schedule=steps,
                        freeze_z_H=True, freeze_Sigma_B=True)
 
 
@@ -196,7 +212,7 @@ def rgb_track_config(init_sweeps: int = 30, refine_iters: int = 3) -> TrackConfi
         ),
         repeat=refine_iters,
     )
-    schedule = SweepSchedule(steps=(
+    steps = (
         Step(CLUSTER_ROTATIONS),
         Step(CLUSTER_TRANSLATIONS),
         Step(ASSIGN_POINTS_SPATIAL),
@@ -208,7 +224,7 @@ def rgb_track_config(init_sweeps: int = 30, refine_iters: int = 3) -> TrackConfi
         Step(CLUSTER_WEIGHTS),
         Step(CLUSTER_MEANS),
         Step(CLUSTER_COVS),
-    ))
-    return TrackConfig(init_sweeps=init_sweeps, per_frame_schedule=schedule,
+    )
+    return TrackConfig(init_sweeps=init_sweeps, per_frame_schedule=steps,
                        freeze_z_H=True, freeze_Sigma_B=True,
                        enable_outliers=True, enable_features=True)

@@ -240,17 +240,6 @@ class Assignments:
 
 
 @dataclass(frozen=True)
-class ClusterState:
-    """View of one cluster: spatial Gaussian and rigid transform."""
-
-    mu_H: np.ndarray
-    Sigma_H: np.ndarray
-    R: np.ndarray
-    t: np.ndarray
-    weight: float
-
-
-@dataclass(frozen=True)
 class ModelState:
     """Full latent state of the model.
 

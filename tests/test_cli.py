@@ -8,8 +8,12 @@ import pytest
 from click.testing import CliRunner
 
 from mattertrack import io as mio
+from mattertrack import rng as rngmod
 from mattertrack.cli import main
+from mattertrack.evaluation import adjusted_rand_index, point_cluster_labels
 from mattertrack.parallel import set_num_threads
+from mattertrack.rng import substream
+from mattertrack.tracker import subsample_indices
 
 
 @pytest.fixture(autouse=True)
@@ -114,6 +118,30 @@ def test_fit_track_eval_pipeline(tmp_path):
     assert len(rep["frames"]) == 5
     assert 0.0 <= rep["mean_matter_weighted_jaccard"] <= 1.0
     assert "probe_jaccard" in rep["frames"][0]
+
+
+def test_eval_subsample_pairs_labels_with_tracked_points(tmp_path):
+    spec = scene_spec_file(tmp_path)
+    obs = tmp_path / "rdk.jsonl"
+    gt = tmp_path / "rdk_gt.jsonl"
+    run_cli(["rdk-gen", "--spec", str(spec), "--seed", "3",
+             "--out", str(obs), "--labels-out", str(gt)])
+    track_out = tmp_path / "track.jsonl"
+    run_cli(["track", "--obs", str(obs), "-K", "2", "-L", "8", "--seed", "6",
+             "--subsample", "0.5", "--config", str(config_file(tmp_path)),
+             "--out", str(track_out)])
+    report = tmp_path / "report.json"
+    run_cli(["eval", "--states", str(track_out), "--obs", str(obs), "--gt", str(gt),
+             "--subsample", "0.5", "--seed", "6", "--out", str(report)])
+    rep = json.loads(report.read_text())
+
+    frames, labels = mio.read_observations(obs), mio.read_labels(gt)
+    for rec, frame_rep in zip(mio.read_states(track_out), rep["frames"]):
+        t = rec.t
+        keep = subsample_indices(len(frames[t]), 0.5, substream(6, rngmod.SUBSAMPLE, t))
+        assert len(keep) == rec.state.N < len(frames[t])
+        want = adjusted_rand_index(point_cluster_labels(rec.state), labels[t][keep])
+        assert frame_rep["ari"] == want
 
 
 def test_geweke_command_smoke(tmp_path):

@@ -1,12 +1,13 @@
 """File formats: round trips, malformed-input diagnostics, config validation,
 and state-dump resume."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mattertrack import io as mio
-from mattertrack.gibbs import Block, Step, SweepSchedule, tracking_frame_schedule
+from mattertrack.gibbs import Block, Step, tracking_frame_schedule
 from mattertrack.synth import Body, SceneSpec, make_rigid_scene
 from mattertrack.tracker import TrackConfig, track
 from mattertrack.types import HyperParams, Observations, ValidationError
@@ -159,25 +160,69 @@ def test_config_file_sections_and_unknown_keys(tmp_path):
 
 
 def test_schedule_dict_roundtrip():
-    sched = SweepSchedule(
-        steps=(Step("assign_points"), Block(items=(Step("particle_means", 2),), repeat=3)),
-        freeze_z_H=True)
-    d = mio.schedule_to_dict(sched)
-    back = mio.schedule_from_dict(d)
-    assert back.flatten() == sched.flatten()
-    assert back.freeze_z_H
-    with pytest.raises(ValidationError):
-        mio.schedule_from_dict({"steps": ["no_such_step"]})
+    raw = {"steps": ["assign_points",
+                     {"repeat": 3, "steps": [["particle_means", 2]]}]}
+    cfg = mio.track_config_from_dict({"per_frame_schedule": raw})
+    assert cfg.per_frame_schedule == (
+        Step("assign_points"), Block(items=(Step("particle_means", 2),), repeat=3))
+    assert mio.track_config_to_dict(cfg)["per_frame_schedule"] == raw
+    with pytest.raises(ValidationError, match="no_such_step"):
+        mio.track_config_from_dict({"per_frame_schedule": {"steps": ["no_such_step"]}})
 
 
 def test_track_config_schedule_roundtrip():
-    cfg = TrackConfig(init_sweeps=7, per_frame_schedule=tracking_frame_schedule(),
+    cfg = TrackConfig(init_sweeps=7, per_frame_schedule=tracking_frame_schedule().steps,
                       freeze_z_H=True, subsample_rate=0.25)
     d = mio.track_config_to_dict(cfg)
     back = mio.track_config_from_dict(d)
-    assert back.init_sweeps == 7
-    assert back.freeze_z_H
-    assert back.per_frame_schedule.flatten() == cfg.per_frame_schedule.flatten()
+    assert back == cfg
+    assert back.frame_schedule() == tracking_frame_schedule(
+        freeze_z_H=True, freeze_Sigma_B=True)
+
+
+@pytest.mark.parametrize("flag", ["freeze_z_H", "position_only_assignment"])
+def test_per_frame_schedule_rejects_flags(tmp_path, flag):
+    track_section = {"per_frame_schedule": {"steps": ["assign_points"], flag: True}}
+    with pytest.raises(ValidationError, match=flag):
+        mio.track_config_from_dict(track_section)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"track": track_section}))
+    with pytest.raises(ValidationError, match=flag):
+        mio.load_config(path)
+
+
+def test_load_config_rejects_unknown_schedule_step(tmp_path):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"track": {"per_frame_schedule": {"steps": ["warp"]}}}))
+    with pytest.raises(ValidationError, match="warp"):
+        mio.load_config(path)
+
+
+def test_track_config_freeze_z_H_holds_for_config_steps():
+    spec = SceneSpec(
+        bodies=(Body(kind="rect", center=(0.5, 0.5), size=(0.8, 0.8), num_dots=80),),
+        frames=4, velocity_noise=0.004)
+    frames, _ = make_rigid_scene(spec, seed=3)
+    steps = ["assign_points_spatial", "particle_weights", "particle_means",
+             "assign_points", "assign_particles", "cluster_weights"]
+    cfg = mio.track_config_from_dict({"init_sweeps": 3, "freeze_z_H": True,
+                                      "per_frame_schedule": {"steps": steps}})
+    states = track(frames, K=2, L=6, hyper=diag_hyper(2, sigma2_V=1e-3, s2=0.01),
+                   cfg=cfg, seed=4)
+    for s in states[1:]:
+        np.testing.assert_array_equal(s.z_H, states[0].z_H)
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("**Config files**"):]
+    block = section[section.index("```json") + len("```json"):]
+    path = tmp_path / "conf.json"
+    path.write_text(block[:block.index("```")])
+    cfg = mio.load_config(path)
+    hyper = cfg.resolve_hyper(2)
+    hyper.validate(2)
+    assert isinstance(cfg.resolve_track(), TrackConfig)
 
 
 # -- state dumps ------------------------------------------------------------------

@@ -7,13 +7,13 @@ from scipy import stats
 
 from mattertrack.distributions import make_transform_candidates
 from mattertrack.model import (
-    cluster_induced_velocity,
+    induced_velocities,
     log_joint,
     resample_observations,
     sample_forward,
 )
 from mattertrack.synth import separated_mixture_scene
-from mattertrack.types import ClusterState, HyperParams, ValidationError
+from mattertrack.types import HyperParams, ValidationError
 
 from conftest import diag_hyper, single_particle_state
 
@@ -78,43 +78,41 @@ def test_forward_output_satisfies_invariants():
     state.validate()
 
 
-# -- cluster_induced_velocity ---------------------------------------------------
+# -- induced_velocities -----------------------------------------------------------
 
 def test_induced_velocity_identity_rotation():
-    c = ClusterState(mu_H=np.zeros(2), Sigma_H=np.eye(2), R=np.eye(2),
-                     t=np.array([3.0, 4.0]), weight=1.0)
-    for pm in ([0.0, 0.0], [5.0, -2.0], [100.0, 3.0]):
-        np.testing.assert_allclose(cluster_induced_velocity(c, np.array(pm)), [3.0, 4.0],
-                                   atol=1e-15)
+    means = np.array([[0.0, 0.0], [5.0, -2.0], [100.0, 3.0]])
+    np.testing.assert_allclose(
+        induced_velocities(np.eye(2), np.array([3.0, 4.0]), np.zeros(2), means),
+        np.tile([3.0, 4.0], (3, 1)), atol=1e-15)
 
 
 def test_induced_velocity_zero_offset():
     mu = np.array([1.5, -0.5])
-    c = ClusterState(mu_H=mu, Sigma_H=np.eye(2),
-                     R=np.array([[0.0, -1.0], [1.0, 0.0]]), t=np.zeros(2), weight=1.0)
-    np.testing.assert_allclose(cluster_induced_velocity(c, mu), np.zeros(2), atol=1e-15)
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    np.testing.assert_allclose(induced_velocities(quarter, np.zeros(2), mu, mu[None]),
+                               np.zeros((1, 2)), atol=1e-15)
 
 
 def test_induced_velocity_quarter_turn():
-    c = ClusterState(mu_H=np.zeros(2), Sigma_H=np.eye(2),
-                     R=np.array([[0.0, -1.0], [1.0, 0.0]]), t=np.zeros(2), weight=1.0)
-    np.testing.assert_allclose(cluster_induced_velocity(c, np.array([1.0, 0.0])),
-                               [-1.0, 1.0], atol=1e-15)
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    np.testing.assert_allclose(
+        induced_velocities(quarter, np.zeros(2), np.zeros(2), np.array([[1.0, 0.0]])),
+        [[-1.0, 1.0]], atol=1e-15)
 
 
 def test_induced_velocity_affine_jacobian():
     rng = np.random.default_rng(0)
     R = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
-    c = ClusterState(mu_H=rng.standard_normal(2), Sigma_H=np.eye(2), R=R,
-                     t=rng.standard_normal(2), weight=1.0)
+    mu_H, t = rng.standard_normal(2), rng.standard_normal(2)
     p0 = rng.standard_normal(2)
     eps = 1e-6
     jac = np.empty((2, 2))
     for j in range(2):
         dp = np.zeros(2)
         dp[j] = eps
-        jac[:, j] = (cluster_induced_velocity(c, p0 + dp)
-                     - cluster_induced_velocity(c, p0 - dp)) / (2 * eps)
+        jac[:, j] = (induced_velocities(R, t, mu_H, (p0 + dp)[None])[0]
+                     - induced_velocities(R, t, mu_H, (p0 - dp)[None])[0]) / (2 * eps)
     np.testing.assert_allclose(jac, R - np.eye(2), atol=1e-8)
 
 
