@@ -45,6 +45,10 @@ _threads_option = click.option(
     help="No effect; accepted so existing command lines keep working.")
 
 
+# the share of each frame's points kept; checked once here for every command
+_SUBSAMPLE_RATE = click.FloatRange(0.0, 1.0, min_open=True)
+
+
 @click.group()
 def main() -> None:
     """Generative clustering and tracking of moving point matter."""
@@ -105,7 +109,7 @@ def rdk_gen(spec_path, seed, out_path, labels_out, threads):
 @click.option("--sweeps", type=int, default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--subsample", type=float, default=1.0, show_default=True)
+@click.option("--subsample", type=_SUBSAMPLE_RATE, default=1.0, show_default=True)
 @click.option("--auto-hyper/--no-auto-hyper", default=True, show_default=True,
               help="Derive data-dependent hyperparameters from the frame.")
 @click.option("--flow-split/--no-flow-split", default=False, show_default=True,
@@ -144,7 +148,7 @@ def fit(obs_path, num_clusters, num_particles, sweeps, seed, config_path,
 @click.option("-L", "--particles", "num_particles", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--subsample", type=float, default=None,
+@click.option("--subsample", type=_SUBSAMPLE_RATE, default=None,
               help="Override the config's subsample rate.")
 @click.option("--auto-hyper/--no-auto-hyper", default=True, show_default=True)
 @click.option("--flow-split/--no-flow-split", default=False, show_default=True,
@@ -210,7 +214,7 @@ def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsampl
 @click.option("-L", "--particles", "num_particles", type=int, required=True)
 @click.option("--max-iter", type=int, default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--subsample", type=float, default=1.0, show_default=True)
+@click.option("--subsample", type=_SUBSAMPLE_RATE, default=1.0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_threads_option
 def sva_cmd(obs_path, num_clusters, num_particles, max_iter, seed, subsample,
@@ -239,7 +243,7 @@ def sva_cmd(obs_path, num_clusters, num_particles, max_iter, seed, subsample,
 @click.option("--states", "states_path", required=True, type=click.Path(exists=True))
 @click.option("--obs", "obs_path", required=True, type=click.Path(exists=True))
 @click.option("--gt", "gt_path", required=True, type=click.Path(exists=True))
-@click.option("--subsample", type=float, default=1.0, show_default=True,
+@click.option("--subsample", type=_SUBSAMPLE_RATE, default=1.0, show_default=True,
               help="Subsample rate the states were produced with.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed the states were produced with (for subsampling).")

@@ -164,22 +164,50 @@ def mvn_logpdf_rows_all(X: np.ndarray, means: np.ndarray, covs: np.ndarray,
     into that (N, M) array, which is returned.
     """
     X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
+    proj, const = mvn_whitening(means, covs)
+    out = np.zeros((X.shape[0], len(const))) if add_to is None else add_to
+    return add_mvn_logpdf_rows(augment_rows(X), proj, const, out)
+
+
+def mvn_whitening(means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-call part of ``mvn_logpdf_rows_all`` for M Gaussians.
+
+    Returns ``proj`` (D, D+1, M), whose slice j maps augmented rows [x, 1]
+    to entry j of every whitened residual, scaled by sqrt(1/2) so that its
+    square carries the -1/2 of the exponent, and ``const`` (M,), the
+    normalizing constant of each density.
+    """
     factors = chol_spd_stack(covs)
-    m = len(factors)
-    # scaling W by sqrt(1/2) folds the -1/2 of the exponent into the square
+    m, d = factors.shape[:2]
     white = tril_inverse_stack(factors) * math.sqrt(0.5)
     proj = np.empty((d, d + 1, m))
     proj[:, :d] = white.transpose(1, 2, 0)
     proj[:, d] = -np.einsum("mjk,mk->jm", white, np.asarray(means, dtype=np.float64))
-    x_aug = np.empty((n, d + 1))
-    x_aug[:, :d] = X
-    x_aug[:, d] = 1.0
-    out = np.zeros((n, m)) if add_to is None else add_to
-    out -= 0.5 * d * _LOG_2PI + np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
-    resid = np.empty((n, m))
-    for j in range(d):
-        np.matmul(x_aug, proj[j], out=resid)
+    const = 0.5 * d * _LOG_2PI + np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
+    return proj, const
+
+
+def augment_rows(X: np.ndarray) -> np.ndarray:
+    """The (N, D+1) rows [x, 1] that ``mvn_whitening``'s ``proj`` maps."""
+    out = np.empty((X.shape[0], X.shape[1] + 1))
+    out[:, :-1] = X
+    out[:, -1] = 1.0
+    return out
+
+
+def add_mvn_logpdf_rows(x_aug: np.ndarray, proj: np.ndarray, const: np.ndarray,
+                        out: np.ndarray, resid: np.ndarray | None = None) -> np.ndarray:
+    """Add the log densities of augmented rows ``x_aug`` (n, D+1) into ``out`` (n, M).
+
+    ``proj`` and ``const`` come from ``mvn_whitening``; ``resid`` is an
+    optional (n, M) C-contiguous scratch array.  Any range of rows gives the
+    same entries as the whole set, so callers may stream rows in blocks.
+    """
+    if resid is None:
+        resid = np.empty(out.shape)
+    out -= const
+    for w in proj:
+        np.matmul(x_aug, w, out=resid)
         np.square(resid, out=resid)
         out -= resid
     return out
@@ -297,16 +325,47 @@ def categorical_sample(log_weights: np.ndarray, rng: np.random.Generator) -> int
 
 
 def categorical_sample_rows(log_weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of a (N, M) log-weight matrix."""
+    """One categorical draw per row of a (N, M) log-weight matrix.
+
+    The label is the first column whose cumulative weight reaches
+    u = U * total, with U one ``rng.random()`` per row.  Weights are shifted
+    by the row maximum, so each row's total is at least 1, and since U is a
+    multiple of 2**-53, u is 0 or above 1e-16.  A term whose shifted log
+    weight is below -708 (a term below 3.4e-308) is set to exactly 0, and
+    ``exp`` never sees its value: near the subnormal range ``exp`` leaves
+    its vector path and runs 10-100x slower per element.  The flushed
+    terms change only cumulative weights below about 1e-292, far below any
+    nonzero u, so a label can move only when a rounding tie in a later
+    cumulative sum meets u, an event of measure below 2**-50.  Columns of
+    weight -inf are never drawn.  The input is not modified.
+    """
     lw = np.asarray(log_weights, dtype=np.float64)
+    return _categorical_sample_rows(lw, rng, out=None)
+
+
+# exp(-708) = 3.3e-308, just above the smallest normal double
+_EXP_FLOOR = -708.0
+
+
+def _categorical_sample_rows(lw: np.ndarray, rng: np.random.Generator,
+                             out: np.ndarray | None) -> np.ndarray:
+    """``categorical_sample_rows`` working in ``out``, which may be ``lw`` itself."""
     m = np.max(lw, axis=1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise ValidationError("no admissible component: a row has all -inf weights")
-    c = lw - m
+    c = np.subtract(lw, m, out=out)
+    keep = c >= _EXP_FLOOR
+    # clamp, then zero, the flushed entries, so exp only sees values in its
+    # fast range and -inf never meets the multiplication by 0
+    np.maximum(c, _EXP_FLOOR, out=c)
+    c *= keep
     np.exp(c, out=c)
+    c *= keep
     np.cumsum(c, axis=1, out=c)
     u = rng.random((lw.shape[0], 1)) * c[:, -1:]
-    return (u > c).sum(axis=1).astype(np.int64)
+    # cumulative weights are monotone, so the first column at or above u is
+    # the count of columns below it
+    return np.argmax(c >= u, axis=1).astype(np.int64, copy=False)
 
 
 def gamma_logpdf(x, shape: float, rate: float) -> np.ndarray:

@@ -144,6 +144,24 @@ def test_eval_subsample_pairs_labels_with_tracked_points(tmp_path):
         assert frame_rep["ari"] == want
 
 
+@pytest.mark.parametrize("command,rate", [("fit", "-3"), ("sva", "1.5"), ("eval", "0"),
+                                          ("track", "0")])
+def test_subsample_out_of_range_is_a_usage_error(tmp_path, command, rate):
+    obs = tmp_path / "obs.jsonl"
+    run_cli(["simulate", "-N", "60", "-L", "4", "--seed", "1", "--out", str(obs),
+             "--labels-out", str(tmp_path / "labels.jsonl"), "--state-out",
+             str(tmp_path / "state.jsonl")])
+    args = {"fit": ["-K", "2", "-L", "4", "--out", str(tmp_path / "o")],
+            "sva": ["-K", "2", "-L", "4", "--out", str(tmp_path / "o")],
+            "track": ["-K", "2", "-L", "4", "--out", str(tmp_path / "o")],
+            "eval": ["--states", str(tmp_path / "state.jsonl"),
+                     "--gt", str(tmp_path / "labels.jsonl")]}[command]
+    result = CliRunner().invoke(main, [command, "--obs", str(obs), "--subsample", rate, *args])
+    assert result.exit_code == 2, result.output
+    assert "--subsample" in result.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_geweke_command_smoke(tmp_path):
     out = tmp_path / "geweke.json"
     result = run_cli(["geweke", "--dim", "2", "-K", "1", "-L", "2", "-N", "8",

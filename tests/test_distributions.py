@@ -254,6 +254,26 @@ def test_categorical_rows_matches_out_of_place_form():
     np.testing.assert_array_equal(draws, (u > c).sum(axis=1))
 
 
+def test_categorical_rows_flush_keeps_labels_of_unflushed_form():
+    # shifted log weights dense around the -708 flush threshold and the
+    # subnormal range of exp, next to a few columns that carry the mass
+    rng = np.random.default_rng(11)
+    n, m = 20_000, 16
+    lw = rng.uniform(-760.0, -700.0, (n, m))
+    rows = np.arange(n)[:, None]
+    lw[rows, rng.integers(0, m, (n, 3))] = rng.uniform(-12.0, 0.0, (n, 3))
+    lw[::3] -= 40.0                     # shift whole rows: only relative weights count
+    lw[::5, 2] = -np.inf
+    lw[::7, 11] = -np.inf
+    draws = categorical_sample_rows(lw, np.random.default_rng(12))
+    with np.errstate(under="ignore"):
+        c = np.cumsum(np.exp(lw - lw.max(axis=1, keepdims=True)), axis=1)
+    assert np.any((c > 0) & (c < 1e-300))   # the unflushed form sees subnormal terms
+    u = np.random.default_rng(12).random((n, 1)) * c[:, -1:]
+    np.testing.assert_array_equal(draws, (u > c).sum(axis=1))
+    assert np.all(np.isfinite(lw[np.arange(n), draws]))
+
+
 def test_categorical_all_neg_inf_errors():
     with pytest.raises(ValidationError, match="no admissible"):
         categorical_sample(np.array([-np.inf, -np.inf]), np.random.default_rng(0))

@@ -6,7 +6,11 @@ single-matrix distribution helpers.  Each batched step must reproduce them
 under the same ``np.random.default_rng(seed)``: equal labels and candidate
 indices, continuous outputs within 1e-10, and the stream left at the same
 position.  That pins the draw-order contract of ``mattertrack.gibbs``.
+The blocked point-assignment draw must equal the one-shot draw over the
+whole score matrix, label for label.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -380,3 +384,69 @@ def test_batched_sweeps_match_loop(dim):
             want = ref_apply_step(name, want, obs, hyper, cands, rng)
         want = want.replace(rng=want.rng.tick())
         assert_states_match(got, want)
+
+
+# ---------------------------------------------------------------------------
+# blocked point assignment
+# ---------------------------------------------------------------------------
+
+def wide_scene(dim, L, N, seed=0):
+    """A forward-sampled state with features and an outlier component; the
+    scores do not read z_B, so any prefix of ``obs`` is a valid input."""
+    hyper = diag_hyper(dim, sigma2_V=0.05, sigma2_F=0.3, p_outlier=0.1,
+                       outlier_gamma_shape=2.0, outlier_gamma_rate=1.5)
+    state, obs = sample_forward(hyper.replace(p_outlier=0.0), K=3, L=L, N=N, seed=seed)
+    rng = np.random.default_rng(200 + seed)
+    feat = rng.standard_normal((L, 2))
+    features = feat[state.z_B] + 0.5 * rng.standard_normal((N, 2))
+    return (state.replace(feat=feat), Observations(obs.positions, obs.velocities, features),
+            hyper)
+
+
+ASSIGN_VARIANTS = [{"position_only": True}, {},
+                   {"include_outlier": True, "use_features": True}]
+
+
+def assert_blocked_draw_matches_one_shot(state, obs, hyper, seed, **kw):
+    rng_b, rng_o = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = gibbs.assign_points_to_particles(state, obs, hyper, rng_b, **kw)
+    want = categorical_sample_rows(
+        gibbs.point_assignment_log_probs(state, obs, hyper, **kw), rng_o)
+    np.testing.assert_array_equal(got, want)
+    assert rng_b.bit_generator.state == rng_o.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kw", ASSIGN_VARIANTS)
+def test_blocked_assignment_matches_one_shot_draw(dim, kw, monkeypatch):
+    # small blocks, so that every block boundary case takes few points
+    monkeypatch.setattr(gibbs, "_ASSIGN_BLOCK_ENTRIES", 200)
+    L = 8
+    rows = 200 // (L + 1 if kw.get("include_outlier") else L)
+    state, obs, hyper = wide_scene(dim, L, 4 * rows + 3, seed=dim)
+    for n in (1, rows - 1, rows, rows + 1, 4 * rows + 3):
+        assert_blocked_draw_matches_one_shot(state, obs.take(np.arange(n)), hyper,
+                                             seed=n, **kw)
+
+
+@pytest.mark.parametrize("kw", ASSIGN_VARIANTS)
+def test_blocked_assignment_matches_one_shot_draw_at_block_size(kw):
+    L = 64
+    rows = gibbs._ASSIGN_BLOCK_ENTRIES // (L + 1 if kw.get("include_outlier") else L)
+    state, obs, hyper = wide_scene(2, L, 2 * rows + 1, seed=5)
+    for n in (rows, rows + 1, 2 * rows + 1):
+        assert_blocked_draw_matches_one_shot(state, obs.take(np.arange(n)), hyper,
+                                             seed=n, **kw)
+
+
+def test_blocked_assignment_peak_memory_below_one_score_matrix():
+    N, L = 20_000, 100
+    state, obs, hyper = wide_scene(2, L, N)
+    tracemalloc.start()
+    try:
+        gibbs.assign_points_to_particles(state, obs, hyper, np.random.default_rng(0),
+                                         include_outlier=True, use_features=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < N * L * 8

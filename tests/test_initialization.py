@@ -1,23 +1,160 @@
 """K-means, Kabsch alignment, state initialization, and data-dependent
-hyperparameter oracles."""
+hyperparameter oracles.
+
+The ``ref_*`` functions are the earlier implementations of k-means and of
+``init_state``: an (N, K, D) difference tensor for every distance pass, one
+boolean mask per cell for every center update, and one mask per particle and
+cluster for the initial statistics.  The streamed kernels must reproduce them
+bitwise under the same generator.
+"""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mattertrack.distributions import inverse_wishart_mean, rotation_2d
+from mattertrack import rng as rngmod
+from mattertrack.distributions import (
+    inverse_wishart_mean,
+    make_transform_candidates,
+    rotation_2d,
+)
 from mattertrack.evaluation import adjusted_rand_index, point_cluster_labels
 from mattertrack.initialization import (
+    _spd_or,
     data_dependent_hyperparams,
     init_state,
     kabsch_align,
     kmeans_objective,
     kmeans_pp,
 )
+from mattertrack.rng import RngState, substream
 from mattertrack.synth import separated_mixture_scene
-from mattertrack.types import Observations, ValidationError
+from mattertrack.types import Assignments, ModelState, Observations, ValidationError
 
 from conftest import diag_hyper
+
+
+# -- reference loops ------------------------------------------------------------
+
+def ref_sq_dists(points, centers):
+    diff = points[:, None, :] - centers[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def ref_kmeans_single(points, K, rng, max_iter, reseeds):
+    N = points.shape[0]
+    centers = np.empty((K, points.shape[1]))
+    centers[0] = points[rng.integers(N)]
+    d2 = np.einsum("nd,nd->n", points - centers[0], points - centers[0])
+    for k in range(1, K):
+        total = d2.sum()
+        if total > 0:
+            probs = d2 / total
+            idx = int(np.searchsorted(np.cumsum(probs), rng.random()).clip(0, N - 1))
+        else:
+            used = {tuple(c) for c in centers[:k]}
+            candidates = [i for i in range(N) if tuple(points[i]) not in used]
+            idx = candidates[rng.integers(len(candidates))]
+        centers[k] = points[idx]
+        d2 = np.minimum(d2, np.einsum("nd,nd->n", points - centers[k], points - centers[k]))
+    labels = np.argmin(ref_sq_dists(points, centers), axis=1)
+    for _ in range(max_iter):
+        for k in range(K):
+            members = labels == k
+            if np.any(members):
+                centers[k] = points[members].mean(axis=0)
+            else:
+                reseeds.append(k)
+                far = int(np.argmax(np.min(ref_sq_dists(points, centers), axis=1)))
+                centers[k] = points[far]
+        new_labels = np.argmin(ref_sq_dists(points, centers), axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centers, labels
+
+
+def ref_kmeans_pp(points, K, rng, max_iter=100, n_init=1, reseeds=None):
+    points = np.asarray(points, dtype=np.float64)
+    reseeds = [] if reseeds is None else reseeds
+    best = None
+    for _ in range(max(1, n_init)):
+        centers, labels = ref_kmeans_single(points, K, rng, max_iter, reseeds)
+        obj = kmeans_objective(points, centers, labels)
+        if best is None or obj < best[0]:
+            best = (obj, centers, labels)
+    return best[1], best[2]
+
+
+def ref_init_state(obs, K, L, hyper, seed):
+    N, d = len(obs), obs.dim
+    mu_B, z_B = ref_kmeans_pp(obs.positions, L, substream(seed, rngmod.INIT, 0), n_init=4)
+    mu_H, z_H = ref_kmeans_pp(mu_B, K, substream(seed, rngmod.INIT, 1), n_init=8)
+    pi_B = np.bincount(z_B, minlength=L) / N
+    pi_H = np.bincount(z_H, minlength=K) / L
+    prior_b = inverse_wishart_mean(hyper.Psi_B, hyper.nu_B)
+    prior_v = inverse_wishart_mean(hyper.Psi_V, hyper.nu_V)
+    prior_h = inverse_wishart_mean(hyper.Psi_H, hyper.nu_H)
+    vel = np.zeros((L, d))
+    Sigma_B = np.empty((L, d, d))
+    Sigma_V = np.empty((L, d, d))
+    for ell in range(L):
+        members = z_B == ell
+        m = int(members.sum())
+        if m:
+            vel[ell] = obs.velocities[members].mean(axis=0)
+        if m >= 2:
+            dx = obs.positions[members] - mu_B[ell]
+            dv = obs.velocities[members] - vel[ell]
+            Sigma_B[ell] = _spd_or(dx.T @ dx / (m - 1), prior_b)
+            Sigma_V[ell] = _spd_or(dv.T @ dv / (m - 1), prior_v)
+        else:
+            Sigma_B[ell] = prior_b
+            Sigma_V[ell] = prior_v
+    Sigma_H = np.empty((K, d, d))
+    rot = np.empty((K, d, d))
+    trans = np.zeros((K, d))
+    for k in range(K):
+        members = z_H == k
+        m = int(members.sum())
+        if m >= 2:
+            dm = mu_B[members] - mu_H[k]
+            Sigma_H[k] = _spd_or(dm.T @ dm / (m - 1), prior_h)
+        else:
+            Sigma_H[k] = prior_h
+        point_mask = members[z_B]
+        if np.any(point_mask):
+            src = obs.positions[point_mask]
+            rot[k], trans[k] = kabsch_align(src, src + obs.velocities[point_mask])
+        else:
+            rot[k] = np.eye(d)
+    feat = None
+    if obs.features is not None:
+        feat = np.zeros((L, obs.features.shape[1]))
+        for ell in range(L):
+            members = z_B == ell
+            if np.any(members):
+                feat[ell] = obs.features[members].mean(axis=0)
+    return ModelState(
+        dim=d, mu_B=mu_B, Sigma_B=Sigma_B, vel=vel, Sigma_V=Sigma_V, pi_B=pi_B,
+        mu_H=mu_H, Sigma_H=Sigma_H, rot=rot, trans=trans, pi_H=pi_H,
+        assignments=Assignments(z_B, z_H), rng=RngState(seed), feat=feat,
+    )
+
+
+def assert_kmeans_matches_reference(points, K, make_rng, **kw):
+    """Bitwise centers and labels, and the generator left at the same position.
+
+    Returns the cells the reference reseeded."""
+    reseeds = []
+    rng_ref, rng_new = make_rng(), make_rng()
+    c_ref, z_ref = ref_kmeans_pp(points, K, rng_ref, reseeds=reseeds, **kw)
+    c_new, z_new = kmeans_pp(points, K, rng_new, **kw)
+    np.testing.assert_array_equal(c_new, c_ref)
+    np.testing.assert_array_equal(z_new, z_ref)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    return reseeds
 
 
 # -- kmeans_pp --------------------------------------------------------------
@@ -64,6 +201,63 @@ def test_kmeans_duplicate_heavy_input_still_seeds():
     pts = np.array([[0.0, 0.0]] * 50 + [[5.0, 5.0]] * 50 + [[9.0, 0.0]])
     centers, labels = kmeans_pp(pts, 3, seed=3)
     assert len(np.unique(labels)) == 3
+
+
+def _kmeans_inputs(dim):
+    rng = np.random.default_rng(20 + dim)
+    blobs = rng.standard_normal((6, dim)) * 8.0
+    yield rng.standard_normal((700, dim)) * 3.0, 9
+    yield blobs[rng.integers(0, 6, 900)] + 0.4 * rng.standard_normal((900, dim)), 6
+    # duplicate-heavy: 600 points on at most 12 sites
+    yield rng.integers(-3, 4, (12, dim)).astype(float)[rng.integers(0, 12, 600)], 5
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_init", [1, 3])
+def test_kmeans_matches_reference_loop(dim, n_init):
+    for j, (points, K) in enumerate(_kmeans_inputs(dim)):
+        assert_kmeans_matches_reference(
+            points, K, lambda: np.random.default_rng(100 * dim + j), n_init=n_init)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kmeans_empty_cell_reseed_matches_reference(dim):
+    # a 1-D set on which Lloyd empties a cell under this seed, padded with
+    # zero coordinates so every dimension sees the same distances
+    xs = np.array([10.0, 11.0, 5.0, 10.0, 0.0, 4.0, 2.0])
+    points = np.zeros((len(xs), dim))
+    points[:, 0] = xs
+    reseeds = assert_kmeans_matches_reference(points, 3, lambda: substream(8, rngmod.INIT))
+    assert reseeds, "the scene no longer exercises the empty-cell reseed"
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_init_state_matches_reference_loop(dim):
+    # a criterion-3 scene
+    hyper = diag_hyper(dim, sigma2_mu_H=25.0, sigma2_V=0.04)
+    _, obs, _ = separated_mixture_scene(K=3, L=30, N=3000, dim=dim, seed=0, separation=5.0,
+                                        hyper=hyper,
+                                        candidates=make_transform_candidates(dim, hyper))
+    feats = np.random.default_rng(dim).standard_normal((len(obs), 1))
+    for o in (obs, Observations(obs.positions, obs.velocities, feats)):
+        new, ref = init_state(o, 3, 30, hyper, seed=0), ref_init_state(o, 3, 30, hyper, seed=0)
+        for field in ("mu_B", "Sigma_B", "vel", "Sigma_V", "pi_B", "mu_H", "Sigma_H",
+                      "rot", "trans", "pi_H", "z_B", "z_H", "feat"):
+            np.testing.assert_array_equal(getattr(new, field), getattr(ref, field),
+                                          err_msg=field)
+        assert new.rng == ref.rng
+
+
+def test_kmeans_peak_memory_below_one_difference_tensor():
+    N, K, D = 20_000, 100, 2
+    points = np.random.default_rng(0).standard_normal((N, D))
+    tracemalloc.start()
+    try:
+        kmeans_pp(points, K, seed=0, max_iter=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < N * K * D * 8
 
 
 # -- kabsch_align -------------------------------------------------------------
