@@ -246,7 +246,14 @@ def inverse_wishart_sample(Psi: np.ndarray, nu: float, rng: np.random.Generator,
     d = Psi.shape[0]
     if not nu > d - 1:
         raise ValidationError(f"nu must exceed dim - 1 = {d - 1}, got {nu}")
-    Ls = chol_spd(spd_inverse(Psi))
+    return _inverse_wishart_draw(chol_spd(spd_inverse(Psi)), nu, rng, size)
+
+
+def _inverse_wishart_draw(Ls: np.ndarray, nu: float, rng: np.random.Generator,
+                          size: int | None = None) -> np.ndarray:
+    """``inverse_wishart_sample`` given ``Ls``, the Cholesky factor of Psi^-1,
+    for callers that draw many times from one scale."""
+    d = Ls.shape[0]
     n = 1 if size is None else int(size)
     A = np.zeros((n, d, d))
     for i in range(d):
@@ -331,20 +338,22 @@ def categorical_sample_rows(log_weights: np.ndarray, rng: np.random.Generator) -
     u = U * total, with U one ``rng.random()`` per row.  Weights are shifted
     by the row maximum, so each row's total is at least 1, and since U is a
     multiple of 2**-53, u is 0 or above 1e-16.  A term whose shifted log
-    weight is below -708 (a term below 3.4e-308) is set to exactly 0, and
-    ``exp`` never sees its value: near the subnormal range ``exp`` leaves
-    its vector path and runs 10-100x slower per element.  The flushed
-    terms change only cumulative weights below about 1e-292, far below any
-    nonzero u, so a label can move only when a rounding tie in a later
-    cumulative sum meets u, an event of measure below 2**-50.  Columns of
-    weight -inf are never drawn.  The input is not modified.
+    weight is below -707 (a term below 9.0e-308) is set to exactly 0, and
+    ``exp`` never sees its value: below about -707.7, just above the
+    subnormal range, ``exp`` leaves its vector path and runs 10-100x slower
+    per element.  The flushed terms change only cumulative weights below
+    about 1e-292, far below any nonzero u, so a label can move only when a
+    rounding tie in a later cumulative sum meets u, an event of measure
+    below 2**-50.  Columns of weight -inf are never drawn.  The input is not
+    modified.
     """
     lw = np.asarray(log_weights, dtype=np.float64)
     return _categorical_sample_rows(lw, rng, out=None)
 
 
-# exp(-708) = 3.3e-308, just above the smallest normal double
-_EXP_FLOOR = -708.0
+# exp(-707) = 9.0e-308, above the inputs below about -707.7 on which numpy's
+# vector exp leaves its fast path
+_EXP_FLOOR = -707.0
 
 
 def _categorical_sample_rows(lw: np.ndarray, rng: np.random.Generator,

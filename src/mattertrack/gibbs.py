@@ -31,6 +31,7 @@ forms without going through sampling.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -693,13 +694,18 @@ _STEP_UPDATES = {
 }
 
 
-def _apply_step(name: str, state: ModelState, obs: Observations, hyper: HyperParams,
+def _apply_step(name: str, work: ModelState, obs: Observations, hyper: HyperParams,
                 schedule: SweepSchedule, candidates: TransformCandidates,
-                rng: np.random.Generator) -> ModelState:
+                rng: np.random.Generator) -> None:
+    """Run step ``name`` and swap its field of ``work`` in place, unvalidated.
+
+    ``work`` is a private copy of a state; its owner builds the validated
+    state once the steps are done.
+    """
     if name not in _STEP_UPDATES:
         raise ValidationError(f"unknown schedule step {name!r}")
     field, update = _STEP_UPDATES[name]
-    return state.replace(**{field: update(state, obs, hyper, schedule, candidates, rng)})
+    object.__setattr__(work, field, update(work, obs, hyper, schedule, candidates, rng))
 
 
 def sweep(state: ModelState, obs: Observations, hyper: HyperParams,
@@ -709,8 +715,11 @@ def sweep(state: ModelState, obs: Observations, hyper: HyperParams,
     Freeze flags skip the corresponding steps so the frozen arrays pass
     through bitwise unchanged.  Each step draws from a stream keyed by the
     state's rng cursor and the step position, so results are independent of
-    thread count; the cursor advances once per sweep.
+    thread count; the cursor advances once per sweep.  The steps swap fields
+    of one private copy of ``state``; the returned state is built and
+    validated once.
     """
+    work = copy.copy(state)
     names = schedule.flatten()
     for pos, name in enumerate(names):
         if name == PARTICLE_COVS and schedule.freeze_Sigma_B:
@@ -718,5 +727,5 @@ def sweep(state: ModelState, obs: Observations, hyper: HyperParams,
         if name == ASSIGN_PARTICLES and schedule.freeze_z_H:
             continue
         rng = state.rng.stream(rngmod.SWEEP, _STEP_INDEX[name], pos)
-        state = _apply_step(name, state, obs, hyper, schedule, candidates, rng)
-    return state.replace(rng=state.rng.tick())
+        _apply_step(name, work, obs, hyper, schedule, candidates, rng)
+    return work.replace(rng=state.rng.tick())

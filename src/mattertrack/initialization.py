@@ -31,6 +31,10 @@ from .types import (
 # at 2**12, and 2.10 s with one unblocked (N, K) accumulator and scratch.
 _KMEANS_BLOCK_ENTRIES = 1 << 15
 
+# Safety margins of the k-means pruning bounds (see ``_settled``).
+_BOUND_MARGIN = 1e-9
+_BOUND_FLOOR = 1e-150
+
 
 def _sq_dist_blocks(points: np.ndarray, centers: np.ndarray, scratch: np.ndarray):
     """Yield (start, stop, d2) over row blocks, with d2 the (stop - start, K)
@@ -72,7 +76,9 @@ def kmeans_pp(points: np.ndarray, K: int, seed, max_iter: int = 100,
     ``n_init`` restarts keep the lowest-objective run (Lloyd converges to
     local minima).  Degenerate seeding (all remaining distances zero) falls
     back to sampling unused distinct points; fewer than K distinct points is
-    an error.
+    an error.  The Lloyd passes skip the distances that triangle-inequality
+    bounds already settle (see ``_kmeans_single``) and return bitwise the
+    labels, centers and generator state of plain Lloyd.
     """
     points = np.asarray(points, dtype=np.float64)
     N = points.shape[0]
@@ -93,6 +99,27 @@ def kmeans_pp(points: np.ndarray, K: int, seed, max_iter: int = 100,
 
 def _kmeans_single(points: np.ndarray, K: int, rng: np.random.Generator,
                    max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """One k-means++ seeding and Lloyd run with Hamerly-bounded passes.
+
+    The first pass computes every distance.  From then on each point keeps
+    ``upper``, at least its distance to its own center, and ``lower``, at
+    most its distance to any other center.  When center k moves by delta_k,
+    ``upper`` grows by its own center's delta and ``lower`` shrinks by the
+    largest delta among the other centers.  A point is settled when its
+    upper bound, tightened to the exact distance if needed, lies below the
+    larger of ``lower`` and half the gap from its center to the nearest
+    other one.  Only unsettled points get a full row of distances, computed
+    by the same per-coordinate operations as a full pass.
+
+    The labels stay those of plain Lloyd, bitwise: ``lower`` and the half
+    gaps are rounded down by a 1e-9 relative margin at every update, and
+    ``upper`` is rounded up by it when compared, so a settled point's own
+    center is nearer than every other one by far more than rounding can
+    move a computed squared distance (~1e-15 relative); an exact tie is
+    never settled.  A recomputed row holds the values a full pass would.
+    So the centers, the iteration count, the empty-cell reseeds (which keep
+    their full pass) and the generator state are unchanged.
+    """
     N = points.shape[0]
     centers = np.empty((K, points.shape[1]))
     centers[0] = points[rng.integers(N)]
@@ -113,10 +140,12 @@ def _kmeans_single(points: np.ndarray, K: int, rng: np.random.Generator,
         d2 = np.minimum(d2, np.einsum("nd,nd->n", diff, diff))
 
     scratch = np.empty((2, min(N, max(1, _KMEANS_BLOCK_ENTRIES // K)), K))
-    labels = _nearest_centers(points, centers, scratch)
+    labels, upper, lower = _nearest_two(points, centers, scratch)
+    old = np.empty_like(centers)
     for _ in range(max_iter):
         counts = np.bincount(labels, minlength=K)
         means = _cell_means(points, labels, counts)
+        old[:] = centers
         # an empty cell is reseeded at the worst-fit point, seeing the cells
         # before it already updated and the cells after it not yet
         done = 0
@@ -128,20 +157,74 @@ def _kmeans_single(points: np.ndarray, K: int, rng: np.random.Generator,
             centers[k] = points[int(np.argmax(far))]
             done = k + 1
         centers[done:] = means[done:]
-        new_labels = _nearest_centers(points, centers, scratch)
-        if np.array_equal(new_labels, labels):
+
+        # a center that moved by delta moves each distance to it by at most delta
+        moved = np.sqrt(_sq_norms(centers - old))
+        drop = np.full(K, moved.max())
+        if K > 1:
+            drop[np.argmax(moved)] = np.partition(moved, -2)[-2]
+        upper += moved[labels]
+        lower *= 1.0 - _BOUND_MARGIN
+        lower -= (1.0 + _BOUND_MARGIN) * drop[labels]
+        bound = np.maximum(lower, _half_gaps(centers, scratch)[labels])
+
+        # the points no bound settles, first with the loose upper bound, then
+        # with the exact distance to the own center, get a full row
+        rows = np.flatnonzero(~_settled(upper, bound))
+        upper[rows] = np.sqrt(_sq_norms(points[rows] - centers[labels[rows]]))
+        rows = rows[~_settled(upper[rows], bound[rows])]
+        new_labels, upper[rows], lower[rows] = _nearest_two(points[rows], centers, scratch)
+        if np.array_equal(new_labels, labels[rows]):
             break
-        labels = new_labels
+        labels[rows] = new_labels
     return centers, labels
 
 
-def _nearest_centers(points: np.ndarray, centers: np.ndarray,
-                     scratch: np.ndarray) -> np.ndarray:
-    """Index of each point's nearest center, the first one on a tie."""
-    labels = np.empty(points.shape[0], dtype=np.intp)
-    for start, stop, dist in _sq_dist_blocks(points, centers, scratch):
-        np.argmin(dist, axis=1, out=labels[start:stop])
-    return labels
+def _sq_norms(diff: np.ndarray) -> np.ndarray:
+    """Row sums of squares, one coordinate at a time as in ``_sq_dist_blocks``."""
+    out = np.square(diff[:, 0])
+    for j in range(1, diff.shape[1]):
+        out += np.square(diff[:, j])
+    return out
+
+
+def _settled(upper: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Whether a point's own center is nearer than every other one by a gap
+    no rounding of the distances can close.
+
+    The relative margin dwarfs the ~1e-15 rounding of a computed distance;
+    the absolute one keeps squared distances out of the subnormal range.
+    NaN or infinite bounds settle nothing.
+    """
+    return upper * (1.0 + _BOUND_MARGIN) + _BOUND_FLOOR < bound
+
+
+def _half_gaps(centers: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Half the distance from each center to its nearest other one, rounded
+    down by the margin; infinite for a single center."""
+    K = centers.shape[0]
+    gaps = np.empty(K)
+    for start, stop, d2 in _sq_dist_blocks(centers, centers, scratch):
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        np.min(d2, axis=1, out=gaps[start:stop])
+    return 0.5 * (1.0 - _BOUND_MARGIN) * np.sqrt(gaps)
+
+
+def _nearest_two(points: np.ndarray, centers: np.ndarray, scratch: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each point's nearest center (the first one on a tie), its distance to
+    that center, and a lower bound on its distance to every other center."""
+    n = points.shape[0]
+    labels = np.empty(n, dtype=np.intp)
+    near, second = np.empty(n), np.empty(n)
+    for start, stop, d2 in _sq_dist_blocks(points, centers, scratch):
+        own = labels[start:stop]
+        np.argmin(d2, axis=1, out=own)
+        rows = np.arange(stop - start)
+        near[start:stop] = d2[rows, own]
+        d2[rows, own] = np.inf
+        np.min(d2, axis=1, out=second[start:stop])
+    return labels, np.sqrt(near), (1.0 - _BOUND_MARGIN) * np.sqrt(second)
 
 
 def _cell_means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -14,18 +14,20 @@ import numpy as np
 from . import rng as rngmod
 from .distributions import (
     TransformCandidates,
+    _inverse_wishart_draw,
     categorical_sample,
     categorical_sample_rows,
+    chol_spd,
     dirichlet_logpdf,
     dirichlet_sample,
     gamma_logpdf,
     inverse_wishart_logpdf,
-    inverse_wishart_sample,
     isotropic_logpdf_rows,
     make_transform_candidates,
     mvn_logpdf,
     mvn_logpdf_rows,
     mvn_sample,
+    spd_inverse,
 )
 from .rng import RngState, substream
 from .types import (
@@ -73,6 +75,9 @@ def sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
         candidates = make_transform_candidates(dim, hyper)
     rng = _as_generator(seed)
     eye = np.eye(dim)
+    # the Cholesky factors of the inverse IW scales, shared by every draw
+    iw_H, iw_B, iw_V = (chol_spd(spd_inverse(psi))
+                        for psi in (hyper.Psi_H, hyper.Psi_B, hyper.Psi_V))
 
     pi_H = dirichlet_sample(hyper.alpha_vec(K), rng)
     pi_B = dirichlet_sample(hyper.beta_vec(L), rng)
@@ -82,7 +87,7 @@ def sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
     trans = np.empty((K, dim))
     rot = np.empty((K, dim, dim))
     for k in range(K):
-        Sigma_H[k] = inverse_wishart_sample(hyper.Psi_H, hyper.nu_H, rng)
+        Sigma_H[k] = _inverse_wishart_draw(iw_H, hyper.nu_H, rng)
         mu_H[k] = mvn_sample(hyper.mu_H_prior, hyper.sigma2_mu_H * eye, rng)
         trans[k] = candidates.translations[categorical_sample(candidates.translation_log_prior, rng)]
         rot[k] = candidates.rotations[categorical_sample(candidates.rotation_log_prior, rng)]
@@ -96,11 +101,11 @@ def sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
     for ell in range(L):
         k = categorical_sample(log_pi_H, rng)
         z_H[ell] = k
-        Sigma_B[ell] = inverse_wishart_sample(hyper.Psi_B, hyper.nu_B, rng)
+        Sigma_B[ell] = _inverse_wishart_draw(iw_B, hyper.nu_B, rng)
         mu_B[ell] = mvn_sample(mu_H[k], Sigma_H[k], rng)
         vbar = induced_velocities(rot[k], trans[k], mu_H[k], mu_B[ell][None])[0]
         vel[ell] = mvn_sample(vbar, hyper.sigma2_V * eye, rng)
-        Sigma_V[ell] = inverse_wishart_sample(hyper.Psi_V, hyper.nu_V, rng)
+        Sigma_V[ell] = _inverse_wishart_draw(iw_V, hyper.nu_V, rng)
 
     with np.errstate(divide="ignore"):
         z_B = categorical_sample_rows(np.broadcast_to(np.log(pi_B), (N, L)), rng)

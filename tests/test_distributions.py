@@ -255,13 +255,17 @@ def test_categorical_rows_matches_out_of_place_form():
 
 
 def test_categorical_rows_flush_keeps_labels_of_unflushed_form():
-    # shifted log weights dense around the -708 flush threshold and the
-    # subnormal range of exp, next to a few columns that carry the mass
+    # shifted log weights dense around the -707 flush threshold and the
+    # subnormal range of exp, next to a few columns that carry the mass; in
+    # the second half every other weight sits 707 to 708 below the row maximum
     rng = np.random.default_rng(11)
     n, m = 20_000, 16
     lw = rng.uniform(-760.0, -700.0, (n, m))
+    lw[n // 2:] = rng.uniform(-708.0, -707.0, (n - n // 2, m))
     rows = np.arange(n)[:, None]
     lw[rows, rng.integers(0, m, (n, 3))] = rng.uniform(-12.0, 0.0, (n, 3))
+    top = lw[n // 2:].max(axis=1, keepdims=True)
+    lw[n // 2:] = np.where(lw[n // 2:] < -700.0, lw[n // 2:] + top, lw[n // 2:])
     lw[::3] -= 40.0                     # shift whole rows: only relative weights count
     lw[::5, 2] = -np.inf
     lw[::7, 11] = -np.inf

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from mattertrack import gibbs
 from mattertrack.distributions import (
     TransformCandidates,
     log_normalize,
@@ -48,7 +49,7 @@ from mattertrack.gibbs import (
 from mattertrack.model import log_joint, sample_forward
 from mattertrack.rng import RngState
 from mattertrack.synth import separated_mixture_scene
-from mattertrack.types import Assignments, Observations, ValidationError
+from mattertrack.types import Assignments, ModelState, Observations, ValidationError
 
 from conftest import diag_hyper, make_state, single_particle_state
 
@@ -593,6 +594,25 @@ def test_sweep_deterministic_given_state_rng():
     np.testing.assert_array_equal(a.mu_B, b.mu_B)
     np.testing.assert_array_equal(a.z_B, b.z_B)
     assert a.rng.counter == state.rng.counter + 1
+
+
+def test_sweep_builds_and_validates_one_state(monkeypatch):
+    hyper = diag_hyper(2)
+    cands = make_transform_candidates(2, hyper, M_r=9, M_t=9)
+    state, obs = sample_forward(hyper, K=2, L=5, N=40, seed=19)
+    before = {name: getattr(state, name).copy() for name in ("mu_B", "Sigma_B", "pi_B", "z_B")}
+    built = []
+    post_init = ModelState.__post_init__
+    monkeypatch.setattr(ModelState, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    sweep(state, obs, hyper, full_sweep_schedule(), cands)
+    assert len(built) == 1
+    for name, arr in before.items():
+        np.testing.assert_array_equal(getattr(state, name), arr)
+    # the steps swap fields unchecked; the state the sweep returns is checked
+    monkeypatch.setattr(gibbs, "update_particle_weights", lambda s, h, r: np.ones(s.L + 1))
+    with pytest.raises(ValidationError, match="pi_B"):
+        sweep(state, obs, hyper, full_sweep_schedule(), cands)
 
 
 def test_sweep_recovers_separated_clusters():

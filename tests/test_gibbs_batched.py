@@ -9,6 +9,7 @@ position.  That pins the draw-order contract of ``mattertrack.gibbs``.
 The blocked point-assignment draw must equal the one-shot draw over the
 whole score matrix, label for label.
 """
+import copy
 import tracemalloc
 
 import numpy as np
@@ -288,7 +289,9 @@ def scene(dim, seed=0):
 
 def batched_step(name, state, obs, hyper, cands, rng):
     schedule = gibbs.full_sweep_schedule(enable_outliers=True, enable_features=True)
-    return gibbs._apply_step(name, state, obs, hyper, schedule, cands, rng)
+    work = copy.copy(state)
+    gibbs._apply_step(name, work, obs, hyper, schedule, cands, rng)
+    return work.replace()
 
 
 FIELDS = ("mu_B", "Sigma_B", "vel", "Sigma_V", "pi_B", "mu_H", "Sigma_H", "rot", "trans",

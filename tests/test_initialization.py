@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mattertrack import initialization
 from mattertrack import rng as rngmod
 from mattertrack.distributions import (
     inverse_wishart_mean,
@@ -258,6 +259,95 @@ def test_kmeans_peak_memory_below_one_difference_tensor():
     finally:
         tracemalloc.stop()
     assert peak < N * K * D * 8
+
+
+# -- bounded Lloyd passes -------------------------------------------------------
+
+def _on_diagonal(xs, dim):
+    """Integer points on a line, copied onto every axis: each coordinate adds
+    the same term, so a tie on the line stays an exact tie in every D."""
+    return np.repeat(np.asarray(xs, dtype=float)[:, None], dim, axis=1)
+
+
+# (points, K, generator seed): sets on which Lloyd, after its first pass,
+# finds a point exactly midway between two centers
+_TIE_SETS = (
+    ([0, 9, 5, 6, 7, 3, 11, 0, 3, 4], 3, 5),
+    ([7, 4, 1, 8, 4, 10], 3, 14),
+    ([0, 2, 7, 10, 4, 7], 2, 81),
+    ([11, 4, 11, 8, 3, 8, 6, 5, 1, 5], 2, 151),
+)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kmeans_exact_ties_match_reference(dim, monkeypatch):
+    passes = []
+    sq_dists = ref_sq_dists
+
+    def recording(points, centers):
+        d2 = sq_dists(points, centers)
+        two = np.sort(d2, axis=1)[:, :2]
+        passes.append(int(np.sum(two[:, 0] == two[:, -1])) if centers.shape[0] > 1 else 0)
+        return d2
+
+    monkeypatch.setitem(globals(), "ref_sq_dists", recording)
+    for xs, K, seed in _TIE_SETS:
+        passes.clear()
+        assert_kmeans_matches_reference(_on_diagonal(xs, dim), K,
+                                        lambda: np.random.default_rng(seed))
+        assert sum(passes[1:]), f"{xs} no longer meets a tie after the first pass"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kmeans_duplicate_heavy_matches_reference(dim):
+    rng = np.random.default_rng(30 + dim)
+    sites = rng.integers(-4, 5, (3, dim)).astype(float)
+    # 97% of the points on three sites, more centers than heavy sites
+    spread = 10 + 5 * np.arange(12)[:, None] + rng.integers(-2, 3, (12, dim))
+    points = np.vstack([sites[rng.integers(0, 3, 400)], spread.astype(float)])
+    for K in (3, 6, 9):
+        assert_kmeans_matches_reference(points, K, lambda: np.random.default_rng(K),
+                                        n_init=2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kmeans_far_reseed_matches_reference(dim):
+    # Lloyd empties a cell under this seed, and the reseed moves its center
+    # by 29, half the width of the set, past every bound the points held
+    xs = [40, 59, 37, 36, 41, 17, 41, 12, 2, 20]
+    reseeds = assert_kmeans_matches_reference(_on_diagonal(xs, dim), 4,
+                                              lambda: substream(9413, rngmod.INIT))
+    assert reseeds, "the scene no longer exercises the empty-cell reseed"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kmeans_one_center_and_one_per_point_match_reference(dim):
+    points = np.random.default_rng(40 + dim).standard_normal((30, dim))
+    for K in (1, 30):
+        assert_kmeans_matches_reference(points, K, lambda: np.random.default_rng(K),
+                                        n_init=2)
+
+
+def test_kmeans_bounds_skip_most_rows(monkeypatch):
+    # scale-workload size: N = 5000 points, K = 100 centers; plain Lloyd
+    # would recompute all N rows on every pass after the first
+    _, obs, _ = separated_mixture_scene(K=3, L=100, N=5000, dim=2, seed=0, separation=5.0)
+    rows, passes = [], []
+    nearest, cell_means = initialization._nearest_two, initialization._cell_means
+
+    def counting_nearest(points, centers, scratch):
+        rows.append(len(points))
+        return nearest(points, centers, scratch)
+
+    def counting_means(*args):
+        passes.append(1)
+        return cell_means(*args)
+
+    monkeypatch.setattr(initialization, "_nearest_two", counting_nearest)
+    monkeypatch.setattr(initialization, "_cell_means", counting_means)
+    kmeans_pp(obs.positions, 100, seed=0)
+    assert rows[0] == 5000 and len(passes) > 5
+    assert sum(rows[1:]) < 0.5 * len(passes) * 5000
 
 
 # -- kabsch_align -------------------------------------------------------------
