@@ -48,6 +48,10 @@ _threads_option = click.option(
 # the share of each frame's points kept; checked once here for every command
 _SUBSAMPLE_RATE = click.FloatRange(0.0, 1.0, min_open=True)
 
+# component counts and iteration counts; out-of-range values are usage errors
+_AT_LEAST_ONE = click.IntRange(min=1)
+_NON_NEGATIVE = click.IntRange(min=0)
+
 
 @click.group()
 def main() -> None:
@@ -56,9 +60,12 @@ def main() -> None:
 
 @main.command()
 @click.option("--dim", type=click.IntRange(2, 3), default=2, show_default=True)
-@click.option("-K", "--clusters", "num_clusters", type=int, default=2, show_default=True)
-@click.option("-L", "--particles", "num_particles", type=int, default=8, show_default=True)
-@click.option("-N", "--points", "num_points", type=int, default=200, show_default=True)
+@click.option("-K", "--clusters", "num_clusters", type=_AT_LEAST_ONE, default=2,
+              show_default=True)
+@click.option("-L", "--particles", "num_particles", type=_AT_LEAST_ONE, default=8,
+              show_default=True)
+@click.option("-N", "--points", "num_points", type=_AT_LEAST_ONE, default=200,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -104,9 +111,9 @@ def rdk_gen(spec_path, seed, out_path, labels_out, threads):
 
 @main.command()
 @click.option("--obs", "obs_path", required=True, type=click.Path(exists=True))
-@click.option("-K", "--clusters", "num_clusters", type=int, required=True)
-@click.option("-L", "--particles", "num_particles", type=int, required=True)
-@click.option("--sweeps", type=int, default=50, show_default=True)
+@click.option("-K", "--clusters", "num_clusters", type=_AT_LEAST_ONE, required=True)
+@click.option("-L", "--particles", "num_particles", type=_AT_LEAST_ONE, required=True)
+@click.option("--sweeps", type=_NON_NEGATIVE, default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--subsample", type=_SUBSAMPLE_RATE, default=1.0, show_default=True)
@@ -144,8 +151,8 @@ def fit(obs_path, num_clusters, num_particles, sweeps, seed, config_path,
 
 @main.command("track")
 @click.option("--obs", "obs_path", required=True, type=click.Path(exists=True))
-@click.option("-K", "--clusters", "num_clusters", type=int, required=True)
-@click.option("-L", "--particles", "num_particles", type=int, required=True)
+@click.option("-K", "--clusters", "num_clusters", type=_AT_LEAST_ONE, required=True)
+@click.option("-L", "--particles", "num_particles", type=_AT_LEAST_ONE, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--subsample", type=_SUBSAMPLE_RATE, default=None,
@@ -210,9 +217,9 @@ def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsampl
 
 @main.command("sva")
 @click.option("--obs", "obs_path", required=True, type=click.Path(exists=True))
-@click.option("-K", "--clusters", "num_clusters", type=int, required=True)
-@click.option("-L", "--particles", "num_particles", type=int, required=True)
-@click.option("--max-iter", type=int, default=50, show_default=True)
+@click.option("-K", "--clusters", "num_clusters", type=_AT_LEAST_ONE, required=True)
+@click.option("-L", "--particles", "num_particles", type=_AT_LEAST_ONE, required=True)
+@click.option("--max-iter", type=_NON_NEGATIVE, default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--subsample", type=_SUBSAMPLE_RATE, default=1.0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -236,7 +243,10 @@ def sva_cmd(obs_path, num_clusters, num_particles, max_iter, seed, subsample,
     }
     with open(out_path, "w") as fh:
         json.dump(out, fh)
-    click.echo(f"final loss {res.losses[-1]:.6g} after {res.iterations} iterations")
+    if res.iterations:
+        click.echo(f"final loss {res.losses[-1]:.6g} after {res.iterations} iterations")
+    else:
+        click.echo("no iterations run; wrote the k-means initialization")
 
 
 @main.command("eval")
@@ -304,11 +314,15 @@ def eval_cmd(states_path, obs_path, gt_path, subsample, seed, grid, probes,
 
 @main.command("geweke")
 @click.option("--dim", type=click.IntRange(2, 3), default=2, show_default=True)
-@click.option("-K", "--clusters", "num_clusters", type=int, default=2, show_default=True)
-@click.option("-L", "--particles", "num_particles", type=int, default=4, show_default=True)
-@click.option("-N", "--points", "num_points", type=int, default=16, show_default=True)
-@click.option("--iters", type=int, default=10000, show_default=True)
-@click.option("--sweeps-per-iter", type=int, default=2, show_default=True)
+@click.option("-K", "--clusters", "num_clusters", type=_AT_LEAST_ONE, default=2,
+              show_default=True)
+@click.option("-L", "--particles", "num_particles", type=_AT_LEAST_ONE, default=4,
+              show_default=True)
+@click.option("-N", "--points", "num_points", type=_AT_LEAST_ONE, default=16,
+              show_default=True)
+@click.option("--iters", type=click.IntRange(min=100), default=10000, show_default=True,
+              help="Iterations per sampler; batch means need at least 100.")
+@click.option("--sweeps-per-iter", type=_AT_LEAST_ONE, default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--threshold", type=float, default=4.0, show_default=True)

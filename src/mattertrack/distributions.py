@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import gammaln, logsumexp, multigammaln, xlogy
 
 from .types import NumericalDomainError, ValidationError, check_dim
@@ -52,10 +53,35 @@ def chol_spd(cov: np.ndarray) -> np.ndarray:
 
 
 def spd_inverse(cov: np.ndarray) -> np.ndarray:
-    L = chol_spd(np.asarray(cov, dtype=np.float64))
-    inv_l = solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    inv_l = _tril_inverses(chol_spd(np.asarray(cov, dtype=np.float64))[None])[0]
     inv = inv_l.T @ inv_l
     return 0.5 * (inv + inv.T)
+
+
+def _tril_inverses(factors: np.ndarray) -> np.ndarray:
+    """Inverses of a (n, D, D) stack of lower-triangular factors, one LAPACK
+    ``dtrtrs`` call each.
+
+    Each inverse equals ``solve_triangular(factor, eye, lower=True)`` bit for
+    bit: that function solves the transposed, upper-triangular system of a
+    C-ordered factor through the same ``dtrtrs`` call, which is made here
+    without its per-call argument handling.  Raises ValueError on a
+    non-finite factor and LinAlgError on a singular one, as
+    ``solve_triangular`` does.
+    """
+    factors = np.asarray(factors, dtype=np.float64)
+    if not np.all(np.isfinite(factors)):
+        raise ValueError("array must not contain infs or NaNs")
+    n, d, _ = factors.shape
+    eye = np.eye(d)
+    out = np.empty((n, d, d))
+    for i, factor in enumerate(factors):
+        inv, info = dtrtrs(factor.T, eye, lower=0, trans=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"singular matrix: resolution failed at diagonal {info - 1}")
+        out[i] = inv
+    return out
 
 
 def chol_spd_stack(covs: np.ndarray) -> np.ndarray:
@@ -131,7 +157,11 @@ def tril_inverse_stack(factors: np.ndarray) -> np.ndarray:
 
 def spd_inverse_stack(covs: np.ndarray) -> np.ndarray:
     """Symmetric inverses of a (n, D, D) stack of SPD matrices."""
-    inv_l = tril_inverse_stack(chol_spd_stack(covs))
+    return _spd_inverse_from_tril(tril_inverse_stack(chol_spd_stack(covs)))
+
+
+def _spd_inverse_from_tril(inv_l: np.ndarray) -> np.ndarray:
+    """``spd_inverse_stack`` given ``tril_inverse_stack`` of the Cholesky factors."""
     inv = np.einsum("nki,nkj->nij", inv_l, inv_l)
     return 0.5 * (inv + np.swapaxes(inv, 1, 2))
 
@@ -178,8 +208,14 @@ def mvn_whitening(means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.n
     normalizing constant of each density.
     """
     factors = chol_spd_stack(covs)
+    return _whitening(means, factors, tril_inverse_stack(factors))
+
+
+def _whitening(means: np.ndarray, factors: np.ndarray,
+               inv_factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``mvn_whitening`` given the Cholesky factors and their inverses."""
     m, d = factors.shape[:2]
-    white = tril_inverse_stack(factors) * math.sqrt(0.5)
+    white = inv_factors * math.sqrt(0.5)
     proj = np.empty((d, d + 1, m))
     proj[:, :d] = white.transpose(1, 2, 0)
     proj[:, d] = -np.einsum("mjk,mk->jm", white, np.asarray(means, dtype=np.float64))
@@ -254,21 +290,45 @@ def _inverse_wishart_draw(Ls: np.ndarray, nu: float, rng: np.random.Generator,
     """``inverse_wishart_sample`` given ``Ls``, the Cholesky factor of Psi^-1,
     for callers that draw many times from one scale."""
     d = Ls.shape[0]
-    n = 1 if size is None else int(size)
+    if size is None:
+        bartlett = np.zeros((1, d, d))
+        _bartlett_fill(bartlett[0], nu, rng)
+        return _inverse_wishart_from_bartlett(Ls, bartlett)[0]
+    n = int(size)
     A = np.zeros((n, d, d))
     for i in range(d):
         A[:, i, i] = np.sqrt(rng.chisquare(nu - i, size=n))
         for j in range(i):
             A[:, i, j] = rng.standard_normal(n)
     C = Ls[None, :, :] @ A
-    if size is None:
-        c = C[0]
-        c_inv = solve_triangular(c, np.eye(d), lower=True)
-        out = c_inv.T @ c_inv
-        return 0.5 * (out + out.T)
     c_inv = np.linalg.inv(C)
     out = np.einsum("nki,nkj->nij", c_inv, c_inv)
     return 0.5 * (out + np.transpose(out, (0, 2, 1)))
+
+
+def _bartlett_fill(a: np.ndarray, nu: float, rng: np.random.Generator) -> None:
+    """Bartlett variates of one Wishart(nu) draw into the zeroed (D, D) ``a``.
+
+    Row by row: the chi-square diagonal entry, then the normals left of it,
+    the order in which one ``inverse_wishart_sample`` call takes them.
+    """
+    for i in range(a.shape[0]):
+        a[i, i] = math.sqrt(rng.chisquare(nu - i))
+        for j in range(i):
+            a[i, j] = rng.standard_normal()
+
+
+def _inverse_wishart_from_bartlett(Ls: np.ndarray, bartlett: np.ndarray) -> np.ndarray:
+    """IW draws (C C^T)^-1, C = Ls A, for a (n, D, D) stack of Bartlett factors A.
+
+    ``Ls`` is the Cholesky factor of Psi^-1.  Each draw equals the single
+    draw of ``inverse_wishart_sample`` from the same variates, bit for bit:
+    the products are stacked ``matmul`` calls, which compute each matrix as
+    the single product does, and C is inverted by ``_tril_inverses``.
+    """
+    c_inv = _tril_inverses(Ls[None] @ bartlett)
+    out = np.swapaxes(c_inv, 1, 2) @ c_inv
+    return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
 def inverse_wishart_mean(Psi: np.ndarray, nu: float) -> np.ndarray:
@@ -329,6 +389,33 @@ def categorical_sample(log_weights: np.ndarray, rng: np.random.Generator) -> int
     p = log_normalize(log_weights)
     c = np.cumsum(p)
     return int(np.searchsorted(c, rng.random() * c[-1], side="right").clip(0, len(p) - 1))
+
+
+def _categorical_cdf(log_weights: np.ndarray) -> np.ndarray:
+    """Cumulative normalized weights along the last axis, built as
+    ``categorical_sample`` builds them for one row."""
+    lw = np.asarray(log_weights, dtype=np.float64)
+    m = lw.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
+        raise ValidationError("no admissible component: all log weights are -inf")
+    p = np.exp(lw - m)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p.cumsum(axis=-1)
+
+
+def _categorical_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Labels for the uniforms ``u`` (n,), from one (M,) ``cdf`` or one row of a
+    (n, M) ``cdf`` each.
+
+    The label is the count of cumulative weights at or below u * total,
+    clipped to the last column: ``categorical_sample``'s right-sided
+    ``searchsorted``, so row k with ``u[k]`` gives the label of the k-th of
+    n ``categorical_sample`` calls that drew ``u[k]``.
+    """
+    cdf = np.atleast_2d(cdf)
+    target = u * cdf[:, -1]
+    counts = (cdf <= target[:, None]).sum(axis=1)
+    return np.minimum(counts, cdf.shape[1] - 1)
 
 
 def categorical_sample_rows(log_weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

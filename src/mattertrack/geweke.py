@@ -95,6 +95,8 @@ def run_geweke(hyper: HyperParams, K: int, L: int, N: int, iterations: int,
     """
     if iterations < 100:
         raise ValidationError("need at least 100 iterations for stable batch means")
+    if sweeps_per_iter < 1:
+        raise ValidationError(f"sweeps_per_iter must be at least 1, got {sweeps_per_iter}")
     dim = int(np.asarray(hyper.mu_H_prior).shape[0])
     hyper.validate(dim)
     if hyper.p_outlier > 0:
@@ -116,7 +118,7 @@ def run_geweke(hyper: HyperParams, K: int, L: int, N: int, iterations: int,
                                 candidates=candidates)
     state = state.replace(rng=RngState(seed))
     for i in range(iterations):
-        for _ in range(max(1, sweeps_per_iter)):
+        for _ in range(sweeps_per_iter):
             state = sweep(state, obs, hyper, schedule, candidates)
         obs = resample_observations(state, hyper, state.rng.stream(rngmod.DATA))
         chain[i] = _collect(state)

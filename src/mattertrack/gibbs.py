@@ -8,7 +8,9 @@ Every conditional is one kernel over the stacked component arrays, (L, D, D)
 for particles and (K, D, D) for clusters, with no per-component Python loop.
 The kernels read sufficient statistics gathered in one ``np.bincount`` pass
 keyed by ``z_B`` or ``z_H``: counts, sums and scatter entries.  Covariances
-are factored and inverted as stacks, assignment scores are a quadratic form
+are factored and inverted as stacks, and within a sweep each of ``Sigma_B``,
+``Sigma_V`` and ``Sigma_H`` is factored once per value and shared by the
+steps that read it (``_CovFactors``).  Assignment scores are a quadratic form
 over all columns (streamed through cache-sized row blocks for points), and
 the rotation and translation grids are scored from per-cluster moments
 rather than candidate by candidate.
@@ -20,7 +22,8 @@ chain does not depend on how a step is vectorized.  Gaussian steps draw one
 ``standard_normal(D)``.  Inverse-Wishart steps draw their Bartlett variates
 component by component, interleaving chi-square and normal draws as
 ``inverse_wishart_sample`` does.  Transform steps draw one uniform per
-cluster in cluster order, and assignment steps one uniform per row.  Point
+cluster in cluster order (one ``rng.random(K)`` call, equal to K
+``categorical_sample`` calls), and assignment steps one uniform per row.  Point
 assignment scores and draws its rows block by block and takes each block's
 uniforms from the same stream in row order, so the variates equal one
 ``rng.random((N, 1))`` call and the stream ends at the same position.
@@ -40,16 +43,19 @@ import numpy as np
 from . import rng as rngmod
 from .distributions import (
     TransformCandidates,
+    _bartlett_fill,
+    _categorical_cdf,
+    _categorical_from_cdf,
     _categorical_sample_rows,
+    _spd_inverse_from_tril,
+    _whitening,
     add_mvn_logpdf_rows,
     augment_rows,
-    categorical_sample,
     categorical_sample_rows,
     chol_spd_stack,
     dirichlet_sample,
     gamma_logpdf,
     isotropic_logpdf_rows,
-    mvn_logpdf_rows_all,
     mvn_whitening,
     spd_inverse_stack,
     tril_inverse_stack,
@@ -57,6 +63,16 @@ from .distributions import (
 from .types import Assignments, HyperParams, ModelState, Observations, ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _readonly_eye(d: int) -> np.ndarray:
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
+# the identity of each state dimension, built once for every step
+_EYE = {d: _readonly_eye(d) for d in (2, 3)}
 
 # Step identifiers, in canonical full-sweep order.
 ASSIGN_POINTS = "assign_points"
@@ -201,8 +217,47 @@ def tracking_frame_schedule(**flags) -> SweepSchedule:
 
 
 # --------------------------------------------------------------------------
-# Sufficient statistics and stacked draws
+# Covariance factors, sufficient statistics and stacked draws
 # --------------------------------------------------------------------------
+
+class _CovFactors:
+    """Cholesky factors of a state's covariance stacks and the inverses built
+    from them, each computed once per value of its field.
+
+    ``sweep`` keeps one over its private working state for the whole sweep,
+    and ``_apply_step`` drops a field's entries when its step swaps that
+    field, so a step reads the factors of the covariances it sees.  The
+    entries are what ``chol_spd_stack``, ``tril_inverse_stack`` and
+    ``spd_inverse_stack`` return for the field, so reuse changes no bit.
+    A kernel called without one builds its own.
+    """
+
+    def __init__(self, state: ModelState):
+        self._state = state
+        self._chol: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._inv: dict[str, np.ndarray] = {}
+
+    def chol(self, field: str) -> tuple[np.ndarray, np.ndarray]:
+        """Cholesky factors of the stack ``field`` and their inverses."""
+        if field not in self._chol:
+            factors = chol_spd_stack(getattr(self._state, field))
+            self._chol[field] = factors, tril_inverse_stack(factors)
+        return self._chol[field]
+
+    def inverse(self, field: str) -> np.ndarray:
+        """Symmetric inverses of the stack ``field``."""
+        if field not in self._inv:
+            self._inv[field] = _spd_inverse_from_tril(self.chol(field)[1])
+        return self._inv[field]
+
+    def drop(self, field: str) -> None:
+        self._chol.pop(field, None)
+        self._inv.pop(field, None)
+
+
+def _own_factors(state: ModelState, factors: _CovFactors | None) -> _CovFactors:
+    return _CovFactors(state) if factors is None else factors
+
 
 def _group_counts(z: np.ndarray, n: int) -> np.ndarray:
     """Members per group; labels >= n (the outlier sentinel) are dropped."""
@@ -264,10 +319,7 @@ def _inverse_wishart_stack(psi: np.ndarray, nu: np.ndarray,
     scale = chol_spd_stack(spd_inverse_stack(psi))
     bartlett = np.zeros((n, d, d))
     for a, dof in zip(bartlett, nu):
-        for i in range(d):
-            a[i, i] = math.sqrt(rng.chisquare(dof - i))
-            for j in range(i):
-                a[i, j] = rng.standard_normal()
+        _bartlett_fill(a, dof, rng)
     c_inv = tril_inverse_stack(scale @ bartlett)
     out = np.einsum("nki,nkj->nij", c_inv, c_inv)
     return 0.5 * (out + np.swapaxes(out, 1, 2))
@@ -277,6 +329,13 @@ def _isotropic_sum_loglik(counts: np.ndarray, sq: np.ndarray, d: int,
                           var: float) -> np.ndarray:
     """Summed log N(r; 0, var I) of ``counts`` D-vectors whose squared norms sum to ``sq``."""
     return -0.5 * (counts[:, None] * (d * (_LOG_2PI + math.log(var))) + sq / var)
+
+
+def _draw_rows(log_weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One label per row of ``log_weights``, equal to ``categorical_sample``
+    called row by row: the same arithmetic per row and one uniform per row,
+    in row order, from a single ``rng.random(n)`` call."""
+    return _categorical_from_cdf(_categorical_cdf(log_weights), rng.random(len(log_weights)))
 
 
 # --------------------------------------------------------------------------
@@ -295,12 +354,16 @@ class _PointScores:
     """Point-assignment scores, set up once per step and written by row range.
 
     The constructor computes what all rows share: the log weights, the
-    whitening of each Gaussian term (``mvn_whitening``), the augmented rows
-    and the outlier column.  ``rows`` writes the scores of one row range.
+    whitening of each Gaussian term (``mvn_whitening``, from ``factors`` for
+    the state's covariances), the augmented rows and the outlier column.
+    ``rows`` writes the scores of one row range.  A zero weight scores -inf;
+    numpy's divide warning for it is the caller's to silence, as ``sweep``
+    does.
     """
 
     def __init__(self, state: ModelState, obs: Observations, hyper: HyperParams,
-                 position_only: bool, include_outlier: bool, use_features: bool):
+                 position_only: bool, include_outlier: bool, use_features: bool,
+                 factors: _CovFactors):
         if use_features and not position_only:
             if obs.features is None:
                 raise ValidationError(
@@ -312,19 +375,19 @@ class _PointScores:
         L = self.L = state.L
         outlier = include_outlier and hyper.p_outlier > 0
         self.width = L + 1 if outlier else L
-        with np.errstate(divide="ignore"):
-            self.log_pi = np.log(state.pi_B)
+        self.log_pi = np.log(state.pi_B)
         if outlier:
             self.log_pi += np.log1p(-hyper.p_outlier)
-        terms = [(obs.positions, state.mu_B, state.Sigma_B)]
+        self.terms = [(augment_rows(obs.positions),
+                       *_whitening(state.mu_B, *factors.chol("Sigma_B")))]
         if not position_only:
-            terms.append((obs.velocities, state.vel, state.Sigma_V))
+            self.terms.append((augment_rows(obs.velocities),
+                               *_whitening(state.vel, *factors.chol("Sigma_V"))))
             if use_features:
                 F = obs.features.shape[1]
                 iso = np.broadcast_to(hyper.sigma2_F * np.eye(F), (L, F, F))
-                terms.append((obs.features, state.feat, iso))
-        self.terms = [(augment_rows(X), *mvn_whitening(means, covs))
-                      for X, means, covs in terms]
+                self.terms.append((augment_rows(obs.features),
+                                   *mvn_whitening(state.feat, iso)))
         self.outlier_col = None
         if outlier:
             speeds = np.linalg.norm(obs.velocities, axis=1)
@@ -353,23 +416,27 @@ def point_assignment_log_probs(state: ModelState, obs: Observations, hyper: Hype
     With ``include_outlier`` an extra final column scores the outlier
     component: weight p_outlier with a Gamma likelihood on speed.
     """
-    scores = _PointScores(state, obs, hyper, position_only, include_outlier, use_features)
+    with np.errstate(divide="ignore"):
+        scores = _PointScores(state, obs, hyper, position_only, include_outlier,
+                              use_features, _CovFactors(state))
     n = len(obs)
     return scores.rows(0, n, np.empty((n, scores.width)), np.empty((n, scores.L)))
 
 
 def assign_points_to_particles(state: ModelState, obs: Observations, hyper: HyperParams,
                                rng: np.random.Generator, *, position_only: bool = False,
-                               include_outlier: bool = False,
-                               use_features: bool = False) -> np.ndarray:
+                               include_outlier: bool = False, use_features: bool = False,
+                               factors: _CovFactors | None = None) -> np.ndarray:
     """Draw every point's label from ``point_assignment_log_probs``.
 
     Rows are scored and drawn in blocks of about ``_ASSIGN_BLOCK_ENTRIES``
     scores, in buffers reused from block to block, so no (N, L) array is
     built.  The uniforms come block by block from ``rng``, equal to one
-    ``rng.random((N, 1))`` call.
+    ``rng.random((N, 1))`` call.  ``factors`` is the covariance factors a
+    sweep shares between its steps; without it the step factors for itself.
     """
-    scores = _PointScores(state, obs, hyper, position_only, include_outlier, use_features)
+    scores = _PointScores(state, obs, hyper, position_only, include_outlier, use_features,
+                          _own_factors(state, factors))
     n = len(obs)
     rows = max(1, _ASSIGN_BLOCK_ENTRIES // scores.width)
     size = min(n, rows)
@@ -403,13 +470,15 @@ def update_cluster_weights(state: ModelState, hyper: HyperParams,
 # Particle parameter conditionals
 # --------------------------------------------------------------------------
 
-def _particle_mean_conditionals(state: ModelState, obs: Observations,
-                                hyper: HyperParams) -> tuple[np.ndarray, np.ndarray]:
+def _particle_mean_conditionals(state: ModelState, obs: Observations, hyper: HyperParams,
+                                factors: _CovFactors | None = None,
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    factors = _own_factors(state, factors)
     z_h = state.z_H
-    A = state.rot - np.eye(state.dim)
+    A = state.rot - _EYE[state.dim]
     b = state.trans - np.einsum("kij,kj->ki", A, state.mu_H)
-    inv_sh = spd_inverse_stack(state.Sigma_H)
-    inv_sb = spd_inverse_stack(state.Sigma_B)
+    inv_sh = factors.inverse("Sigma_H")
+    inv_sb = factors.inverse("Sigma_B")
     counts = _group_counts(state.z_B, state.L)
     sum_x = _group_sums(state.z_B, state.L, obs.positions)
     AtA = np.einsum("kji,kjl->kil", A, A) / hyper.sigma2_V
@@ -433,8 +502,9 @@ def particle_mean_conditional(state: ModelState, obs: Observations, hyper: Hyper
 
 
 def update_particle_means(state: ModelState, obs: Observations, hyper: HyperParams,
-                          rng: np.random.Generator) -> np.ndarray:
-    return _mvn_sample_stack(*_particle_mean_conditionals(state, obs, hyper), rng)
+                          rng: np.random.Generator, *,
+                          factors: _CovFactors | None = None) -> np.ndarray:
+    return _mvn_sample_stack(*_particle_mean_conditionals(state, obs, hyper, factors), rng)
 
 
 def _particle_cov_posteriors(state: ModelState, obs: Observations,
@@ -455,15 +525,16 @@ def update_particle_covariances(state: ModelState, obs: Observations, hyper: Hyp
     return _inverse_wishart_stack(*_particle_cov_posteriors(state, obs, hyper), rng)
 
 
-def _velocity_mean_conditionals(state: ModelState, obs: Observations,
-                                hyper: HyperParams) -> tuple[np.ndarray, np.ndarray]:
-    d, z_h = state.dim, state.z_H
+def _velocity_mean_conditionals(state: ModelState, obs: Observations, hyper: HyperParams,
+                                factors: _CovFactors | None = None,
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    eye, z_h = _EYE[state.dim], state.z_H
     vbar = state.trans[z_h] + np.einsum(
-        "lij,lj->li", (state.rot - np.eye(d))[z_h], state.mu_B - state.mu_H[z_h])
-    inv_sv = spd_inverse_stack(state.Sigma_V)
+        "lij,lj->li", (state.rot - eye)[z_h], state.mu_B - state.mu_H[z_h])
+    inv_sv = _own_factors(state, factors).inverse("Sigma_V")
     counts = _group_counts(state.z_B, state.L)
     sum_v = _group_sums(state.z_B, state.L, obs.velocities)
-    precision = np.eye(d) / hyper.sigma2_V + counts[:, None, None] * inv_sv
+    precision = eye / hyper.sigma2_V + counts[:, None, None] * inv_sv
     m_vec = vbar / hyper.sigma2_V + np.einsum("lij,lj->li", inv_sv, sum_v)
     return _gaussians_from_precision(m_vec, precision)
 
@@ -476,8 +547,9 @@ def velocity_mean_conditional(state: ModelState, obs: Observations, hyper: Hyper
 
 
 def update_particle_velocity_means(state: ModelState, obs: Observations, hyper: HyperParams,
-                                   rng: np.random.Generator) -> np.ndarray:
-    return _mvn_sample_stack(*_velocity_mean_conditionals(state, obs, hyper), rng)
+                                   rng: np.random.Generator, *,
+                                   factors: _CovFactors | None = None) -> np.ndarray:
+    return _mvn_sample_stack(*_velocity_mean_conditionals(state, obs, hyper, factors), rng)
 
 
 def _velocity_cov_posteriors(state: ModelState, obs: Observations,
@@ -517,39 +589,51 @@ def update_particle_features(state: ModelState, obs: Observations) -> np.ndarray
 
 def cluster_assignment_log_probs(state: ModelState, hyper: HyperParams) -> np.ndarray:
     """(L, K) log scores: cluster weight x spatial fit x rigid-motion velocity fit."""
-    d = state.dim
     with np.errstate(divide="ignore"):
-        scores = np.tile(np.log(state.pi_H), (state.L, 1))
-    mvn_logpdf_rows_all(state.mu_B, state.mu_H, state.Sigma_H, add_to=scores)
+        return _cluster_scores(state, hyper, _CovFactors(state))
+
+
+def _cluster_scores(state: ModelState, hyper: HyperParams, factors: _CovFactors) -> np.ndarray:
+    """``cluster_assignment_log_probs`` with the spatial fit whitened by
+    ``factors``; the caller silences the divide warning of a zero weight."""
+    d = state.dim
+    scores = np.tile(np.log(state.pi_H), (state.L, 1))
+    proj, const = _whitening(state.mu_H, *factors.chol("Sigma_H"))
+    add_mvn_logpdf_rows(augment_rows(state.mu_B), proj, const, scores)
     # velocity each cluster's rigid transform induces at each particle, (L, K, D)
     offsets = state.mu_B[:, None, :] - state.mu_H[None, :, :]
-    vbar = state.trans + np.einsum("kij,lkj->lki", state.rot - np.eye(d), offsets)
+    vbar = state.trans + np.einsum("kij,lkj->lki", state.rot - _EYE[d], offsets)
     resid = (state.vel[:, None, :] - vbar).reshape(-1, d)
     scores += isotropic_logpdf_rows(resid, 0.0, hyper.sigma2_V).reshape(state.L, state.K)
     return scores
 
 
 def assign_particles_to_clusters(state: ModelState, hyper: HyperParams,
-                                 rng: np.random.Generator) -> np.ndarray:
-    return categorical_sample_rows(cluster_assignment_log_probs(state, hyper), rng)
+                                 rng: np.random.Generator, *,
+                                 factors: _CovFactors | None = None) -> np.ndarray:
+    """One cluster label per particle from ``cluster_assignment_log_probs``;
+    ``factors`` as for ``assign_points_to_particles``."""
+    scores = _cluster_scores(state, hyper, _own_factors(state, factors))
+    return categorical_sample_rows(scores, rng)
 
 
 # --------------------------------------------------------------------------
 # Cluster parameter conditionals
 # --------------------------------------------------------------------------
 
-def _cluster_mean_conditionals(state: ModelState,
-                               hyper: HyperParams) -> tuple[np.ndarray, np.ndarray]:
-    d, K, z_h = state.dim, state.K, state.z_H
-    A = np.eye(d) - state.rot
+def _cluster_mean_conditionals(state: ModelState, hyper: HyperParams,
+                               factors: _CovFactors | None = None,
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    eye, K, z_h = _EYE[state.dim], state.K, state.z_H
+    A = eye - state.rot
     counts = _group_counts(z_h, K)
-    inv_sh = spd_inverse_stack(state.Sigma_H)
+    inv_sh = _own_factors(state, factors).inverse("Sigma_H")
     sum_mu = _group_sums(z_h, K, state.mu_B)
     # velocity residuals of the rigid-motion model, linear in mu_H through A
     b = state.trans[z_h] - np.einsum("lij,lj->li", A[z_h], state.mu_B)
     resid_sum = _group_sums(z_h, K, state.vel - b)
     AtA = np.einsum("kji,kjl->kil", A, A) / hyper.sigma2_V
-    precision = np.eye(d) / hyper.sigma2_mu_H + counts[:, None, None] * (inv_sh + AtA)
+    precision = eye / hyper.sigma2_mu_H + counts[:, None, None] * (inv_sh + AtA)
     m_vec = (hyper.mu_H_prior / hyper.sigma2_mu_H
              + np.einsum("kij,kj->ki", inv_sh, sum_mu)
              + np.einsum("kji,kj->ki", A, resid_sum) / hyper.sigma2_V)
@@ -569,8 +653,9 @@ def cluster_mean_conditional(state: ModelState, hyper: HyperParams,
 
 
 def update_cluster_means(state: ModelState, hyper: HyperParams,
-                         rng: np.random.Generator) -> np.ndarray:
-    return _mvn_sample_stack(*_cluster_mean_conditionals(state, hyper), rng)
+                         rng: np.random.Generator, *,
+                         factors: _CovFactors | None = None) -> np.ndarray:
+    return _mvn_sample_stack(*_cluster_mean_conditionals(state, hyper, factors), rng)
 
 
 def _cluster_cov_posteriors(state: ModelState,
@@ -605,7 +690,7 @@ def _rotation_log_probs(state: ModelState, hyper: HyperParams,
     K, z_h = state.K, state.z_H
     offsets = state.mu_B - state.mu_H[z_h]
     resid = state.vel - state.trans[z_h]
-    B = candidates.rotations - np.eye(state.dim)
+    B = candidates.rotations - _EYE[state.dim]
     gram = np.einsum("jca,jcb->jab", B, B)
     sq = (_group_sums(z_h, K, np.einsum("ld,ld->l", resid, resid)[:, None])
           - 2.0 * np.einsum("jab,kab->kj", B, _group_outer(z_h, K, resid, offsets))
@@ -624,7 +709,7 @@ def update_cluster_rotations(state: ModelState, hyper: HyperParams,
                              candidates: TransformCandidates,
                              rng: np.random.Generator) -> np.ndarray:
     scores = _rotation_log_probs(state, hyper, candidates)
-    return candidates.rotations[[categorical_sample(row, rng) for row in scores]]
+    return candidates.rotations[_draw_rows(scores, rng)]
 
 
 def _translation_log_probs(state: ModelState, hyper: HyperParams,
@@ -636,7 +721,7 @@ def _translation_log_probs(state: ModelState, hyper: HyperParams,
     """
     K, z_h = state.K, state.z_H
     offsets = state.mu_B - state.mu_H[z_h]
-    resid = state.vel - np.einsum("lij,lj->li", (state.rot - np.eye(state.dim))[z_h], offsets)
+    resid = state.vel - np.einsum("lij,lj->li", (state.rot - _EYE[state.dim])[z_h], offsets)
     counts = _group_counts(z_h, K)
     T = candidates.translations
     sq = (_group_sums(z_h, K, np.einsum("ld,ld->l", resid, resid)[:, None])
@@ -656,7 +741,7 @@ def update_cluster_translations(state: ModelState, hyper: HyperParams,
                                 candidates: TransformCandidates,
                                 rng: np.random.Generator) -> np.ndarray:
     scores = _translation_log_probs(state, hyper, candidates)
-    return candidates.translations[[categorical_sample(row, rng) for row in scores]]
+    return candidates.translations[_draw_rows(scores, rng)]
 
 
 # --------------------------------------------------------------------------
@@ -664,48 +749,55 @@ def update_cluster_translations(state: ModelState, hyper: HyperParams,
 # --------------------------------------------------------------------------
 
 # step id -> (state field, update).  An update takes (state, obs, hyper,
-# schedule, candidates, rng) and returns the field's new value.  The lambdas
-# look their kernel up in the module globals when called, so a kernel rebound
-# after import (as the benchmark tracer does) is the one that runs.
+# schedule, candidates, rng, factors) and returns the field's new value.  The
+# lambdas look their kernel up in the module globals when called, so a kernel
+# rebound after import (as the benchmark tracer does) is the one that runs.
 _STEP_UPDATES = {
-    ASSIGN_POINTS: ("assignments", lambda s, o, h, sc, c, r: Assignments(
+    ASSIGN_POINTS: ("assignments", lambda s, o, h, sc, c, r, f: Assignments(
         assign_points_to_particles(s, o, h, r, include_outlier=sc.enable_outliers,
-                                   use_features=sc.enable_features), s.z_H)),
-    ASSIGN_POINTS_SPATIAL: ("assignments", lambda s, o, h, sc, c, r: Assignments(
-        assign_points_to_particles(s, o, h, r, position_only=True), s.z_H)),
-    PARTICLE_WEIGHTS: ("pi_B", lambda s, o, h, sc, c, r: update_particle_weights(s, h, r)),
-    PARTICLE_MEANS: ("mu_B", lambda s, o, h, sc, c, r: update_particle_means(s, o, h, r)),
-    PARTICLE_COVS: ("Sigma_B", lambda s, o, h, sc, c, r:
+                                   use_features=sc.enable_features, factors=f), s.z_H)),
+    ASSIGN_POINTS_SPATIAL: ("assignments", lambda s, o, h, sc, c, r, f: Assignments(
+        assign_points_to_particles(s, o, h, r, position_only=True, factors=f), s.z_H)),
+    PARTICLE_WEIGHTS: ("pi_B", lambda s, o, h, sc, c, r, f: update_particle_weights(s, h, r)),
+    PARTICLE_MEANS: ("mu_B", lambda s, o, h, sc, c, r, f:
+                     update_particle_means(s, o, h, r, factors=f)),
+    PARTICLE_COVS: ("Sigma_B", lambda s, o, h, sc, c, r, f:
                     update_particle_covariances(s, o, h, r)),
-    PARTICLE_VELOCITIES: ("vel", lambda s, o, h, sc, c, r:
-                          update_particle_velocity_means(s, o, h, r)),
-    PARTICLE_VELOCITY_COVS: ("Sigma_V", lambda s, o, h, sc, c, r:
+    PARTICLE_VELOCITIES: ("vel", lambda s, o, h, sc, c, r, f:
+                          update_particle_velocity_means(s, o, h, r, factors=f)),
+    PARTICLE_VELOCITY_COVS: ("Sigma_V", lambda s, o, h, sc, c, r, f:
                              update_particle_velocity_covariances(s, o, h, r)),
-    PARTICLE_FEATURES: ("feat", lambda s, o, h, sc, c, r: update_particle_features(s, o)),
-    ASSIGN_PARTICLES: ("assignments", lambda s, o, h, sc, c, r: Assignments(
-        s.z_B, assign_particles_to_clusters(s, h, r))),
-    CLUSTER_WEIGHTS: ("pi_H", lambda s, o, h, sc, c, r: update_cluster_weights(s, h, r)),
-    CLUSTER_MEANS: ("mu_H", lambda s, o, h, sc, c, r: update_cluster_means(s, h, r)),
-    CLUSTER_COVS: ("Sigma_H", lambda s, o, h, sc, c, r: update_cluster_covariances(s, h, r)),
-    CLUSTER_ROTATIONS: ("rot", lambda s, o, h, sc, c, r:
+    PARTICLE_FEATURES: ("feat", lambda s, o, h, sc, c, r, f: update_particle_features(s, o)),
+    ASSIGN_PARTICLES: ("assignments", lambda s, o, h, sc, c, r, f: Assignments(
+        s.z_B, assign_particles_to_clusters(s, h, r, factors=f))),
+    CLUSTER_WEIGHTS: ("pi_H", lambda s, o, h, sc, c, r, f: update_cluster_weights(s, h, r)),
+    CLUSTER_MEANS: ("mu_H", lambda s, o, h, sc, c, r, f:
+                    update_cluster_means(s, h, r, factors=f)),
+    CLUSTER_COVS: ("Sigma_H", lambda s, o, h, sc, c, r, f:
+                   update_cluster_covariances(s, h, r)),
+    CLUSTER_ROTATIONS: ("rot", lambda s, o, h, sc, c, r, f:
                         update_cluster_rotations(s, h, c, r)),
-    CLUSTER_TRANSLATIONS: ("trans", lambda s, o, h, sc, c, r:
+    CLUSTER_TRANSLATIONS: ("trans", lambda s, o, h, sc, c, r, f:
                            update_cluster_translations(s, h, c, r)),
 }
 
 
 def _apply_step(name: str, work: ModelState, obs: Observations, hyper: HyperParams,
                 schedule: SweepSchedule, candidates: TransformCandidates,
-                rng: np.random.Generator) -> None:
+                rng: np.random.Generator, factors: _CovFactors | None = None) -> None:
     """Run step ``name`` and swap its field of ``work`` in place, unvalidated.
 
     ``work`` is a private copy of a state; its owner builds the validated
-    state once the steps are done.
+    state once the steps are done.  ``factors`` is the owner's
+    ``_CovFactors`` of ``work``: the step reads it and it drops the swapped
+    field.  Without it the step factors for itself.
     """
     if name not in _STEP_UPDATES:
         raise ValidationError(f"unknown schedule step {name!r}")
     field, update = _STEP_UPDATES[name]
-    object.__setattr__(work, field, update(work, obs, hyper, schedule, candidates, rng))
+    object.__setattr__(work, field, update(work, obs, hyper, schedule, candidates, rng, factors))
+    if factors is not None:
+        factors.drop(field)
 
 
 def sweep(state: ModelState, obs: Observations, hyper: HyperParams,
@@ -714,18 +806,21 @@ def sweep(state: ModelState, obs: Observations, hyper: HyperParams,
 
     Freeze flags skip the corresponding steps so the frozen arrays pass
     through bitwise unchanged.  Each step draws from a stream keyed by the
-    state's rng cursor and the step position, so results are independent of
-    thread count; the cursor advances once per sweep.  The steps swap fields
-    of one private copy of ``state``; the returned state is built and
-    validated once.
+    state's rng cursor and the step position; the cursor advances once per
+    sweep.  The steps swap fields of one private copy of ``state`` and share
+    one ``_CovFactors`` of it, so each covariance stack is factored once per
+    value within the sweep; the returned state is built and validated once.
     """
     work = copy.copy(state)
+    factors = _CovFactors(work)
     names = schedule.flatten()
-    for pos, name in enumerate(names):
-        if name == PARTICLE_COVS and schedule.freeze_Sigma_B:
-            continue
-        if name == ASSIGN_PARTICLES and schedule.freeze_z_H:
-            continue
-        rng = state.rng.stream(rngmod.SWEEP, _STEP_INDEX[name], pos)
-        _apply_step(name, work, obs, hyper, schedule, candidates, rng)
+    # the log of a zero mixture weight is -inf, never drawn
+    with np.errstate(divide="ignore"):
+        for pos, name in enumerate(names):
+            if name == PARTICLE_COVS and schedule.freeze_Sigma_B:
+                continue
+            if name == ASSIGN_PARTICLES and schedule.freeze_z_H:
+                continue
+            rng = state.rng.stream(rngmod.SWEEP, _STEP_INDEX[name], pos)
+            _apply_step(name, work, obs, hyper, schedule, candidates, rng, factors)
     return work.replace(rng=state.rng.tick())

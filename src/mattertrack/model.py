@@ -6,6 +6,23 @@ give each particle a cluster, a spatial Gaussian, and a velocity Gaussian
 centered at the cluster-induced rigid velocity, then emit observed points from
 their particles.  ``log_joint`` scores a full (state, observations) pair term
 by term and serves as the independent oracle for the Gibbs conditionals.
+
+Draw-order contract: ``sample_forward`` takes exactly the variates, in
+exactly the order, that a loop over the generative process takes from its
+stream, so a seeded draw does not depend on how the algebra is batched.  In
+order: the Dirichlet weights of clusters, then of particles; per cluster,
+its covariance's Bartlett variates (row by row, the chi-square diagonal entry
+before the normals left of it), a ``standard_normal(D)`` vector for its mean,
+and one uniform each for its translation and rotation; per particle, one
+uniform for its cluster, the Bartlett variates of its spatial covariance,
+``standard_normal(D)`` vectors for its mean and velocity, and the Bartlett
+variates of its velocity covariance; one uniform per point for its particle;
+then, particle by particle in index order, one ``standard_normal((n, D))``
+block for the positions of its n points and one for their velocities.
+``resample_observations`` takes only those last blocks.  The draws come
+first, in one scalar pass; the algebra then runs on stacks of matrices with
+the per-matrix arithmetic of the loop, so every output is bitwise that of
+the loop (pinned by the reference loops in the tests).
 """
 from __future__ import annotations
 
@@ -14,10 +31,13 @@ import numpy as np
 from . import rng as rngmod
 from .distributions import (
     TransformCandidates,
-    _inverse_wishart_draw,
-    categorical_sample,
+    _bartlett_fill,
+    _categorical_cdf,
+    _categorical_from_cdf,
+    _inverse_wishart_from_bartlett,
     categorical_sample_rows,
     chol_spd,
+    chol_spd_stack,
     dirichlet_logpdf,
     dirichlet_sample,
     gamma_logpdf,
@@ -26,7 +46,6 @@ from .distributions import (
     make_transform_candidates,
     mvn_logpdf,
     mvn_logpdf_rows,
-    mvn_sample,
     spd_inverse,
 )
 from .rng import RngState, substream
@@ -82,41 +101,44 @@ def sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
     pi_H = dirichlet_sample(hyper.alpha_vec(K), rng)
     pi_B = dirichlet_sample(hyper.beta_vec(L), rng)
 
-    Sigma_H = np.empty((K, dim, dim))
-    mu_H = np.empty((K, dim))
-    trans = np.empty((K, dim))
-    rot = np.empty((K, dim, dim))
+    # every variate, in the order of the module's draw-order contract
+    bart_H = np.zeros((K, dim, dim))
+    noise_H = np.empty((K, dim))
+    u_trans, u_rot = np.empty(K), np.empty(K)
     for k in range(K):
-        Sigma_H[k] = _inverse_wishart_draw(iw_H, hyper.nu_H, rng)
-        mu_H[k] = mvn_sample(hyper.mu_H_prior, hyper.sigma2_mu_H * eye, rng)
-        trans[k] = candidates.translations[categorical_sample(candidates.translation_log_prior, rng)]
-        rot[k] = candidates.rotations[categorical_sample(candidates.rotation_log_prior, rng)]
-
-    z_H = np.empty(L, dtype=np.int64)
-    Sigma_B = np.empty((L, dim, dim))
-    mu_B = np.empty((L, dim))
-    vel = np.empty((L, dim))
-    Sigma_V = np.empty((L, dim, dim))
-    log_pi_H = np.log(pi_H)
+        _bartlett_fill(bart_H[k], hyper.nu_H, rng)
+        noise_H[k] = rng.standard_normal(dim)
+        u_trans[k] = rng.random()
+        u_rot[k] = rng.random()
+    u_z = np.empty(L)
+    bart_B, bart_V = np.zeros((L, dim, dim)), np.zeros((L, dim, dim))
+    noise_B, noise_V = np.empty((L, dim)), np.empty((L, dim))
     for ell in range(L):
-        k = categorical_sample(log_pi_H, rng)
-        z_H[ell] = k
-        Sigma_B[ell] = _inverse_wishart_draw(iw_B, hyper.nu_B, rng)
-        mu_B[ell] = mvn_sample(mu_H[k], Sigma_H[k], rng)
-        vbar = induced_velocities(rot[k], trans[k], mu_H[k], mu_B[ell][None])[0]
-        vel[ell] = mvn_sample(vbar, hyper.sigma2_V * eye, rng)
-        Sigma_V[ell] = _inverse_wishart_draw(iw_V, hyper.nu_V, rng)
-
+        u_z[ell] = rng.random()
+        _bartlett_fill(bart_B[ell], hyper.nu_B, rng)
+        noise_B[ell] = rng.standard_normal(dim)
+        noise_V[ell] = rng.standard_normal(dim)
+        _bartlett_fill(bart_V[ell], hyper.nu_V, rng)
     with np.errstate(divide="ignore"):
         z_B = categorical_sample_rows(np.broadcast_to(np.log(pi_B), (N, L)), rng)
-    positions = np.empty((N, dim))
-    velocities = np.empty((N, dim))
-    for ell in range(L):
-        idx = np.where(z_B == ell)[0]
-        if idx.size == 0:
-            continue
-        positions[idx] = mvn_sample(mu_B[ell], Sigma_B[ell], rng, size=idx.size)
-        velocities[idx] = mvn_sample(vel[ell], Sigma_V[ell], rng, size=idx.size)
+
+    # the algebra, one stack per quantity
+    Sigma_H = _inverse_wishart_from_bartlett(iw_H, bart_H)
+    mu_H = hyper.mu_H_prior + _matvec(chol_spd(hyper.sigma2_mu_H * eye), noise_H)
+    trans = candidates.translations[_categorical_from_cdf(
+        _categorical_cdf(candidates.translation_log_prior), u_trans)]
+    rot = candidates.rotations[_categorical_from_cdf(
+        _categorical_cdf(candidates.rotation_log_prior), u_rot)]
+    z_H = _categorical_from_cdf(_categorical_cdf(np.log(pi_H)), u_z)
+    Sigma_B = _inverse_wishart_from_bartlett(iw_B, bart_B)
+    mu_B = mu_H[z_H] + _matvec(chol_spd_stack(Sigma_H)[z_H], noise_B)
+    # the rigid-motion velocity each particle's cluster induces at its mean,
+    # as induced_velocities computes it for one row
+    offsets = (mu_B - mu_H[z_H])[:, None, :]
+    vbar = trans[z_H] + (offsets @ np.swapaxes((rot - eye)[z_H], 1, 2))[:, 0]
+    vel = vbar + _matvec(chol_spd(hyper.sigma2_V * eye), noise_V)
+    Sigma_V = _inverse_wishart_from_bartlett(iw_V, bart_V)
+    positions, velocities = _draw_points(z_B, mu_B, Sigma_B, vel, Sigma_V, rng)
 
     base_seed = int(seed) if not isinstance(seed, np.random.Generator) else 0
     state = ModelState(
@@ -125,6 +147,33 @@ def sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
         assignments=Assignments(z_B, z_H), rng=RngState(base_seed),
     )
     return state, Observations(positions, velocities)
+
+
+def _matvec(factors: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Rows ``factors @ noise_i`` for one (D, D) factor or a stack of them,
+    each equal to the single product of ``mvn_sample``."""
+    return (factors @ noise[:, :, None])[:, :, 0]
+
+
+def _draw_points(z: np.ndarray, mu_B: np.ndarray, Sigma_B: np.ndarray, vel: np.ndarray,
+                 Sigma_V: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and velocities of points labelled ``z``, drawn particle by
+    particle in index order, as ``mvn_sample`` draws a particle's points.
+
+    The covariances of occupied particles are factored in one stacked call
+    each.
+    """
+    N, dim = z.shape[0], mu_B.shape[1]
+    positions = np.empty((N, dim))
+    velocities = np.empty((N, dim))
+    occupied = np.flatnonzero(np.bincount(z, minlength=mu_B.shape[0]))
+    chol_B = chol_spd_stack(Sigma_B[occupied])
+    chol_V = chol_spd_stack(Sigma_V[occupied])
+    for ell, lb, lv in zip(occupied, chol_B, chol_V):
+        idx = np.flatnonzero(z == ell)
+        positions[idx] = mu_B[ell] + rng.standard_normal((idx.size, dim)) @ lb.T
+        velocities[idx] = vel[ell] + rng.standard_normal((idx.size, dim)) @ lv.T
+    return positions, velocities
 
 
 def resample_observations(state: ModelState, hyper: HyperParams,
@@ -138,15 +187,9 @@ def resample_observations(state: ModelState, hyper: HyperParams,
     z = state.z_B
     if np.any(z >= state.L):
         raise ValidationError("cannot resample observations for outlier assignments")
-    N, dim = z.shape[0], state.dim
-    positions = np.empty((N, dim))
-    velocities = np.empty((N, dim))
-    for ell in range(state.L):
-        idx = np.where(z == ell)[0]
-        if idx.size == 0:
-            continue
-        positions[idx] = mvn_sample(state.mu_B[ell], state.Sigma_B[ell], rng, size=idx.size)
-        velocities[idx] = mvn_sample(state.vel[ell], state.Sigma_V[ell], rng, size=idx.size)
+    N = z.shape[0]
+    positions, velocities = _draw_points(z, state.mu_B, state.Sigma_B, state.vel,
+                                         state.Sigma_V, rng)
     features = None
     if state.feat is not None and hyper.sigma2_F is not None:
         F = state.feat.shape[1]

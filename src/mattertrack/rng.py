@@ -2,8 +2,8 @@
 
 Every random draw in the package comes from a named substream of one integer
 seed.  Substreams are keyed by small integer paths (domain tag, counter, step
-position, ...), so results never depend on execution order across components
-or on the number of worker threads.
+position, ...), so results never depend on the order in which components are
+computed.
 """
 from __future__ import annotations
 

@@ -162,6 +162,43 @@ def test_subsample_out_of_range_is_a_usage_error(tmp_path, command, rate):
     assert not (tmp_path / "o").exists()
 
 
+COUNT_CASES = [
+    ("geweke", "--iters", "50"), ("geweke", "--sweeps-per-iter", "0"),
+    ("geweke", "-K", "0"), ("geweke", "-L", "0"), ("geweke", "-N", "0"),
+    ("simulate", "-N", "0"),
+    ("fit", "-K", "0"), ("fit", "-L", "-1"), ("fit", "--sweeps", "-5"),
+    ("track", "-K", "0"), ("track", "-L", "0"),
+    ("sva", "-K", "-2"), ("sva", "-L", "0"), ("sva", "--max-iter", "-1"),
+]
+
+
+@pytest.mark.parametrize("command,option,value", COUNT_CASES)
+def test_count_out_of_range_is_a_usage_error(tmp_path, command, option, value):
+    obs, out = tmp_path / "obs.jsonl", tmp_path / "o"
+    run_cli(["simulate", "-N", "40", "-L", "4", "--seed", "1", "--out", str(obs)])
+    if command in ("geweke", "simulate"):
+        args = [option, value]
+    else:
+        counts = {"-K": "2", "-L": "4", option: value}
+        args = ["--obs", str(obs), *(a for pair in counts.items() for a in pair)]
+    result = CliRunner().invoke(main, [command, *args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert option in result.output
+    assert not out.exists()
+
+
+def test_zero_sweeps_and_iterations_are_accepted(tmp_path):
+    obs = tmp_path / "obs.jsonl"
+    run_cli(["simulate", "-N", "40", "-L", "4", "--seed", "1", "--out", str(obs)])
+    run_cli(["fit", "--obs", str(obs), "-K", "2", "-L", "4", "--sweeps", "0",
+             "--out", str(tmp_path / "fit.jsonl")])
+    assert mio.read_states(tmp_path / "fit.jsonl")[0].state.rng.counter == 0
+    result = run_cli(["sva", "--obs", str(obs), "-K", "2", "-L", "4", "--max-iter", "0",
+                      "--out", str(tmp_path / "sva.json")])
+    assert "no iterations" in result.output
+    assert json.loads((tmp_path / "sva.json").read_text())["iterations"] == 0
+
+
 def test_geweke_command_smoke(tmp_path):
     out = tmp_path / "geweke.json"
     result = run_cli(["geweke", "--dim", "2", "-K", "1", "-L", "2", "-N", "8",

@@ -43,3 +43,12 @@ def test_geweke_rejects_outliers_and_short_runs():
                    iterations=500, seed=0)
     with pytest.raises(ValidationError):
         run_geweke(hyper, K=1, L=2, N=8, iterations=50, seed=0)
+
+
+def test_geweke_rejects_fewer_than_one_sweep_per_iteration():
+    # a zero or negative count used to run one sweep per iteration silently
+    hyper = default_check_hyper(2)
+    for sweeps in (0, -1):
+        with pytest.raises(ValidationError, match="sweeps_per_iter"):
+            run_geweke(hyper, K=1, L=2, N=8, iterations=100, seed=0,
+                       sweeps_per_iter=sweeps)

@@ -7,7 +7,10 @@ under the same ``np.random.default_rng(seed)``: equal labels and candidate
 indices, continuous outputs within 1e-10, and the stream left at the same
 position.  That pins the draw-order contract of ``mattertrack.gibbs``.
 The blocked point-assignment draw must equal the one-shot draw over the
-whole score matrix, label for label.
+whole score matrix, label for label.  The transform steps' one-pass draw
+over all clusters must equal one ``categorical_sample`` call per cluster, and
+a sweep whose steps share covariance factors must equal one whose steps each
+factor for themselves, bit for bit.
 """
 import copy
 import tracemalloc
@@ -17,6 +20,7 @@ import pytest
 
 from mattertrack import gibbs
 from mattertrack.distributions import (
+    TransformCandidates,
     categorical_sample,
     categorical_sample_rows,
     dirichlet_sample,
@@ -31,7 +35,7 @@ from mattertrack.distributions import (
 )
 from mattertrack.model import induced_velocities, sample_forward
 from mattertrack.rng import SWEEP
-from mattertrack.types import Assignments, Observations
+from mattertrack.types import Assignments, Observations, ValidationError
 
 from conftest import diag_hyper
 
@@ -453,3 +457,158 @@ def test_blocked_assignment_peak_memory_below_one_score_matrix():
     finally:
         tracemalloc.stop()
     assert peak < N * L * 8
+
+
+# ---------------------------------------------------------------------------
+# transform draws and shared covariance factors
+# ---------------------------------------------------------------------------
+
+class FixedUniforms:
+    """Stands in for a Generator: ``random`` hands out preset uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+def assert_rows_drawn_like_single_calls(scores, rng_rows, rng_single):
+    got = gibbs._draw_rows(scores, rng_rows)
+    want = [categorical_sample(row, rng_single) for row in scores]
+    np.testing.assert_array_equal(got, want)
+    return got
+
+
+def test_transform_row_draws_match_single_draws_with_inf_columns():
+    rng = np.random.default_rng(0)
+    for width in (1, 2, 25, 33, 125, 129):
+        scores = rng.normal(0.0, 10.0 ** rng.uniform(-1, 3), (2000, width))
+        scores[rng.random(scores.shape) < 0.3] = -np.inf
+        scores[np.arange(len(scores)), rng.integers(0, width, len(scores))] = rng.normal()
+        rng_rows, rng_single = np.random.default_rng(width), np.random.default_rng(width)
+        assert_rows_drawn_like_single_calls(scores, rng_rows, rng_single)
+        assert rng_rows.bit_generator.state == rng_single.bit_generator.state
+
+
+def test_transform_row_draws_reach_the_last_column():
+    # rows whose weight sits on the last column, or after -inf columns, with
+    # uniforms from 0 to the largest double below 1
+    top = 1.0 - 2.0 ** -53
+    rows = np.array([[-np.inf, -np.inf, 0.0],
+                     [-40.0, -np.inf, 0.0],
+                     [0.0, 0.0, 0.0],
+                     [0.0, -np.inf, -np.inf],
+                     [-1e-300, -745.0, -1e-300],
+                     [5.0, 5.0, -np.inf]])
+    for u in (0.0, 0.5, 1.0 - 1e-12, top):
+        uniforms = [u] * len(rows)
+        got = assert_rows_drawn_like_single_calls(rows, FixedUniforms(uniforms),
+                                                  FixedUniforms(uniforms))
+        assert got[0] == 2 and got[3] == 0
+        if u >= 0.5:
+            assert got[1] == 2
+        if u == top:
+            assert got[2] == 2 and got[4] == 2 and got[5] == 1
+
+
+def test_transform_row_draws_reject_rows_without_admissible_column():
+    scores = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
+    with pytest.raises(ValidationError, match="no admissible component"):
+        gibbs._draw_rows(scores, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", [gibbs.CLUSTER_ROTATIONS, gibbs.CLUSTER_TRANSLATIONS])
+def test_transform_steps_match_loop_with_excluded_candidates(dim, name):
+    state, obs, hyper, cands = scene(dim, seed=40 + dim)
+    rng = np.random.default_rng(dim)
+    rot_lp, trans_lp = cands.rotation_log_prior.copy(), cands.translation_log_prior.copy()
+    # exclude candidates, but keep the identity and the current transforms
+    rot_lp[1:][rng.random(len(rot_lp) - 1) < 0.5] = -np.inf
+    trans_lp[rng.random(len(trans_lp)) < 0.5] = -np.inf
+    for k in range(state.K):
+        trans_lp[cands.translation_index(state.trans[k])] = 0.0
+        rot_lp[cands.rotation_index(state.rot[k])] = 0.0
+    cands = TransformCandidates(cands.rotations, rot_lp, cands.translations, trans_lp)
+    for seed in range(5):
+        rng_b, rng_r = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = batched_step(name, state, obs, hyper, cands, rng_b)
+        want = ref_apply_step(name, state, obs, hyper, cands, rng_r)
+        assert_states_match(got, want)
+        assert rng_b.bit_generator.state == rng_r.bit_generator.state
+
+
+def sweep_with_own_factors(state, obs, hyper, schedule, cands):
+    """``gibbs.sweep`` with every step factoring its covariances for itself."""
+    work = copy.copy(state)
+    for pos, name in enumerate(schedule.flatten()):
+        if name == gibbs.PARTICLE_COVS and schedule.freeze_Sigma_B:
+            continue
+        if name == gibbs.ASSIGN_PARTICLES and schedule.freeze_z_H:
+            continue
+        rng = state.rng.stream(SWEEP, gibbs._STEP_INDEX[name], pos)
+        with np.errstate(divide="ignore"):
+            gibbs._apply_step(name, work, obs, hyper, schedule, cands, rng)
+    return work.replace(rng=state.rng.tick())
+
+
+SHARED_FACTOR_SCHEDULES = {
+    # two passes, so that later steps read covariances swapped earlier
+    "full_twice": gibbs.SweepSchedule(
+        steps=(gibbs.Block(gibbs.full_sweep_schedule().steps
+                           + (gibbs.Step(gibbs.PARTICLE_FEATURES),), repeat=2),),
+        enable_outliers=True, enable_features=True),
+    "tracking_frozen": gibbs.tracking_frame_schedule(freeze_Sigma_B=True),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("schedule", list(SHARED_FACTOR_SCHEDULES))
+def test_sweep_with_shared_factors_matches_steps_factoring_alone(dim, schedule):
+    sched = SHARED_FACTOR_SCHEDULES[schedule]
+    state, obs, hyper, cands = scene(dim, seed=50 + dim)
+    got = want = state
+    for _ in range(3):
+        got = gibbs.sweep(got, obs, hyper, sched, cands)
+        want = sweep_with_own_factors(want, obs, hyper, sched, cands)
+        assert got.rng == want.rng
+        for name in ("z_B", "z_H") + FIELDS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                          err_msg=name, strict=True)
+
+
+def test_sweep_factors_each_covariance_once_per_value(monkeypatch):
+    # a full sweep factors Sigma_B, Sigma_V and Sigma_H once each instead of
+    # 2, 2 and 3 times; the three inverse-Wishart steps factor their own scales
+    calls = []
+    inverse = gibbs.tril_inverse_stack
+    monkeypatch.setattr(gibbs, "tril_inverse_stack",
+                        lambda f: calls.append(f.shape) or inverse(f))
+    hyper = diag_hyper(2)
+    state, obs = sample_forward(hyper, K=2, L=4, N=30, seed=0)
+    sched = gibbs.full_sweep_schedule()
+    cands = make_transform_candidates(2, hyper)
+    gibbs.sweep(state, obs, hyper, sched, cands)
+    shared = len(calls)
+    calls.clear()
+    sweep_with_own_factors(state, obs, hyper, sched, cands)
+    assert (shared, len(calls)) == (6, 10)
+
+
+def test_apply_step_drops_the_swapped_field_from_the_factors():
+    state, obs, hyper, cands = scene(2)
+    work = copy.copy(state)
+    factors = gibbs._CovFactors(work)
+    before = {f: factors.chol(f)[0] for f in ("Sigma_B", "Sigma_V", "Sigma_H")}
+    sched = gibbs.full_sweep_schedule(enable_outliers=True, enable_features=True)
+    gibbs._apply_step(gibbs.PARTICLE_COVS, work, obs, hyper, sched, cands,
+                      np.random.default_rng(0), factors)
+    assert factors.chol("Sigma_B")[0] is not before["Sigma_B"]
+    np.testing.assert_array_equal(factors.chol("Sigma_B")[0],
+                                  np.linalg.cholesky(work.Sigma_B))
+    assert factors.chol("Sigma_V")[0] is before["Sigma_V"]
+    assert factors.chol("Sigma_H")[0] is before["Sigma_H"]

@@ -1,19 +1,45 @@
-"""Forward-sampler and log-joint oracles."""
+"""Forward-sampler and log-joint oracles.
+
+``ref_sample_forward`` and ``ref_resample_observations`` are the earlier
+per-component loops, built from the single-matrix distribution helpers and
+scipy's ``solve_triangular``.  The stacked sampler must reproduce them bit
+for bit and leave the generator at the same position, which pins the
+draw-order contract of ``mattertrack.model``.
+"""
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import solve_triangular
 
-from mattertrack.distributions import make_transform_candidates
+from mattertrack import distributions
+from mattertrack.distributions import (
+    categorical_sample,
+    categorical_sample_rows,
+    chol_spd,
+    dirichlet_sample,
+    make_transform_candidates,
+    mvn_sample,
+    spd_inverse,
+)
+from mattertrack.geweke import default_check_hyper
 from mattertrack.model import (
+    _as_generator,
     induced_velocities,
     log_joint,
     resample_observations,
     sample_forward,
 )
+from mattertrack.rng import RngState
 from mattertrack.synth import separated_mixture_scene
-from mattertrack.types import HyperParams, ValidationError
+from mattertrack.types import (
+    Assignments,
+    HyperParams,
+    ModelState,
+    Observations,
+    ValidationError,
+)
 
 from conftest import diag_hyper, single_particle_state
 
@@ -189,3 +215,193 @@ def test_resample_observations_distribution():
     obs = resample_observations(state, hyper, np.random.default_rng(0))
     np.testing.assert_allclose(obs.positions.mean(axis=0), [2.0, -1.0], atol=0.02)
     np.testing.assert_allclose(obs.velocities.mean(axis=0), [0.3, 0.1], atol=0.01)
+
+
+# -- the stacked forward sampler against the per-component loops -------------------
+
+def ref_spd_inverse(cov):
+    L = chol_spd(np.asarray(cov, dtype=np.float64))
+    inv_l = solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    inv = inv_l.T @ inv_l
+    return 0.5 * (inv + inv.T)
+
+
+def ref_inverse_wishart_draw(Ls, nu, rng):
+    d = Ls.shape[0]
+    A = np.zeros((1, d, d))
+    for i in range(d):
+        A[:, i, i] = np.sqrt(rng.chisquare(nu - i, size=1))
+        for j in range(i):
+            A[:, i, j] = rng.standard_normal(1)
+    c = (Ls[None, :, :] @ A)[0]
+    c_inv = solve_triangular(c, np.eye(d), lower=True)
+    out = c_inv.T @ c_inv
+    return 0.5 * (out + out.T)
+
+
+def ref_sample_forward(hyper, K, L, N, seed, candidates):
+    dim = hyper.mu_H_prior.shape[0]
+    rng = _as_generator(seed)
+    eye = np.eye(dim)
+    iw_H, iw_B, iw_V = (chol_spd(ref_spd_inverse(psi))
+                        for psi in (hyper.Psi_H, hyper.Psi_B, hyper.Psi_V))
+    pi_H = dirichlet_sample(hyper.alpha_vec(K), rng)
+    pi_B = dirichlet_sample(hyper.beta_vec(L), rng)
+    Sigma_H = np.empty((K, dim, dim))
+    mu_H = np.empty((K, dim))
+    trans = np.empty((K, dim))
+    rot = np.empty((K, dim, dim))
+    for k in range(K):
+        Sigma_H[k] = ref_inverse_wishart_draw(iw_H, hyper.nu_H, rng)
+        mu_H[k] = mvn_sample(hyper.mu_H_prior, hyper.sigma2_mu_H * eye, rng)
+        trans[k] = candidates.translations[categorical_sample(candidates.translation_log_prior, rng)]
+        rot[k] = candidates.rotations[categorical_sample(candidates.rotation_log_prior, rng)]
+    z_H = np.empty(L, dtype=np.int64)
+    Sigma_B = np.empty((L, dim, dim))
+    mu_B = np.empty((L, dim))
+    vel = np.empty((L, dim))
+    Sigma_V = np.empty((L, dim, dim))
+    log_pi_H = np.log(pi_H)
+    for ell in range(L):
+        k = categorical_sample(log_pi_H, rng)
+        z_H[ell] = k
+        Sigma_B[ell] = ref_inverse_wishart_draw(iw_B, hyper.nu_B, rng)
+        mu_B[ell] = mvn_sample(mu_H[k], Sigma_H[k], rng)
+        vbar = induced_velocities(rot[k], trans[k], mu_H[k], mu_B[ell][None])[0]
+        vel[ell] = mvn_sample(vbar, hyper.sigma2_V * eye, rng)
+        Sigma_V[ell] = ref_inverse_wishart_draw(iw_V, hyper.nu_V, rng)
+    with np.errstate(divide="ignore"):
+        z_B = categorical_sample_rows(np.broadcast_to(np.log(pi_B), (N, L)), rng)
+    positions = np.empty((N, dim))
+    velocities = np.empty((N, dim))
+    for ell in range(L):
+        idx = np.where(z_B == ell)[0]
+        if idx.size == 0:
+            continue
+        positions[idx] = mvn_sample(mu_B[ell], Sigma_B[ell], rng, size=idx.size)
+        velocities[idx] = mvn_sample(vel[ell], Sigma_V[ell], rng, size=idx.size)
+    base_seed = int(seed) if not isinstance(seed, np.random.Generator) else 0
+    state = ModelState(
+        dim=dim, mu_B=mu_B, Sigma_B=Sigma_B, vel=vel, Sigma_V=Sigma_V, pi_B=pi_B,
+        mu_H=mu_H, Sigma_H=Sigma_H, rot=rot, trans=trans, pi_H=pi_H,
+        assignments=Assignments(z_B, z_H), rng=RngState(base_seed))
+    return state, Observations(positions, velocities)
+
+
+def ref_resample_observations(state, hyper, rng):
+    z = state.z_B
+    N, dim = z.shape[0], state.dim
+    positions = np.empty((N, dim))
+    velocities = np.empty((N, dim))
+    for ell in range(state.L):
+        idx = np.where(z == ell)[0]
+        if idx.size == 0:
+            continue
+        positions[idx] = mvn_sample(state.mu_B[ell], state.Sigma_B[ell], rng, size=idx.size)
+        velocities[idx] = mvn_sample(state.vel[ell], state.Sigma_V[ell], rng, size=idx.size)
+    features = None
+    if state.feat is not None and hyper.sigma2_F is not None:
+        F = state.feat.shape[1]
+        features = state.feat[z] + np.sqrt(hyper.sigma2_F) * rng.standard_normal((N, F))
+    return Observations(positions, velocities, features)
+
+
+STATE_ARRAYS = ("mu_B", "Sigma_B", "vel", "Sigma_V", "pi_B", "mu_H", "Sigma_H", "rot",
+                "trans", "pi_H", "z_B", "z_H")
+
+# (K, L, N): criterion-2 size, L = K, empty particles (N < L), one of each,
+# and a larger draw
+FORWARD_SIZES = [(2, 4, 16), (3, 3, 20), (2, 8, 4), (1, 1, 1), (3, 30, 300)]
+
+
+def assert_bitwise(got, want, names):
+    for name in names:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        np.testing.assert_array_equal(g, w, err_msg=name, strict=True)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("K,L,N", FORWARD_SIZES)
+def test_forward_matches_loop_bitwise(dim, K, L, N):
+    hyper = default_check_hyper(dim)
+    cands = make_transform_candidates(dim, hyper)
+    for seed in range(4):
+        # an int seed, and a Generator whose final position must match too
+        got = sample_forward(hyper, K, L, N, seed, candidates=cands)
+        want = ref_sample_forward(hyper, K, L, N, seed, cands)
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got_g = sample_forward(hyper, K, L, N, rng_got, candidates=cands)
+        want_g = ref_sample_forward(hyper, K, L, N, rng_want, cands)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        for (gs, go), (ws, wo) in ((got, want), (got_g, want_g)):
+            assert_bitwise(gs, ws, STATE_ARRAYS)
+            assert_bitwise(go, wo, ("positions", "velocities"))
+            assert gs.rng == ws.rng
+
+
+def test_forward_matches_loop_with_empty_particles_and_skewed_priors():
+    # small Dirichlet concentrations leave particles empty and weights tiny
+    hyper = diag_hyper(2, alpha=0.3, beta=0.2)
+    cands = make_transform_candidates(2, hyper, M_r=9, M_t=9)
+    empties = 0
+    for seed in range(20):
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        gs, go = sample_forward(hyper, 3, 10, 12, rng_got, candidates=cands)
+        ws, wo = ref_sample_forward(hyper, 3, 10, 12, rng_want, cands)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        assert_bitwise(gs, ws, STATE_ARRAYS)
+        assert_bitwise(go, wo, ("positions", "velocities"))
+        empties += 10 - len(np.unique(gs.z_B))
+    assert empties > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("with_features", [False, True])
+def test_resample_observations_matches_loop_bitwise(dim, with_features):
+    hyper = default_check_hyper(dim)
+    if with_features:
+        hyper = hyper.replace(sigma2_F=0.3)
+    for seed, (K, L, N) in enumerate(FORWARD_SIZES):
+        state, _ = sample_forward(hyper, K, L, N, seed)
+        if with_features:
+            state = state.replace(feat=np.random.default_rng(seed).standard_normal((L, 2)))
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = resample_observations(state, hyper, rng_got)
+        want = ref_resample_observations(state, hyper, rng_want)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        assert_bitwise(got, want, ("positions", "velocities"))
+        assert (got.features is None) == (not with_features)
+        if with_features:
+            np.testing.assert_array_equal(got.features, want.features, strict=True)
+
+
+def test_spd_inverse_and_iw_draw_match_solve_triangular_bitwise():
+    rng = np.random.default_rng(0)
+    for dim in (2, 3):
+        for _ in range(200):
+            m = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-3, 3)
+            cov = m @ m.T + 1e-6 * np.eye(dim)
+            np.testing.assert_array_equal(spd_inverse(cov), ref_spd_inverse(cov), strict=True)
+            Ls = chol_spd(cov)
+            seed = int(rng.integers(1 << 30))
+            r_got, r_want = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                distributions._inverse_wishart_draw(Ls, dim + 2.5, r_got),
+                ref_inverse_wishart_draw(Ls, dim + 2.5, r_want), strict=True)
+            assert r_got.bit_generator.state == r_want.bit_generator.state
+
+
+def test_spd_inverse_and_iw_draw_raise_on_singular_or_nonfinite_factor(monkeypatch):
+    rng = np.random.default_rng(0)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        distributions._inverse_wishart_draw(np.zeros((2, 2)), 5.0, rng)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        distributions._inverse_wishart_draw(np.diag([np.nan, 1.0]), 5.0, rng)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        spd_inverse(np.diag([np.inf, 1.0]))
+    # a factor with a zero pivot, as no Cholesky factorization returns it
+    monkeypatch.setattr(distributions, "chol_spd",
+                        lambda cov: np.array([[1.0, 0.0], [2.0, 0.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        spd_inverse(np.eye(2))
