@@ -53,6 +53,20 @@ _AT_LEAST_ONE = click.IntRange(min=1)
 _NON_NEGATIVE = click.IntRange(min=0)
 
 
+def _check_counts(num_clusters: int, num_particles: int) -> None:
+    """Usage error unless every cluster can own a particle."""
+    if num_particles < num_clusters:
+        raise click.UsageError(f"-L/--particles ({num_particles}) must be at least "
+                               f"-K/--clusters ({num_clusters})")
+
+
+def _check_points(num_points: int, num_particles: int) -> None:
+    """One-line error unless every particle can own a point of frame 0."""
+    if num_points < num_particles:
+        raise click.ClickException(f"frame 0 holds {num_points} points, fewer than "
+                                   f"-L/--particles ({num_particles})")
+
+
 @click.group()
 def main() -> None:
     """Generative clustering and tracking of moving point matter."""
@@ -77,6 +91,7 @@ def main() -> None:
 def simulate(dim, num_clusters, num_particles, num_points, seed, config_path,
              out_path, labels_out, state_out, threads):
     """Sample one frame from the forward model into an observation file."""
+    _check_counts(num_clusters, num_particles)
     cfg = _load_config(config_path)
     hyper = cfg.resolve_hyper(dim)
     m_r, m_t = cfg.candidate_sizes()
@@ -127,10 +142,12 @@ def rdk_gen(spec_path, seed, out_path, labels_out, threads):
 def fit(obs_path, num_clusters, num_particles, sweeps, seed, config_path,
         subsample, auto_hyper, flow_split, out_path, plot_path, threads):
     """Infer the latent state of the first frame of an observation file."""
+    _check_counts(num_clusters, num_particles)
     frames = mio.read_observations(obs_path)
     if not frames:
         raise click.ClickException("observation file holds no frames")
     obs = subsample_frame(frames[0], subsample, substream(seed, rngmod.SUBSAMPLE, 0))
+    _check_points(len(obs), num_particles)
     cfg = _load_config(config_path)
     hyper = cfg.resolve_hyper(obs.dim)
     state = init_state(obs, num_clusters, num_particles, hyper, seed)
@@ -170,6 +187,7 @@ def fit(obs_path, num_clusters, num_particles, sweeps, seed, config_path,
 def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsample,
               auto_hyper, flow_split, resume_from, out_path, plot_path, threads):
     """Track a full observation sequence."""
+    _check_counts(num_clusters, num_particles)
     frames = mio.read_observations(obs_path)
     cfg = _load_config(config_path)
     tcfg = cfg.resolve_track()
@@ -192,13 +210,14 @@ def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsampl
                        initial_state=last.state, start_frame=last.t + 1)
         mio.write_states(out_path, states, hyper=last.hyper, first_t=last.t + 1)
     else:
+        obs0 = subsample_frame(frames[0], tcfg.subsample_rate,
+                               substream(seed, rngmod.SUBSAMPLE, 0))
+        _check_points(len(obs0), num_particles)
         states = track(frames, num_clusters, num_particles, hyper, tcfg, seed,
                        candidates=candidates, derive_hyper=auto_hyper,
                        init_proposal=flow_split_proposal if flow_split else None)
         eff_hyper = hyper
         if auto_hyper:
-            obs0 = subsample_frame(frames[0], tcfg.subsample_rate,
-                                   substream(seed, rngmod.SUBSAMPLE, 0))
             eff_hyper = data_dependent_hyperparams(
                 obs0, init_state(obs0, num_clusters, num_particles, hyper, seed), base=hyper)
         mio.write_states(out_path, states, hyper=eff_hyper)
@@ -227,10 +246,12 @@ def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsampl
 def sva_cmd(obs_path, num_clusters, num_particles, max_iter, seed, subsample,
             out_path, threads):
     """Hard-assignment baseline clustering of the first frame."""
+    _check_counts(num_clusters, num_particles)
     frames = mio.read_observations(obs_path)
     if not frames:
         raise click.ClickException("observation file holds no frames")
     obs = subsample_frame(frames[0], subsample, substream(seed, rngmod.SUBSAMPLE, 0))
+    _check_points(len(obs), num_particles)
     res = sva_cluster(obs, num_clusters, num_particles, seed, max_iter=max_iter)
     out = {
         "z_B": res.z_B.tolist(),
@@ -331,6 +352,7 @@ def eval_cmd(states_path, obs_path, gt_path, subsample, seed, grid, probes,
 def geweke_cmd(dim, num_clusters, num_particles, num_points, iters, sweeps_per_iter,
                seed, config_path, threshold, out_path, threads):
     """Forward vs Gibbs marginal consistency report (exit 1 on failure)."""
+    _check_counts(num_clusters, num_particles)
     cfg = _load_config(config_path)
     hyper = cfg.resolve_hyper(dim, base=default_check_hyper(dim))
     m_r, m_t = cfg.candidate_sizes()

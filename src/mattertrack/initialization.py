@@ -31,30 +31,71 @@ from .types import (
 # at 2**12, and 2.10 s with one unblocked (N, K) accumulator and scratch.
 _KMEANS_BLOCK_ENTRIES = 1 << 15
 
+# Centers per group of the Lloyd lower bounds (see ``_kmeans_single``).
+_GROUP_SIZE = 10
+
 # Safety margins of the k-means pruning bounds (see ``_settled``).
 _BOUND_MARGIN = 1e-9
 _BOUND_FLOOR = 1e-150
 
 
+def _coordinate_order(d: int) -> tuple[int, ...]:
+    """The order in which ``np.einsum("nd,nd->n")`` adds squared coordinates.
+
+    einsum keeps even and odd coordinates in two running sums and adds them
+    last, so D=3 sums as (0 + 2) + 1.  Adding squares one at a time in this
+    order gives its sums bitwise for D <= 3; larger D adds in index order.
+    """
+    return (0, 2, 1) if d == 3 else tuple(range(d))
+
+
 def _sq_dist_blocks(points: np.ndarray, centers: np.ndarray, scratch: np.ndarray):
     """Yield (start, stop, d2) over row blocks, with d2 the (stop - start, K)
-    squared Euclidean distances of those points to every center.
+    squared Euclidean distances of those points to the K centers: the rows
+    of ``centers`` (K, D), or for point i those of ``centers[i]`` (K, D).
 
-    Coordinates are accumulated one at a time in ``scratch`` (2, rows, K), so
-    no (N, K, D) difference tensor is built; d2 is only valid until the next
-    block.
+    Coordinates are accumulated one at a time, in ``_coordinate_order``, in
+    the two rows of the flat ``scratch`` (2, entries), which must hold at
+    least K entries a row; no (N, K, D) difference tensor is built, and d2
+    is only valid until the next block.
     """
-    rows = scratch.shape[1]
+    k = centers.shape[-2]
+    rows = scratch.shape[1] // k
+    first, *rest = _coordinate_order(points.shape[1])
     for start in range(0, points.shape[0], rows):
         x = points[start:start + rows]
-        acc, tmp = scratch[0, :len(x)], scratch[1, :len(x)]
-        np.subtract(x[:, :1], centers[:, 0], out=acc)
+        c = centers if centers.ndim == 2 else centers[start:start + rows]
+        acc = scratch[0, :len(x) * k].reshape(len(x), k)
+        tmp = scratch[1, :len(x) * k].reshape(len(x), k)
+        np.subtract(x[:, first:first + 1], c[..., first], out=acc)
         np.square(acc, out=acc)
-        for j in range(1, points.shape[1]):
-            np.subtract(x[:, j:j + 1], centers[:, j], out=tmp)
+        for j in rest:
+            np.subtract(x[:, j:j + 1], c[..., j], out=tmp)
             np.square(tmp, out=tmp)
             acc += tmp
         yield start, start + len(x), acc
+
+
+def _sq_dists_to(cols: np.ndarray, center: np.ndarray, out: np.ndarray,
+                 tmp: np.ndarray) -> None:
+    """Squared distances of the column-major points ``cols`` (D, N) to one
+    center, into ``out``, added in ``_coordinate_order``."""
+    first, *rest = _coordinate_order(len(cols))
+    np.subtract(cols[first], center[first], out=out)
+    np.square(out, out=out)
+    for j in rest:
+        np.subtract(cols[j], center[j], out=tmp)
+        np.square(tmp, out=tmp)
+        out += tmp
+
+
+def _sq_norms(diff: np.ndarray) -> np.ndarray:
+    """Row sums of squares, added in ``_coordinate_order``."""
+    first, *rest = _coordinate_order(diff.shape[1])
+    out = np.square(diff[:, first])
+    for j in rest:
+        out += np.square(diff[:, j])
+    return out
 
 
 def _group_slices(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -73,74 +114,155 @@ def kmeans_pp(points: np.ndarray, K: int, seed, max_iter: int = 100,
               n_init: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """K-means++ seeding followed by Lloyd iterations to a label fixpoint.
 
-    ``n_init`` restarts keep the lowest-objective run (Lloyd converges to
-    local minima).  Degenerate seeding (all remaining distances zero) falls
-    back to sampling unused distinct points; fewer than K distinct points is
-    an error.  The Lloyd passes skip the distances that triangle-inequality
-    bounds already settle (see ``_kmeans_single``) and return bitwise the
-    labels, centers and generator state of plain Lloyd.
+    ``n_init`` >= 1 restarts keep the lowest-objective run (Lloyd converges
+    to local minima); ``max_iter`` >= 0 caps the Lloyd passes.  Degenerate
+    seeding (all remaining distances zero) falls back to sampling unused
+    distinct points; fewer than K distinct points is an error.
+
+    Every squared distance adds coordinates in ``np.einsum("nd,nd->n")``'s
+    order (``_coordinate_order``).  Seeding updates each point's distance to
+    its nearest center from one column-major copy of the points, and the
+    Lloyd passes skip the distances that group bounds already settle (see
+    ``_kmeans_single``), so the labels, centers and generator state are
+    bitwise those of plain k-means++ and Lloyd on einsum distances.
     """
     points = np.asarray(points, dtype=np.float64)
     N = points.shape[0]
     if not N >= K >= 1:
         raise ValidationError(f"need N >= K >= 1, got N={N}, K={K}")
-    distinct = np.unique(points, axis=0)
-    if distinct.shape[0] < K:
-        raise ValidationError(f"need at least K={K} distinct points, got {distinct.shape[0]}")
+    if n_init < 1:
+        raise ValidationError(f"n_init must be >= 1, got {n_init}")
+    if max_iter < 0:
+        raise ValidationError(f"max_iter must be >= 0, got {max_iter}")
     rng = seed if isinstance(seed, np.random.Generator) else substream(int(seed), rngmod.INIT)
+    cols = np.ascontiguousarray(points.T)
     best = None
-    for _ in range(max(1, n_init)):
-        centers, labels = _kmeans_single(points, K, rng, max_iter)
+    for _ in range(n_init):
+        centers, labels = _kmeans_single(points, cols, K, rng, max_iter)
         obj = kmeans_objective(points, centers, labels)
         if best is None or obj < best[0]:
             best = (obj, centers, labels)
     return best[1], best[2]
 
 
-def _kmeans_single(points: np.ndarray, K: int, rng: np.random.Generator,
-                   max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """One k-means++ seeding and Lloyd run with Hamerly-bounded passes.
+def _seed_centers(points: np.ndarray, cols: np.ndarray, K: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """K-means++ seeding: each next center is a point drawn with probability
+    proportional to its squared distance to the nearest center so far.
 
-    The first pass computes every distance.  From then on each point keeps
-    ``upper``, at least its distance to its own center, and ``lower``, at
-    most its distance to any other center.  When center k moves by delta_k,
-    ``upper`` grows by its own center's delta and ``lower`` shrinks by the
-    largest delta among the other centers.  A point is settled when its
-    upper bound, tightened to the exact distance if needed, lies below the
-    larger of ``lower`` and half the gap from its center to the nearest
-    other one.  Only unsettled points get a full row of distances, computed
-    by the same per-coordinate operations as a full pass.
-
-    The labels stay those of plain Lloyd, bitwise: ``lower`` and the half
-    gaps are rounded down by a 1e-9 relative margin at every update, and
-    ``upper`` is rounded up by it when compared, so a settled point's own
-    center is nearer than every other one by far more than rounding can
-    move a computed squared distance (~1e-15 relative); an exact tie is
-    never settled.  A recomputed row holds the values a full pass would.
-    So the centers, the iteration count, the empty-cell reseeds (which keep
-    their full pass) and the generator state are unchanged.
+    The running minimum is updated from the column-major ``cols`` (D, N),
+    one coordinate at a time; the draw keeps the ``d2 / total``, cumsum and
+    searchsorted sequence.  A shortfall of distinct points can only show
+    where every remaining distance is zero, so it is checked there.
     """
-    N = points.shape[0]
-    centers = np.empty((K, points.shape[1]))
+    N = cols.shape[1]
+    centers = np.empty((K, cols.shape[0]))
     centers[0] = points[rng.integers(N)]
-    diff = points - centers[0]
-    d2 = np.einsum("nd,nd->n", diff, diff)
+    d2, new, tmp = np.empty(N), np.empty(N), np.empty(N)
+    _sq_dists_to(cols, centers[0], d2, tmp)
     for k in range(1, K):
         total = d2.sum()
         if total > 0:
-            probs = d2 / total
-            idx = int(np.searchsorted(np.cumsum(probs), rng.random()).clip(0, N - 1))
+            idx = min(int(np.searchsorted(np.cumsum(d2 / total), rng.random())), N - 1)
         else:
             # all mass on existing centers; resample among unused distinct points
             used = {tuple(c) for c in centers[:k]}
             candidates = [i for i in range(N) if tuple(points[i]) not in used]
+            if not candidates:
+                distinct = np.unique(points, axis=0).shape[0]
+                raise ValidationError(f"need at least K={K} distinct points, got {distinct}")
             idx = candidates[rng.integers(len(candidates))]
         centers[k] = points[idx]
-        diff = points - centers[k]
-        d2 = np.minimum(d2, np.einsum("nd,nd->n", diff, diff))
+        _sq_dists_to(cols, centers[k], new, tmp)
+        np.minimum(d2, new, out=d2)
+    return centers
 
-    scratch = np.empty((2, min(N, max(1, _KMEANS_BLOCK_ENTRIES // K)), K))
-    labels, upper, lower = _nearest_two(points, centers, scratch)
+
+def _center_groups(centers: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """t groups of nearby centers: a (t, kmax) table of center indices, each
+    row ascending and padded with K, and each center's group.
+
+    The centers are bisected recursively along their widest coordinate, in
+    proportion to the groups on each side, so grouping draws nothing from
+    the generator and the groups are about K / t centers each (exactly 10
+    for K = 30, 40 or 100), which keeps the padding of the table small.
+    """
+    K = len(centers)
+    groups = []
+
+    def split(idx: np.ndarray, n: int) -> None:
+        if n == 1:
+            groups.append(np.sort(idx))
+            return
+        pts = centers[idx]
+        axis = int(np.argmax(np.ptp(pts, axis=0)))
+        idx = idx[np.argsort(pts[:, axis], kind="stable")]
+        cut = len(idx) * (n // 2) // n
+        split(idx[:cut], n // 2)
+        split(idx[cut:], n - n // 2)
+
+    split(np.arange(K), t)
+    members = np.full((t, max(map(len, groups))), K)
+    group_of = np.empty(K, dtype=np.intp)
+    for g, idx in enumerate(groups):
+        members[g, :len(idx)] = idx
+        group_of[idx] = g
+    return members, group_of
+
+
+def _kmeans_single(points: np.ndarray, cols: np.ndarray, K: int,
+                   rng: np.random.Generator, max_iter: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """One k-means++ seeding and Lloyd run with group-bounded passes.
+
+    The seeded centers are split into t = ceil(K / 10) groups of nearby
+    centers (``_center_groups``), fixed for the run (Ding et al. 2015,
+    "Yinyang K-Means"; t = 1 keeps one bound per point, as Hamerly's
+    does).  The first pass
+    computes every distance.  From then on each point keeps ``upper``, at
+    least its distance to its own center, and a (t, N) table of lower
+    bounds: group g's is at most the point's distance to any center of g
+    other than its own.  They start from the distance to the nearest other
+    center and, by the triangle inequality, from the group's gap to the own
+    center less ``upper``.  When center k moves by delta_k, ``upper`` grows
+    by its own center's delta and group g's bound shrinks by the largest
+    delta in g.  A point is settled when its upper bound, tightened to the
+    exact distance if needed, lies below both its smallest group bound and
+    half the gap from its center to the nearest other one.  An unsettled
+    point recomputes its own center's group and every group whose bound does
+    not clear its exact distance, as (point, group) pairs (``_reassign``).
+    When every unsettled point needs every group, as always for t = 1, the
+    pass takes full rows (``_nearest_two``) and sets each group bound to the
+    distance to the nearest other center.
+
+    The labels stay those of plain Lloyd, bitwise: the bounds and half gaps
+    are rounded down by a 1e-9 relative margin at every update, and
+    ``upper`` is rounded up by it when compared, so every center a settled
+    point or a skipped group leaves out is farther than the own center by
+    far more than rounding can move a computed squared distance (~1e-15
+    relative); an exact tie is never settled.  Recomputed distances hold
+    the values a full pass would, and exact ties across groups go to the
+    lowest index, as ``argmin`` does.  So the centers, the iteration count,
+    the empty-cell reseeds (which keep their full pass) and the generator
+    state are unchanged.
+    """
+    N = points.shape[0]
+    centers = _seed_centers(points, cols, K, rng)
+    scratch = np.empty((2, min(N, max(1, _KMEANS_BLOCK_ENTRIES // K)) * K))
+    members, group_of = _center_groups(centers, -(-K // _GROUP_SIZE))
+    # the centers and their moves with an inf center and a zero move at
+    # index K, which the padding slots of ``members`` pick
+    padded = np.full((K + 1, points.shape[1]), np.inf)
+    moved = np.zeros(K + 1)
+
+    labels, near, second = _nearest_two(points, centers, scratch)
+    upper = np.sqrt(near)
+    lower = np.tile(_lower_bound(second), (len(members), 1))
+    if len(members) > 1:
+        # a group's centers lie at least its gap to the own center, less
+        # ``upper``, away from the point
+        gaps = np.take(_group_gaps(centers, members, scratch), labels, axis=1)
+        np.maximum(lower, gaps - (1.0 + _BOUND_MARGIN) * upper, out=lower)
     old = np.empty_like(centers)
     for _ in range(max_iter):
         counts = np.bincount(labels, minlength=K)
@@ -159,33 +281,74 @@ def _kmeans_single(points: np.ndarray, K: int, rng: np.random.Generator,
         centers[done:] = means[done:]
 
         # a center that moved by delta moves each distance to it by at most delta
-        moved = np.sqrt(_sq_norms(centers - old))
-        drop = np.full(K, moved.max())
-        if K > 1:
-            drop[np.argmax(moved)] = np.partition(moved, -2)[-2]
+        moved[:K] = np.sqrt(_sq_norms(centers - old))
         upper += moved[labels]
         lower *= 1.0 - _BOUND_MARGIN
-        lower -= (1.0 + _BOUND_MARGIN) * drop[labels]
-        bound = np.maximum(lower, _half_gaps(centers, scratch)[labels])
+        lower -= (1.0 + _BOUND_MARGIN) * moved[members].max(axis=1, keepdims=True)
+        bound = np.maximum(lower.min(axis=0), _half_gaps(centers, scratch)[labels])
 
         # the points no bound settles, first with the loose upper bound, then
-        # with the exact distance to the own center, get a full row
+        # with the exact distance to the own center, recompute some groups
         rows = np.flatnonzero(~_settled(upper, bound))
         upper[rows] = np.sqrt(_sq_norms(points[rows] - centers[labels[rows]]))
         rows = rows[~_settled(upper[rows], bound[rows])]
-        new_labels, upper[rows], lower[rows] = _nearest_two(points[rows], centers, scratch)
+        if not len(rows):
+            break
+        # each point recomputes its own center's group and the groups whose
+        # bound its exact distance does not clear; full rows when that is all
+        need = ~_settled(upper[rows], lower[:, rows])
+        need[group_of[labels[rows]], np.arange(len(rows))] = True
+        if need.all():
+            new_labels, best, second = _nearest_two(points[rows], centers, scratch)
+            lower[:, rows] = _lower_bound(second)
+        else:
+            padded[:K] = centers
+            new_labels, best = _reassign(points, rows, need, padded[members], members,
+                                         lower, scratch)
+        upper[rows] = np.sqrt(best)
         if np.array_equal(new_labels, labels[rows]):
             break
         labels[rows] = new_labels
     return centers, labels
 
 
-def _sq_norms(diff: np.ndarray) -> np.ndarray:
-    """Row sums of squares, one coordinate at a time as in ``_sq_dist_blocks``."""
-    out = np.square(diff[:, 0])
-    for j in range(1, diff.shape[1]):
-        out += np.square(diff[:, j])
-    return out
+def _reassign(points: np.ndarray, rows: np.ndarray, need: np.ndarray,
+              grouped: np.ndarray, members: np.ndarray, lower: np.ndarray,
+              scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centers of ``points[rows]`` among the groups ``need`` (t, R)
+    marks for each, with their (t, N) group bounds ``lower`` updated in
+    place; every center of an unmarked group must lie farther than the
+    point's own one, whose group is marked.
+
+    ``grouped`` (t, kmax, D) holds each group's centers, whose indices are
+    in ``members`` (t, kmax), padded with inf and K.  The (point, group)
+    pairs go through ``_nearest_two`` in chunks whose gathered centers fit
+    one row of ``scratch``.
+    Returns the labels (the first index among exact minima, as ``argmin``
+    over a full row) and their squared distances.
+    """
+    R = len(rows)
+    g, r = np.nonzero(need)
+    lab, near, second = np.empty(len(g), dtype=np.intp), np.empty(len(g)), np.empty(len(g))
+    step = scratch.shape[1] // grouped[0].size
+    for a in range(0, len(g), step):
+        pair = slice(a, a + step)
+        lab[pair], near[pair], second[pair] = _nearest_two(
+            points[rows[r[pair]]], grouped[g[pair]], scratch)
+    nearest = members[g, lab]
+    best = np.full(R, np.inf)
+    np.minimum.at(best, r, near)
+    tied = near == best[r]
+    new = np.full(R, members.size)
+    np.minimum.at(new, r[tied], nearest[tied])
+    # a recomputed group's bound leaves out the new own center
+    lower[g, rows[r]] = _lower_bound(np.where(nearest == new[r], second, near))
+    return new, best
+
+
+def _lower_bound(d2: np.ndarray) -> np.ndarray:
+    """A distance bound from squared distances, rounded down by the margin."""
+    return (1.0 - _BOUND_MARGIN) * np.sqrt(d2)
 
 
 def _settled(upper: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -194,9 +357,22 @@ def _settled(upper: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
     The relative margin dwarfs the ~1e-15 rounding of a computed distance;
     the absolute one keeps squared distances out of the subnormal range.
-    NaN or infinite bounds settle nothing.
+    NaN bounds and infinite upper bounds settle nothing.
     """
     return upper * (1.0 + _BOUND_MARGIN) + _BOUND_FLOOR < bound
+
+
+def _group_gaps(centers: np.ndarray, members: np.ndarray, scratch: np.ndarray
+                ) -> np.ndarray:
+    """(t, K) distances from each group to each center, leaving the center
+    itself out, rounded down by the margin; infinite where none is left."""
+    K = centers.shape[0]
+    gaps = np.empty((members.shape[0], K))
+    for start, stop, d2 in _sq_dist_blocks(centers, centers, scratch):
+        d2 = np.hstack([d2, np.full((stop - start, 1), np.inf)])
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        np.min(d2[:, members], axis=2, out=gaps[:, start:stop].T)
+    return _lower_bound(gaps)
 
 
 def _half_gaps(centers: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -207,13 +383,14 @@ def _half_gaps(centers: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     for start, stop, d2 in _sq_dist_blocks(centers, centers, scratch):
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         np.min(d2, axis=1, out=gaps[start:stop])
-    return 0.5 * (1.0 - _BOUND_MARGIN) * np.sqrt(gaps)
+    return 0.5 * _lower_bound(gaps)
 
 
 def _nearest_two(points: np.ndarray, centers: np.ndarray, scratch: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each point's nearest center (the first one on a tie), its distance to
-    that center, and a lower bound on its distance to every other center."""
+    """Each point's nearest center (the first one on a tie), and its squared
+    distances to that center and to the nearest other one (inf for a single
+    center); ``centers`` is shared or per point, as in ``_sq_dist_blocks``."""
     n = points.shape[0]
     labels = np.empty(n, dtype=np.intp)
     near, second = np.empty(n), np.empty(n)
@@ -224,7 +401,7 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray, scratch: np.ndarray
         near[start:stop] = d2[rows, own]
         d2[rows, own] = np.inf
         np.min(d2, axis=1, out=second[start:stop])
-    return labels, np.sqrt(near), (1.0 - _BOUND_MARGIN) * np.sqrt(second)
+    return labels, near, second
 
 
 def _cell_means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -187,6 +187,30 @@ def test_count_out_of_range_is_a_usage_error(tmp_path, command, option, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "track", "sva", "simulate", "geweke"])
+def test_fewer_particles_than_clusters_is_a_usage_error(tmp_path, command):
+    obs, out = tmp_path / "obs.jsonl", tmp_path / "o"
+    run_cli(["simulate", "-N", "40", "-L", "4", "--seed", "1", "--out", str(obs)])
+    args = [] if command in ("geweke", "simulate") else ["--obs", str(obs)]
+    result = CliRunner().invoke(main, [command, *args, "-K", "3", "-L", "2", "--out", str(out)],
+                                catch_exceptions=False)
+    assert result.exit_code == 2, result.output
+    assert "-K/--clusters" in result.output and "-L/--particles" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "track", "sva"])
+def test_fewer_points_than_particles_is_a_one_line_error(tmp_path, command):
+    obs, out = tmp_path / "obs.jsonl", tmp_path / "o"
+    run_cli(["simulate", "-N", "40", "-L", "4", "--seed", "1", "--out", str(obs)])
+    result = CliRunner().invoke(main, [command, "--obs", str(obs), "-K", "2", "-L", "60",
+                                       "--out", str(out)], catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == [
+        "Error: frame 0 holds 40 points, fewer than -L/--particles (60)"]
+    assert not out.exists()
+
+
 def test_zero_sweeps_and_iterations_are_accepted(tmp_path):
     obs = tmp_path / "obs.jsonl"
     run_cli(["simulate", "-N", "40", "-L", "4", "--seed", "1", "--out", str(obs)])

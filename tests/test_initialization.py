@@ -204,6 +204,42 @@ def test_kmeans_duplicate_heavy_input_still_seeds():
     assert len(np.unique(labels)) == 3
 
 
+@pytest.mark.parametrize("kw,name", [({"n_init": 0}, "n_init"), ({"n_init": -2}, "n_init"),
+                                     ({"max_iter": -1}, "max_iter")])
+def test_kmeans_rejects_out_of_range_counts(kw, name):
+    pts = np.random.default_rng(3).standard_normal((20, 2))
+    with pytest.raises(ValidationError, match=name):
+        kmeans_pp(pts, 3, seed=0, **kw)
+
+
+def test_kmeans_zero_iterations_keeps_the_seeding():
+    pts = np.random.default_rng(4).standard_normal((50, 2))
+    assert_kmeans_matches_reference(pts, 4, lambda: np.random.default_rng(4), max_iter=0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_distances_add_coordinates_as_einsum(dim):
+    # every k-means distance must equal the reference's einsum sums bitwise;
+    # in D=3 einsum adds (0 + 2) + 1, and the in-order (0 + 1) + 2 differs
+    rng = np.random.default_rng(60 + dim)
+    points = rng.standard_normal((3000, dim)) * 10.0 ** rng.uniform(-2, 2, dim)
+    centers = rng.standard_normal((30, dim))
+    want = ref_sq_dists(points, centers)
+    scratch = np.empty((2, 7 * 30 + 5))
+    got = np.empty_like(want)
+    for start, stop, d2 in initialization._sq_dist_blocks(points, centers, scratch):
+        got[start:stop] = d2
+    np.testing.assert_array_equal(got, want)
+    # one set of centers per point, as the group passes use them
+    pick = rng.integers(0, 30, (3000, 4))
+    for start, stop, d2 in initialization._sq_dist_blocks(points, centers[pick], scratch):
+        got[start:stop, :4] = d2
+    np.testing.assert_array_equal(got[:, :4], np.take_along_axis(want, pick, axis=1))
+    diff = points - centers[pick[:, 0]]
+    np.testing.assert_array_equal(initialization._sq_norms(diff),
+                                  np.einsum("nd,nd->n", diff, diff))
+
+
 def _kmeans_inputs(dim):
     rng = np.random.default_rng(20 + dim)
     blobs = rng.standard_normal((6, dim)) * 8.0
@@ -348,6 +384,44 @@ def test_kmeans_bounds_skip_most_rows(monkeypatch):
     kmeans_pp(obs.positions, 100, seed=0)
     assert rows[0] == 5000 and len(passes) > 5
     assert sum(rows[1:]) < 0.5 * len(passes) * 5000
+
+
+@pytest.mark.parametrize("dim,K,N", [(2, 100, 5000), (3, 30, 3000)])
+def test_kmeans_matches_reference_at_workload_size(dim, K, N):
+    # the scale workload's particle init, and a criterion-3-size one in D=3:
+    # the sizes at which the center groups hold several centers each
+    _, obs, _ = separated_mixture_scene(K=3, L=K, N=N, dim=dim, seed=0, separation=5.0)
+    assert_kmeans_matches_reference(obs.positions, K, lambda: substream(0, rngmod.INIT),
+                                    n_init=4)
+
+
+def test_kmeans_group_bounds_skip_most_distances(monkeypatch):
+    # the scene of test_kmeans_bounds_skip_most_rows; every point-center
+    # distance after the first pass counts, a group table's padding included
+    _, obs, _ = separated_mixture_scene(K=3, L=100, N=5000, dim=2, seed=0, separation=5.0)
+    entries, passes = [], []
+    blocks, norms = initialization._sq_dist_blocks, initialization._sq_norms
+    cell_means = initialization._cell_means
+
+    def counting_blocks(points, centers, scratch):
+        if points is not centers:  # center-to-center gaps are not counted
+            entries.append(len(points) * centers.shape[-2])
+        return blocks(points, centers, scratch)
+
+    def counting_norms(diff):
+        entries.append(len(diff))
+        return norms(diff)
+
+    def counting_means(*args):
+        passes.append(1)
+        return cell_means(*args)
+
+    monkeypatch.setattr(initialization, "_sq_dist_blocks", counting_blocks)
+    monkeypatch.setattr(initialization, "_sq_norms", counting_norms)
+    monkeypatch.setattr(initialization, "_cell_means", counting_means)
+    kmeans_pp(obs.positions, 100, seed=0)
+    assert entries[0] == 5000 * 100 and len(passes) > 5
+    assert sum(entries[1:]) < 0.05 * len(passes) * 5000 * 100
 
 
 # -- kabsch_align -------------------------------------------------------------

@@ -18,6 +18,10 @@ it drew from:
   sweeps       200 Geweke-size sweeps with observation redraws, as criterion 2
                runs them;
   features     20 sweeps with outliers and features on, in D=2 and D=3;
+  kmeans       ``kmeans_pp`` centers, labels and generator position over
+               random, clustered and duplicate-heavy points in D=1-3, K from 1
+               to 100 and ``n_init`` 1-4, plus the D=1, K=2 calls of the
+               flow split;
   recovery, scale, track
                the benchmark op lists of seeds 1-3, built and run by
                ``bench/workloads.py`` (the track piece also hashes the uncut
@@ -179,6 +183,37 @@ def piece_features(d: Digest) -> None:
             d.state(state)
 
 
+def _kmeans_inputs(dim: int):
+    rng = np.random.default_rng(40 + dim)
+    yield rng.standard_normal((2000, dim)) * 3.0
+    blobs = rng.standard_normal((8, dim)) * 6.0
+    yield blobs[rng.integers(0, 8, 3000)] + 0.3 * rng.standard_normal((3000, dim))
+    # duplicate-heavy: 1500 points on at most 60 sites
+    yield rng.integers(-20, 21, (60, dim)).astype(float)[rng.integers(0, 60, 1500)]
+
+
+def piece_kmeans(d: Digest) -> None:
+    from mattertrack.initialization import kmeans_pp
+
+    for dim in (1, 2, 3):
+        for points in _kmeans_inputs(dim):
+            distinct = len(np.unique(points, axis=0))
+            for K, n_init in ((1, 1), (2, 4), (7, 2), (30, 3), (100, 4)):
+                if K > distinct:
+                    continue
+                rng = np.random.default_rng(10 * K + dim)
+                centers, labels = kmeans_pp(points, K, rng, n_init=n_init)
+                d.array(centers)
+                d.array(labels)
+                d.generator(rng)
+    # the flow split's call: particle speeds, K=2, an integer seed
+    for seed in range(20):
+        speeds = np.abs(np.random.default_rng(seed).standard_normal((40, 1)))
+        centers, labels = kmeans_pp(speeds, 2, seed=0, n_init=4)
+        d.array(centers)
+        d.array(labels)
+
+
 def _bench_piece(name: str):
     def piece(d: Digest) -> None:
         import workloads
@@ -205,6 +240,7 @@ PIECES = {
     "geweke": piece_geweke,
     "sweeps": piece_sweeps,
     "features": piece_features,
+    "kmeans": piece_kmeans,
     "recovery": _bench_piece("recovery"),
     "scale": _bench_piece("scale"),
     "track": _bench_piece("track"),
