@@ -15,7 +15,7 @@ import numpy as np
 from . import rng as rngmod
 from .distributions import TransformCandidates, make_transform_candidates
 from .gibbs import SweepSchedule, full_sweep_schedule, sweep
-from .model import resample_observations, sample_forward
+from .model import _check_forward_inputs, _sample_forward, resample_observations
 from .rng import RngState, substream
 from .types import HyperParams, ModelState, ValidationError
 
@@ -97,8 +97,8 @@ def run_geweke(hyper: HyperParams, K: int, L: int, N: int, iterations: int,
         raise ValidationError("need at least 100 iterations for stable batch means")
     if sweeps_per_iter < 1:
         raise ValidationError(f"sweeps_per_iter must be at least 1, got {sweeps_per_iter}")
-    dim = int(np.asarray(hyper.mu_H_prior).shape[0])
-    hyper.validate(dim)
+    # the inputs are checked once; the loops below draw unchecked
+    dim = _check_forward_inputs(hyper, K, L, N)
     if hyper.p_outlier > 0:
         raise ValidationError("consistency check requires the outlier component disabled")
     if candidates is None:
@@ -109,13 +109,13 @@ def run_geweke(hyper: HyperParams, K: int, L: int, N: int, iterations: int,
     n_stats = 2 * L * dim + L
     forward = np.empty((iterations, n_stats))
     for i in range(iterations):
-        state, _ = sample_forward(hyper, K, L, N, substream(seed, rngmod.FORWARD, i),
-                                  candidates=candidates)
+        state, _ = _sample_forward(hyper, K, L, N, substream(seed, rngmod.FORWARD, i),
+                                   candidates=candidates)
         forward[i] = _collect(state)
 
     chain = np.empty((iterations, n_stats))
-    state, obs = sample_forward(hyper, K, L, N, substream(seed, rngmod.FORWARD, iterations),
-                                candidates=candidates)
+    state, obs = _sample_forward(hyper, K, L, N, substream(seed, rngmod.FORWARD, iterations),
+                                 candidates=candidates)
     state = state.replace(rng=RngState(seed))
     for i in range(iterations):
         for _ in range(sweeps_per_iter):

@@ -15,10 +15,13 @@ over all columns (streamed through cache-sized row blocks for points), and
 the rotation and translation grids are scored from per-cluster moments
 rather than candidate by candidate.
 
-Draw-order contract: each step takes exactly the variates, in exactly the
-order, that a loop over components would take from its stream, so a seeded
-chain does not depend on how a step is vectorized.  Gaussian steps draw one
-``standard_normal((n, D))`` block, equal to n calls of
+Draw-order contract: a sweep draws from one stream, keyed by the state's rng
+cursor alone (``state.rng.stream(SWEEP)``).  The steps that run take their
+variates from it one after another in schedule order, and a step skipped by
+a freeze flag takes none.  Each step takes exactly the variates, in exactly
+the order, that a loop over components would take from the stream, so a
+seeded chain does not depend on how a step is vectorized.  Gaussian steps
+draw one ``standard_normal((n, D))`` block, equal to n calls of
 ``standard_normal(D)``.  Inverse-Wishart steps draw their Bartlett variates
 component by component, interleaving chi-square and normal draws as
 ``inverse_wishart_sample`` does.  Transform steps draw one uniform per
@@ -106,7 +109,6 @@ STEP_IDS = (
     CLUSTER_ROTATIONS,
     CLUSTER_TRANSLATIONS,
 )
-_STEP_INDEX = {name: i for i, name in enumerate(STEP_IDS)}
 
 
 # --------------------------------------------------------------------------
@@ -145,7 +147,7 @@ class SweepSchedule:
     def _validate_items(cls, items) -> None:
         for item in items:
             if isinstance(item, Step):
-                if item.name not in _STEP_INDEX:
+                if item.name not in STEP_IDS:
                     raise ValidationError(f"unknown schedule step {item.name!r}")
                 if item.repeat < 1:
                     raise ValidationError("step repeat counts must be >= 1")
@@ -805,22 +807,23 @@ def sweep(state: ModelState, obs: Observations, hyper: HyperParams,
     """Execute the schedule once, each step reading the latest state.
 
     Freeze flags skip the corresponding steps so the frozen arrays pass
-    through bitwise unchanged.  Each step draws from a stream keyed by the
-    state's rng cursor and the step position; the cursor advances once per
-    sweep.  The steps swap fields of one private copy of ``state`` and share
-    one ``_CovFactors`` of it, so each covariance stack is factored once per
-    value within the sweep; the returned state is built and validated once.
+    through bitwise unchanged, and a skipped step draws nothing.  The sweep
+    builds one Generator, the stream keyed by the state's rng cursor alone,
+    and every step that runs takes its variates from it in schedule order;
+    the cursor advances once per sweep.  The steps swap fields of one private
+    copy of ``state`` and share one ``_CovFactors`` of it, so each covariance
+    stack is factored once per value within the sweep; the returned state is
+    built and validated once.
     """
     work = copy.copy(state)
     factors = _CovFactors(work)
-    names = schedule.flatten()
+    rng = state.rng.stream(rngmod.SWEEP)
     # the log of a zero mixture weight is -inf, never drawn
     with np.errstate(divide="ignore"):
-        for pos, name in enumerate(names):
+        for name in schedule.flatten():
             if name == PARTICLE_COVS and schedule.freeze_Sigma_B:
                 continue
             if name == ASSIGN_PARTICLES and schedule.freeze_z_H:
                 continue
-            rng = state.rng.stream(rngmod.SWEEP, _STEP_INDEX[name], pos)
             _apply_step(name, work, obs, hyper, schedule, candidates, rng, factors)
     return work.replace(rng=state.rng.tick())

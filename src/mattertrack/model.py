@@ -84,12 +84,28 @@ def sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
     the same finite candidate sets used during inference, so forward sampling
     and Gibbs updates share identical support.
     """
+    _check_forward_inputs(hyper, K, L, N)
+    return _sample_forward(hyper, K, L, N, seed, candidates)
+
+
+def _check_forward_inputs(hyper: HyperParams, K: int, L: int, N: int) -> int:
+    """Validate ``sample_forward``'s sizes and hyperparameters; returns the
+    state dimension."""
     if min(K, L, N) < 1:
         raise ValidationError(f"K, L, N must be at least 1, got {(K, L, N)}")
     if L < K:
         raise ValidationError(f"need L >= K, got L={L}, K={K}")
     dim = int(np.asarray(hyper.mu_H_prior).shape[0])
     hyper.validate(dim)
+    return dim
+
+
+def _sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
+                    candidates: TransformCandidates | None = None,
+                    ) -> tuple[ModelState, Observations]:
+    """``sample_forward`` on inputs already checked by ``_check_forward_inputs``,
+    for callers that draw many times from one ``hyper``."""
+    dim = int(np.asarray(hyper.mu_H_prior).shape[0])
     if candidates is None:
         candidates = make_transform_candidates(dim, hyper)
     rng = _as_generator(seed)

@@ -1,9 +1,13 @@
 """Deterministic random-stream derivation.
 
 Every random draw in the package comes from a named substream of one integer
-seed.  Substreams are keyed by small integer paths (domain tag, counter, step
-position, ...), so results never depend on the order in which components are
+seed.  Substreams are keyed by small integer paths (domain tag, counter,
+frame, ...), so results never depend on the order in which components are
 computed.
+
+A Gibbs sweep's stream is keyed by the counter alone, ``(SWEEP, counter)``:
+one Generator per sweep, from which the sweep's steps take their variates in
+schedule order (the draw-order contract of ``mattertrack.gibbs``).
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import numpy as np
 # Domain tags keep unrelated parts of the pipeline on disjoint streams.
 FORWARD = 1      # forward model sampling
 INIT = 2         # frame-0 initialization (k-means seeding etc.)
-SWEEP = 3        # Gibbs sweep steps
+SWEEP = 3        # Gibbs sweeps, one stream per sweep
 DATA = 4         # observation resampling (consistency checking)
 SUBSAMPLE = 5    # per-frame data-point subsampling
 SCENE = 6        # synthetic scene generation

@@ -52,3 +52,24 @@ def test_geweke_rejects_fewer_than_one_sweep_per_iteration():
         with pytest.raises(ValidationError, match="sweeps_per_iter"):
             run_geweke(hyper, K=1, L=2, N=8, iterations=100, seed=0,
                        sweeps_per_iter=sweeps)
+
+
+def test_geweke_validates_its_hyperparameters_once(monkeypatch):
+    # the 101 forward draws of the run skip the validation that
+    # sample_forward does on every call
+    from mattertrack.types import HyperParams
+
+    calls = []
+    validate = HyperParams.validate
+    monkeypatch.setattr(HyperParams, "validate",
+                        lambda self, dim: calls.append(dim) or validate(self, dim))
+    run_geweke(default_check_hyper(2), K=1, L=2, N=8, iterations=100, seed=0)
+    assert calls == [2]
+
+
+def test_geweke_rejects_bad_sizes():
+    hyper = default_check_hyper(2)
+    with pytest.raises(ValidationError, match="at least 1"):
+        run_geweke(hyper, K=0, L=2, N=8, iterations=100, seed=0)
+    with pytest.raises(ValidationError, match="L >= K"):
+        run_geweke(hyper, K=3, L=2, N=8, iterations=100, seed=0)

@@ -386,8 +386,9 @@ def test_batched_sweeps_match_loop(dim):
     got = want = state
     for _ in range(3):
         got = gibbs.sweep(got, obs, hyper, schedule, cands)
-        for pos, name in enumerate(names):
-            rng = want.rng.stream(SWEEP, gibbs._STEP_INDEX[name], pos)
+        # every step draws from the sweep's one stream, in schedule order
+        rng = want.rng.stream(SWEEP)
+        for name in names:
             want = ref_apply_step(name, want, obs, hyper, cands, rng)
         want = want.replace(rng=want.rng.tick())
         assert_states_match(got, want)
@@ -543,14 +544,16 @@ def test_transform_steps_match_loop_with_excluded_candidates(dim, name):
 
 
 def sweep_with_own_factors(state, obs, hyper, schedule, cands):
-    """``gibbs.sweep`` with every step factoring its covariances for itself."""
+    """``gibbs.sweep`` with every step factoring its covariances for itself;
+    the steps that run draw from one stream in schedule order, frozen steps
+    draw nothing."""
     work = copy.copy(state)
-    for pos, name in enumerate(schedule.flatten()):
+    rng = state.rng.stream(SWEEP)
+    for name in schedule.flatten():
         if name == gibbs.PARTICLE_COVS and schedule.freeze_Sigma_B:
             continue
         if name == gibbs.ASSIGN_PARTICLES and schedule.freeze_z_H:
             continue
-        rng = state.rng.stream(SWEEP, gibbs._STEP_INDEX[name], pos)
         with np.errstate(divide="ignore"):
             gibbs._apply_step(name, work, obs, hyper, schedule, cands, rng)
     return work.replace(rng=state.rng.tick())

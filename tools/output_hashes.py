@@ -6,7 +6,9 @@ Usage (from the repository root):
     python3 tools/output_hashes.py --src OTHER/src    # another checkout's library
 
 Run it on two checkouts, say a parent commit and a change, and compare the
-printed lines: equal prefixes mean equal outputs.  Each piece hashes every
+printed lines: equal prefixes mean equal outputs.  A change to the sweep's
+random stream moves exactly the pieces that run ``gibbs.sweep``: geweke,
+sweeps, features, recovery, scale and track.  Each piece hashes every
 array of every state it produces (dtype, shape and bytes), the labels, the
 rng cursor of each state, and the bit-generator position of every Generator
 it drew from:
