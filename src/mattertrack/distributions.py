@@ -7,6 +7,7 @@ max-subtraction.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -185,68 +186,77 @@ def mvn_logpdf_rows(X: np.ndarray, mean, cov) -> np.ndarray:
 
 def mvn_logpdf_rows_all(X: np.ndarray, means: np.ndarray, covs: np.ndarray,
                         add_to: np.ndarray | None = None) -> np.ndarray:
-    """(N, M) log densities of every row of X under each of M Gaussians.
-
-    With W_m the inverse Cholesky factor of covariance m, entry j of the
-    whitened residual is ``[x, 1] @ [W_m[j], -W_m[j] @ mean_m]``: one
-    (N, D+1) x (D+1, M) product per j, squared and accumulated in place, so
-    no (N, M, D) temporary is built.  With ``add_to`` the densities are added
-    into that (N, M) array, which is returned.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    proj, const = mvn_whitening(means, covs)
-    out = np.zeros((X.shape[0], len(const))) if add_to is None else add_to
-    return add_mvn_logpdf_rows(augment_rows(X), proj, const, out)
-
-
-def mvn_whitening(means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The per-call part of ``mvn_logpdf_rows_all`` for M Gaussians.
-
-    Returns ``proj`` (D, D+1, M), whose slice j maps augmented rows [x, 1]
-    to entry j of every whitened residual, scaled by sqrt(1/2) so that its
-    square carries the -1/2 of the exponent, and ``const`` (M,), the
-    normalizing constant of each density.
-    """
+    """(N, M) log densities of the rows of X under M Gaussians (``expand_gaussians``),
+    added into ``add_to`` (N, M) and returned in it if given."""
     factors = chol_spd_stack(covs)
-    return _whitening(means, factors, tril_inverse_stack(factors))
+    features, coefs = expand_gaussians(
+        [(np.asarray(X, dtype=np.float64), np.asarray(means, dtype=np.float64),
+          _spd_inverse_from_tril(tril_inverse_stack(factors)), factors)], np.zeros(len(factors)))
+    return features @ coefs if add_to is None else np.add(add_to, features @ coefs, out=add_to)
 
 
-def _whitening(means: np.ndarray, factors: np.ndarray,
-               inv_factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``mvn_whitening`` given the Cholesky factors and their inverses."""
-    m, d = factors.shape[:2]
-    white = inv_factors * math.sqrt(0.5)
-    proj = np.empty((d, d + 1, m))
-    proj[:, :d] = white.transpose(1, 2, 0)
-    proj[:, d] = -np.einsum("mjk,mk->jm", white, np.asarray(means, dtype=np.float64))
-    const = 0.5 * d * _LOG_2PI + np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
-    return proj, const
+@functools.lru_cache(maxsize=None)
+def _quad_layout(d: int, terms: int) -> tuple[list, np.ndarray]:
+    """Per row i of each term's x': i, its term's end and the row of x_i x_j (j >= i);
+    and the map from a flat precision P to those coefficients, -P_ii / 2 and -P_ij."""
+    i, j = np.triu_indices(d)
+    weights = np.zeros((len(i), d * d))
+    weights[np.arange(len(i)), i * d + j] = np.where(i == j, -0.5, -1.0)
+    return [(k * d + r, (k + 1) * d, 1 + k * len(i) + r * d - r * (r - 1) // 2)
+            for k in range(terms) for r in range(d)], weights
 
 
-def augment_rows(X: np.ndarray) -> np.ndarray:
-    """The (N, D+1) rows [x, 1] that ``mvn_whitening``'s ``proj`` maps."""
-    out = np.empty((X.shape[0], X.shape[1] + 1))
-    out[:, :-1] = X
-    out[:, -1] = 1.0
-    return out
+def expand_gaussians(stacks, const: np.ndarray,
+                     isotropic=None) -> tuple[np.ndarray, np.ndarray]:
+    """Row features (N, F) and coefficients (F, M) whose product is ``const``
+    (M,) plus each row's summed Gaussian log densities under M components.
 
-
-def add_mvn_logpdf_rows(x_aug: np.ndarray, proj: np.ndarray, const: np.ndarray,
-                        out: np.ndarray, resid: np.ndarray | None = None) -> np.ndarray:
-    """Add the log densities of augmented rows ``x_aug`` (n, D+1) into ``out`` (n, M).
-
-    ``proj`` and ``const`` come from ``mvn_whitening``; ``resid`` is an
-    optional (n, M) C-contiguous scratch array.  Any range of rows gives the
-    same entries as the whole set, so callers may stream rows in blocks.
+    ``stacks`` holds terms ``(X, means, P, L)``: rows (N, D), means (M, D),
+    precisions and Cholesky factors (M, D, D), one D for all; ``isotropic``
+    an optional ``(X, means, var)`` of covariance var I.  With x', m' the
+    row and mean less c, the mean of the term's means, a term is
+    -x'^T P x'/2 + (P m')^T x' - m'^T P m'/2 - D log(2 pi)/2 - log det L
+    over features [1, each stack's x'_i x'_j (i <= j), the isotropic |x'|^2,
+    each term's x'], stored feature by feature.  N may be 0, a -inf in
+    ``const`` scores -inf, and any row range gives the entries of the whole.
+    Rounding grows with cond(Sigma) |x - c|^2 / sigma^2: only near-singular
+    covariances, such as the rank-one ones ``chol_spd``'s jitter admits,
+    round visibly differently from a direct whitening.
     """
-    if resid is None:
-        resid = np.empty(out.shape)
-    out -= const
-    for w in proj:
-        np.matmul(x_aug, w, out=resid)
-        np.square(resid, out=resid)
-        out -= resid
-    return out
+    terms = stacks if isotropic is None else [*stacks, isotropic]
+    t, d, m = len(stacks), stacks[0][0].shape[1], len(const)
+    products, weights = _quad_layout(d, t)
+    lin = 1 + t * len(weights) + (isotropic is not None)
+    dims = t * d + (0 if isotropic is None else isotropic[0].shape[1])
+    features, coefs = np.empty((lin + dims, len(stacks[0][0]))), np.empty((lin + dims, m))
+    # m' per term, then L_ii^2 per stack, to sum into m'^T P m' / 2 + log det L
+    parts = np.empty((dims + t * d, m))
+    features[0] = 1.0
+    x_c = features[lin:]
+    for i, (x, means, *_) in enumerate(terms):
+        a, b = i * d, i * d + x.shape[1]
+        center = means.sum(axis=0)[:, None] / m
+        np.subtract(means.T, center, out=parts[a:b])
+        np.subtract(x.T, center, out=x_c[a:b])
+    for i, stop, row in products:
+        np.multiply(x_c[i], x_c[i:stop], out=features[row:row + stop - i])
+    for i, (_, _, precision, factors) in enumerate(stacks):
+        a, q = i * d, 1 + i * len(weights)
+        np.matmul(weights, precision.reshape(m, d * d).T, out=coefs[q:q + len(weights)])
+        np.matmul(precision, parts[a:a + d].T[:, :, None],
+                  out=coefs[lin + a:lin + a + d].T[:, :, None])
+        np.square(factors.diagonal(axis1=1, axis2=2).T, out=parts[dims + a:dims + a + d])
+    np.subtract(const, 0.5 * dims * _LOG_2PI, out=coefs[0])
+    if isotropic is not None:
+        var, f_c = isotropic[2], x_c[t * d:]
+        np.einsum("dn,dn->n", f_c, f_c, out=features[lin - 1])
+        coefs[lin - 1] = -0.5 / var
+        np.divide(parts[t * d:dims], var, out=coefs[lin + t * d:])
+        coefs[0] -= 0.5 * len(f_c) * math.log(var)
+    np.log(parts[dims:], out=parts[dims:])
+    parts[:dims] *= coefs[lin:]
+    coefs[0] -= 0.5 * parts.sum(axis=0)
+    return features.T, coefs
 
 
 def isotropic_logpdf_rows(X: np.ndarray, mean, var: float) -> np.ndarray:
@@ -446,22 +456,21 @@ _EXP_FLOOR = -707.0
 def _categorical_sample_rows(lw: np.ndarray, rng: np.random.Generator,
                              out: np.ndarray | None) -> np.ndarray:
     """``categorical_sample_rows`` working in ``out``, which may be ``lw`` itself."""
-    m = np.max(lw, axis=1, keepdims=True)
-    if not np.all(np.isfinite(m)):
+    m = lw.max(axis=1, keepdims=True)
+    if not np.isfinite(m).all():
         raise ValidationError("no admissible component: a row has all -inf weights")
     c = np.subtract(lw, m, out=out)
     keep = c >= _EXP_FLOOR
-    # clamp, then zero, the flushed entries, so exp only sees values in its
-    # fast range and -inf never meets the multiplication by 0
+    # clamp the flushed entries, -inf included, to the floor, so exp only sees
+    # values in its fast range, then zero them: exp(-707) * 0 is exactly 0
     np.maximum(c, _EXP_FLOOR, out=c)
-    c *= keep
     np.exp(c, out=c)
     c *= keep
-    np.cumsum(c, axis=1, out=c)
+    c.cumsum(axis=1, out=c)
     u = rng.random((lw.shape[0], 1)) * c[:, -1:]
     # cumulative weights are monotone, so the first column at or above u is
     # the count of columns below it
-    return np.argmax(c >= u, axis=1).astype(np.int64, copy=False)
+    return (c >= u).argmax(axis=1).astype(np.int64, copy=False)
 
 
 def gamma_logpdf(x, shape: float, rate: float) -> np.ndarray:

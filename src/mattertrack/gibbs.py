@@ -10,10 +10,12 @@ The kernels read sufficient statistics gathered in one ``np.bincount`` pass
 keyed by ``z_B`` or ``z_H``: counts, sums and scatter entries.  Covariances
 are factored and inverted as stacks, and within a sweep each of ``Sigma_B``,
 ``Sigma_V`` and ``Sigma_H`` is factored once per value and shared by the
-steps that read it (``_CovFactors``).  Assignment scores are a quadratic form
-over all columns (streamed through cache-sized row blocks for points), and
-the rotation and translation grids are scored from per-cluster moments
-rather than candidate by candidate.
+steps that read it (``_CovFactors``).  Assignment scores are one matrix
+product per row block: ``expand_gaussians`` expands each Gaussian term as
+-x'^T P x'/2 + (P m')^T x' - m'^T P m'/2 - log-normalizer, x' and m' centred
+at the mean of the term's component means, which keeps rounding near
+eps cond(Sigma) |x - c|^2 / sigma^2.  The rotation and translation grids are
+scored from per-cluster moments rather than candidate by candidate.
 
 Draw-order contract: a sweep draws from one stream, keyed by the state's rng
 cursor alone (``state.rng.stream(SWEEP)``).  The steps that run take their
@@ -51,15 +53,12 @@ from .distributions import (
     _categorical_from_cdf,
     _categorical_sample_rows,
     _spd_inverse_from_tril,
-    _whitening,
-    add_mvn_logpdf_rows,
-    augment_rows,
     categorical_sample_rows,
     chol_spd_stack,
     dirichlet_sample,
+    expand_gaussians,
     gamma_logpdf,
     isotropic_logpdf_rows,
-    mvn_whitening,
     spd_inverse_stack,
     tril_inverse_stack,
 )
@@ -252,6 +251,10 @@ class _CovFactors:
             self._inv[field] = _spd_inverse_from_tril(self.chol(field)[1])
         return self._inv[field]
 
+    def expansion(self, field: str) -> tuple[np.ndarray, np.ndarray]:
+        """Precisions and Cholesky factors of ``field``, as ``expand_gaussians`` reads them."""
+        return self.inverse(field), self.chol(field)[0]
+
     def drop(self, field: str) -> None:
         self._chol.pop(field, None)
         self._inv.pop(field, None)
@@ -355,12 +358,12 @@ _ASSIGN_BLOCK_ENTRIES = 1 << 15
 class _PointScores:
     """Point-assignment scores, set up once per step and written by row range.
 
-    The constructor computes what all rows share: the log weights, the
-    whitening of each Gaussian term (``mvn_whitening``, from ``factors`` for
-    the state's covariances), the augmented rows and the outlier column.
-    ``rows`` writes the scores of one row range.  A zero weight scores -inf;
-    numpy's divide warning for it is the caller's to silence, as ``sweep``
-    does.
+    The constructor expands the position, velocity and isotropic feature terms
+    (``expand_gaussians``), each centred at the mean of its component means: 11 row
+    features in D=2 and 19 in D=3 for position plus velocity, plus |f'|^2 and f'
+    for features, rounding near eps cond(Sigma) |x - c|^2 / sigma^2.  A zero weight
+    scores -inf; numpy's divide warning is the caller's to silence, as ``sweep``
+    does.  ``rows`` writes the scores of a row range with one product.
     """
 
     def __init__(self, state: ModelState, obs: Observations, hyper: HyperParams,
@@ -377,33 +380,25 @@ class _PointScores:
         L = self.L = state.L
         outlier = include_outlier and hyper.p_outlier > 0
         self.width = L + 1 if outlier else L
-        self.log_pi = np.log(state.pi_B)
+        log_pi = np.log(state.pi_B)
         if outlier:
-            self.log_pi += np.log1p(-hyper.p_outlier)
-        self.terms = [(augment_rows(obs.positions),
-                       *_whitening(state.mu_B, *factors.chol("Sigma_B")))]
+            log_pi += np.log1p(-hyper.p_outlier)
+        stacks = [(obs.positions, state.mu_B, *factors.expansion("Sigma_B"))]
         if not position_only:
-            self.terms.append((augment_rows(obs.velocities),
-                               *_whitening(state.vel, *factors.chol("Sigma_V"))))
-            if use_features:
-                F = obs.features.shape[1]
-                iso = np.broadcast_to(hyper.sigma2_F * np.eye(F), (L, F, F))
-                self.terms.append((augment_rows(obs.features),
-                                   *mvn_whitening(state.feat, iso)))
+            stacks.append((obs.velocities, state.vel, *factors.expansion("Sigma_V")))
+        with_features = use_features and not position_only
+        self.features, self.coefs = expand_gaussians(
+            stacks, log_pi, (obs.features, state.feat, hyper.sigma2_F) if with_features else None)
         self.outlier_col = None
         if outlier:
             speeds = np.linalg.norm(obs.velocities, axis=1)
             self.outlier_col = np.log(hyper.p_outlier) + gamma_logpdf(
                 speeds, hyper.outlier_gamma_shape, hyper.outlier_gamma_rate)
 
-    def rows(self, start: int, stop: int, out: np.ndarray, resid: np.ndarray) -> np.ndarray:
-        """Scores of rows [start, stop) into ``out`` (n, width), with ``resid``
-        (n, L) as scratch.  Terms add in a fixed order (log weight, position,
-        velocity, feature), so every row range gives the same entries."""
-        inliers = out[:, :self.L]
-        inliers[...] = self.log_pi
-        for x_aug, proj, const in self.terms:
-            add_mvn_logpdf_rows(x_aug[start:stop], proj, const, inliers, resid)
+    def rows(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Scores of rows [start, stop) into ``out`` (n, width); every row
+        range gives the same entries."""
+        np.matmul(self.features[start:stop], self.coefs, out=out[:, :self.L])
         if self.outlier_col is not None:
             out[:, self.L] = self.outlier_col[start:stop]
         return out
@@ -421,8 +416,7 @@ def point_assignment_log_probs(state: ModelState, obs: Observations, hyper: Hype
     with np.errstate(divide="ignore"):
         scores = _PointScores(state, obs, hyper, position_only, include_outlier,
                               use_features, _CovFactors(state))
-    n = len(obs)
-    return scores.rows(0, n, np.empty((n, scores.width)), np.empty((n, scores.L)))
+    return scores.rows(0, len(obs), np.empty((len(obs), scores.width)))
 
 
 def assign_points_to_particles(state: ModelState, obs: Observations, hyper: HyperParams,
@@ -441,13 +435,10 @@ def assign_points_to_particles(state: ModelState, obs: Observations, hyper: Hype
                           _own_factors(state, factors))
     n = len(obs)
     rows = max(1, _ASSIGN_BLOCK_ENTRIES // scores.width)
-    size = min(n, rows)
-    block, resid = np.empty((size, scores.width)), np.empty((size, scores.L))
-    labels = np.empty(n, dtype=np.int64)
+    block, labels = np.empty((min(n, rows), scores.width)), np.empty(n, dtype=np.int64)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        b = block[:stop - start]
-        scores.rows(start, stop, b, resid[:stop - start])
+        b = scores.rows(start, stop, block[:stop - start])
         labels[start:stop] = _categorical_sample_rows(b, rng, out=b)
     return labels
 
@@ -596,12 +587,12 @@ def cluster_assignment_log_probs(state: ModelState, hyper: HyperParams) -> np.nd
 
 
 def _cluster_scores(state: ModelState, hyper: HyperParams, factors: _CovFactors) -> np.ndarray:
-    """``cluster_assignment_log_probs`` with the spatial fit whitened by
-    ``factors``; the caller silences the divide warning of a zero weight."""
+    """``cluster_assignment_log_probs`` with the spatial fit expanded as the
+    point scores are, from ``factors``; the caller silences the divide
+    warning of a zero weight."""
     d = state.dim
-    scores = np.tile(np.log(state.pi_H), (state.L, 1))
-    proj, const = _whitening(state.mu_H, *factors.chol("Sigma_H"))
-    add_mvn_logpdf_rows(augment_rows(state.mu_B), proj, const, scores)
+    scores = np.matmul(*expand_gaussians(
+        [(state.mu_B, state.mu_H, *factors.expansion("Sigma_H"))], np.log(state.pi_H)))
     # velocity each cluster's rigid transform induces at each particle, (L, K, D)
     offsets = state.mu_B[:, None, :] - state.mu_H[None, :, :]
     vbar = state.trans + np.einsum("kij,lkj->lki", state.rot - _EYE[d], offsets)

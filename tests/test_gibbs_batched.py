@@ -14,6 +14,7 @@ factor for themselves, bit for bit.
 """
 import copy
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -398,12 +399,12 @@ def test_batched_sweeps_match_loop(dim):
 # blocked point assignment
 # ---------------------------------------------------------------------------
 
-def wide_scene(dim, L, N, seed=0):
+def wide_scene(dim, L, N, seed=0, K=3):
     """A forward-sampled state with features and an outlier component; the
     scores do not read z_B, so any prefix of ``obs`` is a valid input."""
     hyper = diag_hyper(dim, sigma2_V=0.05, sigma2_F=0.3, p_outlier=0.1,
                        outlier_gamma_shape=2.0, outlier_gamma_rate=1.5)
-    state, obs = sample_forward(hyper.replace(p_outlier=0.0), K=3, L=L, N=N, seed=seed)
+    state, obs = sample_forward(hyper.replace(p_outlier=0.0), K=K, L=L, N=N, seed=seed)
     rng = np.random.default_rng(200 + seed)
     feat = rng.standard_normal((L, 2))
     features = feat[state.z_B] + 0.5 * rng.standard_normal((N, 2))
@@ -458,6 +459,50 @@ def test_blocked_assignment_peak_memory_below_one_score_matrix():
     finally:
         tracemalloc.stop()
     assert peak < N * L * 8
+
+
+SHIFT = 1e4
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_scores_match_loop_far_from_the_origin(dim):
+    # the expanded scores centre every term at the mean of its component
+    # means, so a scene moved far from the origin rounds like one near it;
+    # positions and velocities move with every mean of their kind (trans is
+    # a velocity too, so the rigid-motion residuals stay put)
+    state, obs, hyper, _ = scene(dim, seed=40 + dim)
+    state = state.replace(mu_B=state.mu_B + SHIFT, vel=state.vel + SHIFT,
+                          mu_H=state.mu_H + SHIFT, trans=state.trans + SHIFT)
+    obs = Observations(obs.positions + SHIFT, obs.velocities + SHIFT, obs.features)
+    for kw in ASSIGN_VARIANTS:
+        np.testing.assert_allclose(gibbs.point_assignment_log_probs(state, obs, hyper, **kw),
+                                   ref_point_log_probs(state, obs, hyper, **kw), **TOL)
+    np.testing.assert_allclose(gibbs.cluster_assignment_log_probs(state, hyper),
+                               ref_cluster_log_probs(state, hyper), **TOL)
+
+
+@pytest.mark.parametrize("L", [1, 8])
+@pytest.mark.parametrize("kw", ASSIGN_VARIANTS)
+def test_assignment_of_an_empty_frame_draws_nothing(L, kw):
+    state, obs, hyper = wide_scene(2, L, 20, K=1)
+    empty = obs.take(np.arange(0))
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        labels = gibbs.assign_points_to_particles(state, empty, hyper, rng, **kw)
+    assert labels.dtype == np.int64 and labels.shape == (0,)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("kw", ASSIGN_VARIANTS)
+def test_assignment_with_one_particle(kw):
+    state, obs, hyper = wide_scene(2, 1, 20, K=1)
+    np.testing.assert_allclose(gibbs.point_assignment_log_probs(state, obs, hyper, **kw),
+                               ref_point_log_probs(state, obs, hyper, **kw), **TOL)
+    labels = gibbs.assign_points_to_particles(state, obs, hyper, np.random.default_rng(4), **kw)
+    assert set(labels) <= {0, state.L}
+    assert_blocked_draw_matches_one_shot(state, obs, hyper, seed=4, **kw)
 
 
 # ---------------------------------------------------------------------------

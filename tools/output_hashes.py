@@ -8,7 +8,13 @@ Usage (from the repository root):
 Run it on two checkouts, say a parent commit and a change, and compare the
 printed lines: equal prefixes mean equal outputs.  A change to the sweep's
 random stream moves exactly the pieces that run ``gibbs.sweep``: geweke,
-sweeps, features, recovery, scale and track.  Each piece hashes every
+sweeps, features, recovery, scale and track.  A change that only rounds the
+assignment scores differently moves exactly the track piece today: some of
+its scenes start from a rank-deficient ``Sigma_B`` (a particle of two points
+in D=2 gives a rank-one covariance, which ``chol_spd``'s jitter admits), and
+the scores' rounding error grows with the condition number (above 1e12
+there), enough to move a draw.  Every other piece's covariances are well
+conditioned, so its labels and states stay bitwise.  Each piece hashes every
 array of every state it produces (dtype, shape and bytes), the labels, the
 rng cursor of each state, and the bit-generator position of every Generator
 it drew from:
