@@ -2,7 +2,7 @@
 
 Offline, file-driven: observations come in as JSON lines, states and metric
 reports go out the same way.  Every command is deterministic for a fixed
-seed; ``--threads`` is accepted and ignored.
+seed.
 """
 from __future__ import annotations
 
@@ -38,13 +38,6 @@ def _load_config(path: str | None) -> mio.Config:
     return mio.load_config(path) if path else mio.Config()
 
 
-# Every Gibbs step is one vectorized kernel on the calling thread, so a thread
-# count has nothing to control; the option stays so existing command lines run.
-_threads_option = click.option(
-    "--threads", type=int, default=1, show_default=True,
-    help="No effect; accepted so existing command lines keep working.")
-
-
 # the share of each frame's points kept; checked once here for every command
 _SUBSAMPLE_RATE = click.FloatRange(0.0, 1.0, min_open=True)
 
@@ -60,11 +53,22 @@ def _check_counts(num_clusters: int, num_particles: int) -> None:
                                f"-K/--clusters ({num_clusters})")
 
 
-def _check_points(num_points: int, num_particles: int) -> None:
-    """One-line error unless every particle can own a point of frame 0."""
-    if num_points < num_particles:
-        raise click.ClickException(f"frame 0 holds {num_points} points, fewer than "
+def _read_frames(obs_path: str) -> list:
+    """The frames of an observation file; a one-line error if it holds none."""
+    frames = mio.read_observations(obs_path)
+    if not frames:
+        raise click.ClickException("observation file holds no frames")
+    return frames
+
+
+def _first_frame(frames: list, rate: float, seed: int, num_particles: int):
+    """Frame 0 subsampled as the sampler sees it; a one-line error unless every
+    particle can own one of its points."""
+    obs = subsample_frame(frames[0], rate, substream(seed, rngmod.SUBSAMPLE, 0))
+    if len(obs) < num_particles:
+        raise click.ClickException(f"frame 0 holds {len(obs)} points, fewer than "
                                    f"-L/--particles ({num_particles})")
+    return obs
 
 
 @click.group()
@@ -87,9 +91,8 @@ def main() -> None:
               help="Ground-truth cluster label sidecar.")
 @click.option("--state-out", type=click.Path(), default=None,
               help="Dump the sampled latent state.")
-@_threads_option
 def simulate(dim, num_clusters, num_particles, num_points, seed, config_path,
-             out_path, labels_out, state_out, threads):
+             out_path, labels_out, state_out):
     """Sample one frame from the forward model into an observation file."""
     _check_counts(num_clusters, num_particles)
     cfg = _load_config(config_path)
@@ -112,8 +115,7 @@ def simulate(dim, num_clusters, num_particles, num_points, seed, config_path,
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--labels-out", type=click.Path(), default=None)
-@_threads_option
-def rdk_gen(spec_path, seed, out_path, labels_out, threads):
+def rdk_gen(spec_path, seed, out_path, labels_out):
     """Generate a moving-dot stimulus plus ground truth from a scene spec."""
     with open(spec_path) as fh:
         spec = scene_spec_from_dict(json.load(fh))
@@ -138,16 +140,11 @@ def rdk_gen(spec_path, seed, out_path, labels_out, threads):
               help="Seed the grouping with a fast/slow velocity split.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--plot", "plot_path", type=click.Path(), default=None)
-@_threads_option
 def fit(obs_path, num_clusters, num_particles, sweeps, seed, config_path,
-        subsample, auto_hyper, flow_split, out_path, plot_path, threads):
+        subsample, auto_hyper, flow_split, out_path, plot_path):
     """Infer the latent state of the first frame of an observation file."""
     _check_counts(num_clusters, num_particles)
-    frames = mio.read_observations(obs_path)
-    if not frames:
-        raise click.ClickException("observation file holds no frames")
-    obs = subsample_frame(frames[0], subsample, substream(seed, rngmod.SUBSAMPLE, 0))
-    _check_points(len(obs), num_particles)
+    obs = _first_frame(_read_frames(obs_path), subsample, seed, num_particles)
     cfg = _load_config(config_path)
     hyper = cfg.resolve_hyper(obs.dim)
     state = init_state(obs, num_clusters, num_particles, hyper, seed)
@@ -183,12 +180,11 @@ def fit(obs_path, num_clusters, num_particles, sweeps, seed, config_path,
 @click.option("--plot", "plot_path", type=click.Path(), default=None,
               help="SVG output; a '{t}' placeholder renders every frame, "
                    "otherwise only the final frame is drawn.")
-@_threads_option
 def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsample,
-              auto_hyper, flow_split, resume_from, out_path, plot_path, threads):
+              auto_hyper, flow_split, resume_from, out_path, plot_path):
     """Track a full observation sequence."""
     _check_counts(num_clusters, num_particles)
-    frames = mio.read_observations(obs_path)
+    frames = _read_frames(obs_path)
     cfg = _load_config(config_path)
     tcfg = cfg.resolve_track()
     if subsample is not None:
@@ -210,9 +206,7 @@ def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsampl
                        initial_state=last.state, start_frame=last.t + 1)
         mio.write_states(out_path, states, hyper=last.hyper, first_t=last.t + 1)
     else:
-        obs0 = subsample_frame(frames[0], tcfg.subsample_rate,
-                               substream(seed, rngmod.SUBSAMPLE, 0))
-        _check_points(len(obs0), num_particles)
+        obs0 = _first_frame(frames, tcfg.subsample_rate, seed, num_particles)
         states = track(frames, num_clusters, num_particles, hyper, tcfg, seed,
                        candidates=candidates, derive_hyper=auto_hyper,
                        init_proposal=flow_split_proposal if flow_split else None)
@@ -242,16 +236,11 @@ def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsampl
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--subsample", type=_SUBSAMPLE_RATE, default=1.0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_threads_option
 def sva_cmd(obs_path, num_clusters, num_particles, max_iter, seed, subsample,
-            out_path, threads):
+            out_path):
     """Hard-assignment baseline clustering of the first frame."""
     _check_counts(num_clusters, num_particles)
-    frames = mio.read_observations(obs_path)
-    if not frames:
-        raise click.ClickException("observation file holds no frames")
-    obs = subsample_frame(frames[0], subsample, substream(seed, rngmod.SUBSAMPLE, 0))
-    _check_points(len(obs), num_particles)
+    obs = _first_frame(_read_frames(obs_path), subsample, seed, num_particles)
     res = sva_cluster(obs, num_clusters, num_particles, seed, max_iter=max_iter)
     out = {
         "z_B": res.z_B.tolist(),
@@ -284,11 +273,12 @@ def sva_cmd(obs_path, num_clusters, num_particles, max_iter, seed, subsample,
 @click.option("--foreground-label", type=int, default=None,
               help="Ground-truth label treated as foreground (default: all non-noise).")
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@_threads_option
 def eval_cmd(states_path, obs_path, gt_path, subsample, seed, grid, probes,
-             foreground_label, out_path, threads):
+             foreground_label, out_path):
     """Score a state dump against ground-truth labels."""
     records = mio.read_states(states_path)
+    if not records:
+        raise click.ClickException("state dump holds no states")
     frames = mio.read_observations(obs_path)
     gt = mio.read_labels(gt_path)
     report: dict = {"frames": []}
@@ -348,9 +338,8 @@ def eval_cmd(states_path, obs_path, gt_path, subsample, seed, grid, probes,
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--threshold", type=float, default=4.0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@_threads_option
 def geweke_cmd(dim, num_clusters, num_particles, num_points, iters, sweeps_per_iter,
-               seed, config_path, threshold, out_path, threads):
+               seed, config_path, threshold, out_path):
     """Forward vs Gibbs marginal consistency report (exit 1 on failure)."""
     _check_counts(num_clusters, num_particles)
     cfg = _load_config(config_path)

@@ -184,17 +184,6 @@ def mvn_logpdf_rows(X: np.ndarray, mean, cov) -> np.ndarray:
     return -0.5 * (X.shape[1] * _LOG_2PI + quad) - np.log(np.diag(L)).sum()
 
 
-def mvn_logpdf_rows_all(X: np.ndarray, means: np.ndarray, covs: np.ndarray,
-                        add_to: np.ndarray | None = None) -> np.ndarray:
-    """(N, M) log densities of the rows of X under M Gaussians (``expand_gaussians``),
-    added into ``add_to`` (N, M) and returned in it if given."""
-    factors = chol_spd_stack(covs)
-    features, coefs = expand_gaussians(
-        [(np.asarray(X, dtype=np.float64), np.asarray(means, dtype=np.float64),
-          _spd_inverse_from_tril(tril_inverse_stack(factors)), factors)], np.zeros(len(factors)))
-    return features @ coefs if add_to is None else np.add(add_to, features @ coefs, out=add_to)
-
-
 @functools.lru_cache(maxsize=None)
 def _quad_layout(d: int, terms: int) -> tuple[list, np.ndarray]:
     """Per row i of each term's x': i, its term's end and the row of x_i x_j (j >= i);

@@ -178,16 +178,6 @@ def hyper_from_dict(d: dict, dim: int | None = None,
 # Schedules and track configuration
 # --------------------------------------------------------------------------
 
-def schedule_items_to_json(items) -> list:
-    out = []
-    for item in items:
-        if isinstance(item, Step):
-            out.append(item.name if item.repeat == 1 else [item.name, item.repeat])
-        else:
-            out.append({"repeat": item.repeat, "steps": schedule_items_to_json(item.items)})
-    return out
-
-
 def schedule_items_from_json(raw) -> tuple:
     items = []
     for entry in raw:
@@ -224,16 +214,6 @@ def track_config_from_dict(d: dict) -> TrackConfig:
                 "freeze and enable flags belong in the track section")
         kw["per_frame_schedule"] = schedule_items_from_json(raw["steps"])
     return TrackConfig(**kw)
-
-
-def track_config_to_dict(cfg: TrackConfig) -> dict:
-    out: dict[str, Any] = {}
-    for f in dataclasses.fields(TrackConfig):
-        val = getattr(cfg, f.name)
-        if f.name == "per_frame_schedule" and val is not None:
-            val = {"steps": schedule_items_to_json(val)}
-        out[f.name] = val
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,33 +1,13 @@
-"""Thread-count control for within-step parallelism (no longer used).
+"""An order-preserving map that no module of the package calls.
 
-The Gibbs steps are single vectorized kernels and do not call
-``parallel_map``, so the thread count set here changes nothing the package
-computes.  The module stays for code that still imports it: the benchmark
-tracer counts ``parallel_map`` items, and the CLI tests reset the count.
-
-Workers only evaluate deterministic numpy expressions over disjoint component
-slices; results are reassembled in index order, so output is bitwise identical
-for any thread count.  Random draws never happen inside worker code.
+Every Gibbs step is one vectorized kernel on the calling thread, so nothing
+here runs when the package computes.  ``parallel_map`` stays only because
+the benchmark tracer (``bench/tracer.py``) imports it and counts its items;
+the change that drops that counter from the benchmark deletes this module.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
 
-T = TypeVar("T")
-R = TypeVar("R")
-
-_num_threads = 1
-
-
-def set_num_threads(n: int) -> None:
-    global _num_threads
-    _num_threads = max(1, int(n))
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+def parallel_map(fn, items) -> list:
     """Map ``fn`` over ``items``, preserving order."""
-    if _num_threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_num_threads) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

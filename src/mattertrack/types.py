@@ -89,10 +89,6 @@ class Observations:
     def dim(self) -> int:
         return self.positions.shape[1]
 
-    @property
-    def feature_dim(self) -> int | None:
-        return None if self.features is None else self.features.shape[1]
-
     def take(self, idx: np.ndarray) -> "Observations":
         feat = None if self.features is None else self.features[idx]
         return Observations(self.positions[idx], self.velocities[idx], feat)

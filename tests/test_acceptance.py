@@ -542,7 +542,7 @@ def test_criterion_09_metric_identities():
 
 
 # ---------------------------------------------------------------------------
-# 10. Determinism across runs and thread counts
+# 10. Determinism across runs and across a resume split
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_determinism(tmp_path):
@@ -571,17 +571,18 @@ def test_criterion_10_determinism(tmp_path):
                                    "--out", str(obs_path)], catch_exceptions=False)
     assert res.exit_code == 0, res.output
 
-    dumps = []
-    for tag, threads in (("a", "1"), ("b", "1"), ("c", "8")):
-        out = tmp_path / f"track_{tag}.jsonl"
+    def track_dump(obs, out, *extra):
         res = runner.invoke(cli_main, [
-            "track", "--obs", str(obs_path), "-K", "2", "-L", "8", "--seed", "11",
-            "--config", str(conf_path), "--threads", threads, "--out", str(out)],
-            catch_exceptions=False)
+            "track", "--obs", str(obs), "-K", "2", "-L", "8", "--seed", "11",
+            "--config", str(conf_path), *extra, "--out", str(out)], catch_exceptions=False)
         assert res.exit_code == 0, res.output
-        dumps.append(out.read_bytes())
-    from mattertrack.parallel import set_num_threads
+        return out.read_bytes()
 
-    set_num_threads(1)
-    ok = dumps[0] == dumps[1] and dumps[0] == dumps[2]
-    report(10, "bitwise determinism for fixed seed, threads in {1, 8}", ok)
+    full = [track_dump(obs_path, tmp_path / f"track_{tag}.jsonl") for tag in ("a", "b")]
+    head_obs = tmp_path / "head_obs.jsonl"
+    head_obs.write_text("".join(obs_path.read_text().splitlines(keepends=True)[:3]))
+    head = track_dump(head_obs, tmp_path / "head.jsonl")
+    tail = track_dump(obs_path, tmp_path / "tail.jsonl",
+                      "--resume-from", str(tmp_path / "head.jsonl"))
+    ok = full[0] == full[1] and head + tail == full[0]
+    report(10, "bitwise determinism for fixed seed, rerun and 3 + 2 frame resume split", ok)

@@ -13,6 +13,7 @@ from mattertrack.distributions import (
     chol_spd_stack,
     dirichlet_logpdf,
     dirichlet_sample,
+    expand_gaussians,
     fibonacci_sphere,
     gamma_logpdf,
     inverse_wishart_logpdf,
@@ -24,7 +25,6 @@ from mattertrack.distributions import (
     moments_from_precision,
     mvn_logpdf,
     mvn_logpdf_rows,
-    mvn_logpdf_rows_all,
     mvn_sample,
     rotation_2d,
     rotation_angle,
@@ -142,12 +142,9 @@ def test_mvn_logpdf_rows_all_matches_columns(d):
     means = 3.0 * rng.standard_normal((7, d))
     X = 3.0 * rng.standard_normal((40, d))
     columns = np.column_stack([mvn_logpdf_rows(X, m, c) for m, c in zip(means, covs)])
-    np.testing.assert_allclose(mvn_logpdf_rows_all(X, means, covs), columns,
-                               rtol=1e-12, atol=1e-12)
-    base = rng.standard_normal((40, 7))
-    out = base.copy()
-    assert mvn_logpdf_rows_all(X, means, covs, add_to=out) is out
-    np.testing.assert_allclose(out, base + columns, rtol=1e-12, atol=1e-12)
+    features, coefs = expand_gaussians(
+        [(X, means, spd_inverse_stack(covs), chol_spd_stack(covs))], np.zeros(len(covs)))
+    np.testing.assert_allclose(features @ coefs, columns, rtol=1e-12, atol=1e-12)
 
 
 def test_moments_from_precision_roundtrip():

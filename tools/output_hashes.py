@@ -33,7 +33,13 @@ it drew from:
   recovery, scale, track
                the benchmark op lists of seeds 1-3, built and run by
                ``bench/workloads.py`` (the track piece also hashes the uncut
-               reference runs).
+               reference runs);
+  cli          the bytes of every file the seven commands write at fixed
+               seeds: ``simulate`` (D=2 and D=3), ``rdk-gen``, ``fit`` with
+               its SVG, ``track`` whole, subsampled with a flow split, and as
+               a 3-frame run resumed on the full file, ``sva``, ``eval`` and
+               ``geweke --out``.  It passes only options that older versions
+               of the CLI also take, so ``--src`` can point at one.
 
 One BLAS thread is used, as in the benchmark.  The whole run takes under a
 minute on a 2-vCPU Xeon.
@@ -86,6 +92,10 @@ class Digest:
         for a in (obs.positions, obs.velocities, obs.features):
             if a is not None:
                 self.array(a)
+
+    def file(self, path: str) -> None:
+        with open(path, "rb") as fh:
+            self._h.update(fh.read())
 
     def generator(self, rng) -> None:
         self.text(json.dumps(rng.bit_generator.state, sort_keys=True))
@@ -242,6 +252,68 @@ def _bench_piece(name: str):
     return piece
 
 
+# criterion 10's scene and config: five frames, two bodies and background dots
+_SCENE = {
+    "bodies": [
+        {"kind": "disk", "center": [0.35, 1.5], "size": 0.15, "num_dots": 60,
+         "velocity": [0.15, 0.0]},
+        {"kind": "rect", "center": [0.8, 0.45], "size": [1.0, 0.7], "num_dots": 60},
+    ],
+    "extent": [[0.0, 4.0], [0.0, 2.0]],
+    "background_dots": 10,
+    "flicker_prob": 0.05,
+    "frames": 5,
+}
+_CONFIG = {"hyper": {"sigma2_V": 0.001, "s2": 0.01}, "track": {"init_sweeps": 8},
+           "candidates": {"M_r": 9, "M_t": 25}}
+
+
+def piece_cli(d: Digest) -> None:
+    from click.testing import CliRunner
+    from mattertrack.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        def path(name: str) -> str:
+            return os.path.join(tmp, name)
+
+        def run(*args: str) -> None:
+            result = CliRunner().invoke(main, list(args), catch_exceptions=False)
+            if result.exit_code:
+                sys.exit(f"{args[0]} exited {result.exit_code}: {result.output}")
+
+        for name, payload in (("scene.json", _SCENE), ("conf.json", _CONFIG)):
+            with open(path(name), "w") as fh:
+                json.dump(payload, fh)
+        for dim in ("2", "3"):
+            run("simulate", "--dim", dim, "-K", "2", "-L", "6", "-N", "60", "--seed", "3",
+                "--out", path(f"sim{dim}.jsonl"), "--labels-out", path(f"sim{dim}_gt.jsonl"),
+                "--state-out", path(f"sim{dim}_state.jsonl"))
+        run("rdk-gen", "--spec", path("scene.json"), "--seed", "7", "--out", path("rdk.jsonl"),
+            "--labels-out", path("rdk_gt.jsonl"))
+        counts, conf = ["-K", "2", "-L", "8"], ["--config", path("conf.json")]
+        common = ["--obs", path("rdk.jsonl"), *counts]
+        run("fit", *common, *conf, "--sweeps", "10", "--out", path("fit.jsonl"),
+            "--plot", path("fit.svg"))
+        run("track", *common, *conf, "--seed", "11", "--out", path("track.jsonl"))
+        run("track", *common, *conf, "--seed", "5", "--subsample", "0.5", "--flow-split",
+            "--out", path("track_sub.jsonl"))
+        with open(path("rdk.jsonl")) as src, open(path("head_obs.jsonl"), "w") as dst:
+            dst.writelines(src.readlines()[:3])
+        run("track", "--obs", path("head_obs.jsonl"), *counts, *conf, "--seed", "11",
+            "--out", path("track_head.jsonl"))
+        run("track", *common, *conf, "--seed", "11", "--resume-from", path("track_head.jsonl"),
+            "--out", path("track_tail.jsonl"))
+        run("sva", *common, "--out", path("sva.json"))
+        run("eval", "--states", path("track.jsonl"), "--obs", path("rdk.jsonl"),
+            "--gt", path("rdk_gt.jsonl"), "--grid", "24", "--probes", "40",
+            "--out", path("eval.json"))
+        run("geweke", "-K", "2", "-L", "4", "-N", "16", "--iters", "200", "--threshold", "100",
+            "--out", path("geweke.json"))
+        for name in sorted(os.listdir(tmp)):
+            d.text(name)
+            d.file(path(name))
+
+
 PIECES = {
     "forward": piece_forward,
     "resample": piece_resample,
@@ -252,6 +324,7 @@ PIECES = {
     "recovery": _bench_piece("recovery"),
     "scale": _bench_piece("scale"),
     "track": _bench_piece("track"),
+    "cli": piece_cli,
 }
 
 
