@@ -2,7 +2,8 @@
 
 Offline, file-driven: observations come in as JSON lines, states and metric
 reports go out the same way.  Every command is deterministic for a fixed
-seed.
+seed.  ``fit`` and ``track`` start chains with ``tracker.start``; the tracker's
+helpers name the points a run keeps of each frame.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import click
 import numpy as np
 
 from . import io as mio
-from . import rng as rngmod
 from .distributions import make_transform_candidates
 from .evaluation import (
     adjusted_rand_index,
@@ -24,14 +24,11 @@ from .evaluation import (
     state_to_segments,
 )
 from .geweke import default_check_hyper, run_geweke
-from .gibbs import full_sweep_schedule, sweep
-from .initialization import data_dependent_hyperparams, init_state
 from .model import sample_forward
 from .render import render_frame_svg
-from .rng import substream
 from .sva import sva_cluster
 from .synth import flow_split_proposal, make_rigid_scene, scene_spec_from_dict
-from .tracker import subsample_frame, subsample_indices, track
+from .tracker import TrackConfig, start, subsample_frame, subsample_indices, track
 
 
 def _load_config(path: str | None) -> mio.Config:
@@ -64,11 +61,34 @@ def _read_frames(obs_path: str) -> list:
 def _first_frame(frames: list, rate: float, seed: int, num_particles: int):
     """Frame 0 subsampled as the sampler sees it; a one-line error unless every
     particle can own one of its points."""
-    obs = subsample_frame(frames[0], rate, substream(seed, rngmod.SUBSAMPLE, 0))
+    obs = subsample_frame(frames[0], rate, seed, 0)
     if len(obs) < num_particles:
         raise click.ClickException(f"frame 0 holds {len(obs)} points, fewer than "
                                    f"-L/--particles ({num_particles})")
     return obs
+
+
+def _resume_record(path: str, num_frames: int, num_clusters: int, num_particles: int,
+                   seed: int) -> mio.StateRecord:
+    """The last record of a resume dump; a one-line error unless it carries
+    hyperparameters, leaves a frame to track and matches -K, -L and --seed."""
+    records = mio.read_states(path)
+    if not records:
+        raise click.ClickException("resume dump holds no states")
+    last = records[-1]
+    if last.hyper is None:
+        raise click.ClickException("resume dump lacks hyperparameters")
+    if last.t + 1 >= num_frames:
+        raise click.ClickException(f"resume dump ends at frame {last.t}, but the observation "
+                                   f"file holds {num_frames} frames: none is left to track")
+    flags = (("-K/--clusters", num_clusters, last.state.K),
+             ("-L/--particles", num_particles, last.state.L),
+             ("--seed", seed, last.state.rng.seed))
+    differ = [f"{name} {ours} (dump: {dumped})" for name, ours, dumped in flags
+              if ours != dumped]
+    if differ:
+        raise click.ClickException("resume flags differ from the dump: " + ", ".join(differ))
+    return last
 
 
 @click.group()
@@ -147,16 +167,13 @@ def fit(obs_path, num_clusters, num_particles, sweeps, seed, config_path,
     obs = _first_frame(_read_frames(obs_path), subsample, seed, num_particles)
     cfg = _load_config(config_path)
     hyper = cfg.resolve_hyper(obs.dim)
-    state = init_state(obs, num_clusters, num_particles, hyper, seed)
-    if auto_hyper:
-        hyper = data_dependent_hyperparams(obs, state, base=hyper)
     m_r, m_t = cfg.candidate_sizes()
     candidates = make_transform_candidates(obs.dim, hyper, m_r, m_t)
-    if flow_split:
-        state = flow_split_proposal(state, obs, hyper, candidates)
-    schedule = full_sweep_schedule(enable_features=obs.features is not None)
-    for _ in range(sweeps):
-        state = sweep(state, obs, hyper, schedule, candidates)
+    tcfg = TrackConfig(init_sweeps=sweeps, freeze_Sigma_B=False,
+                       enable_features=obs.features is not None)
+    state, hyper = start(obs, num_clusters, num_particles, hyper, tcfg, seed, candidates,
+                         derive_hyper=auto_hyper,
+                         init_proposal=flow_split_proposal if flow_split else None)
     mio.write_states(out_path, [state], hyper=hyper)
     if plot_path:
         render_frame_svg(state, obs, plot_path)
@@ -195,36 +212,26 @@ def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsampl
     m_r, m_t = cfg.candidate_sizes()
     candidates = make_transform_candidates(frames[0].dim, hyper, m_r, m_t)
     if resume_from:
-        records = mio.read_states(resume_from)
-        if not records:
-            raise click.ClickException("resume dump holds no states")
-        last = records[-1]
-        if last.hyper is None:
-            raise click.ClickException("resume dump lacks hyperparameters")
-        states = track(frames, num_clusters, num_particles, last.hyper, tcfg, seed,
-                       candidates=candidates, derive_hyper=False,
-                       initial_state=last.state, start_frame=last.t + 1)
-        mio.write_states(out_path, states, hyper=last.hyper, first_t=last.t + 1)
+        last = _resume_record(resume_from, len(frames), num_clusters, num_particles, seed)
+        state, hyper, first_t = last.state, last.hyper, last.t + 1
+        states = []
     else:
         obs0 = _first_frame(frames, tcfg.subsample_rate, seed, num_particles)
-        states = track(frames, num_clusters, num_particles, hyper, tcfg, seed,
-                       candidates=candidates, derive_hyper=auto_hyper,
-                       init_proposal=flow_split_proposal if flow_split else None)
-        eff_hyper = hyper
-        if auto_hyper:
-            eff_hyper = data_dependent_hyperparams(
-                obs0, init_state(obs0, num_clusters, num_particles, hyper, seed), base=hyper)
-        mio.write_states(out_path, states, hyper=eff_hyper)
+        state, hyper = start(obs0, num_clusters, num_particles, hyper, tcfg, seed, candidates,
+                             derive_hyper=auto_hyper,
+                             init_proposal=flow_split_proposal if flow_split else None)
+        states, first_t = [state], 0
+    # track from the frame after `state`
+    states += track(frames, num_clusters, num_particles, hyper, tcfg, seed,
+                    candidates=candidates, derive_hyper=False,
+                    initial_state=state, start_frame=first_t + len(states))
+    mio.write_states(out_path, states, hyper=hyper, first_t=first_t)
     if plot_path:
-        first_t = len(frames) - len(states)
-        to_draw = (range(len(states)) if "{t}" in plot_path
-                   else [len(states) - 1])
+        to_draw = range(len(states)) if "{t}" in plot_path else [len(states) - 1]
         for i in to_draw:
             t = first_t + i
-            obs_t = subsample_frame(frames[t], tcfg.subsample_rate,
-                                    substream(seed, rngmod.SUBSAMPLE, t))
-            render_frame_svg(states[i], obs_t,
-                             plot_path.replace("{t}", str(t)))
+            obs_t = subsample_frame(frames[t], tcfg.subsample_rate, seed, t)
+            render_frame_svg(states[i], obs_t, plot_path.replace("{t}", str(t)))
     click.echo(f"wrote {len(states)} states to {out_path}")
 
 
@@ -288,7 +295,7 @@ def eval_cmd(states_path, obs_path, gt_path, subsample, seed, grid, probes,
         if t >= len(frames) or t >= len(gt):
             raise click.ClickException(f"state for frame {t} has no matching obs/labels")
         obs_t, lab_t = frames[t], gt[t]
-        keep = subsample_indices(len(obs_t), subsample, substream(seed, rngmod.SUBSAMPLE, t))
+        keep = subsample_indices(len(obs_t), subsample, seed, t)
         if keep is not None:
             obs_t, lab_t = obs_t.take(keep), lab_t[keep]
         pred = point_cluster_labels(rec.state)
@@ -296,13 +303,11 @@ def eval_cmd(states_path, obs_path, gt_path, subsample, seed, grid, probes,
             raise click.ClickException(f"frame {t}: point counts differ between state and labels")
         ari = adjusted_rand_index(pred, lab_t)
         fg_mask = (lab_t != -1) if foreground_label is None else (lab_t == foreground_label)
-        counts = np.bincount(rec.state.z_B[rec.state.z_B < rec.state.L],
-                             minlength=rec.state.L)
-        overlaps = np.zeros(rec.state.L)
-        for ell in range(rec.state.L):
-            members = rec.state.z_B == ell
-            if members.any():
-                overlaps[ell] = fg_mask[members].mean()
+        L, z_B = rec.state.L, rec.state.z_B
+        inlier = z_B < L
+        counts = np.bincount(z_B[inlier], minlength=L)
+        fg_counts = np.bincount(z_B[inlier], weights=fg_mask[inlier], minlength=L)
+        overlaps = np.divide(fg_counts, counts, out=np.zeros(L), where=counts > 0)
         jm = matter_weighted_jaccard(counts, rec.state.pi_B, overlaps)
         frame_report = {"t": t, "ari": ari, "matter_weighted_jaccard": jm}
         if grid > 0:

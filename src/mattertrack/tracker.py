@@ -1,10 +1,11 @@
 """Sequential multi-frame inference: propagate, anchor, refine.
 
-Frame 0 is initialized by hierarchical K-means plus full Gibbs sweeps.  Every
-later frame propagates particle means by their velocities, re-anchors the
-unordered point cloud to particles by position alone, then refines particle
-and cluster variables bottom-up.  Frozen quantities pass through bitwise
-unchanged.
+Frame 0 is initialized by ``start``: hierarchical K-means plus full Gibbs
+sweeps.  Every later frame propagates particle means by their velocities,
+re-anchors the unordered point cloud to particles by position alone, then
+refines particle and cluster variables bottom-up.  Frozen quantities pass
+through bitwise unchanged.  ``subsample_indices`` alone keys the subsample
+stream, so callers reproduce the points a run kept from its seed.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as rngmod
 from .distributions import TransformCandidates, make_transform_candidates
 from .gibbs import (
     Block,
@@ -38,7 +38,7 @@ from .gibbs import (
     PARTICLE_WEIGHTS,
 )
 from .initialization import data_dependent_hyperparams, init_state
-from .rng import substream
+from .rng import SUBSAMPLE, substream
 from .types import HyperParams, ModelState, Observations, ValidationError
 
 
@@ -84,22 +84,47 @@ def propagate(state: ModelState) -> ModelState:
     return state.replace(mu_B=state.mu_B + state.vel)
 
 
-def subsample_indices(n: int, rate: float, rng: np.random.Generator) -> np.ndarray | None:
-    """Sorted indices of the ceil(rate * n) points a frame of n keeps.
+def subsample_indices(n: int, rate: float, seed: int, t: int) -> np.ndarray | None:
+    """Sorted indices of the ceil(rate * n) points frame t of a run keeps.
 
-    None when ``rate >= 1`` keeps every point.  Draws from ``rng`` only when
-    points are dropped.
+    None when ``rate >= 1`` keeps every point.  Otherwise a draw from the
+    run's subsample stream for frame t: a function of (n, rate, seed, t).
     """
     if rate >= 1.0:
         return None
     m = max(1, math.ceil(rate * n))
-    return np.sort(rng.choice(n, size=m, replace=False))
+    return np.sort(substream(seed, SUBSAMPLE, t).choice(n, size=m, replace=False))
 
 
-def subsample_frame(obs: Observations, rate: float, rng: np.random.Generator) -> Observations:
-    """Uniformly keep ceil(rate * N) points, preserving original order."""
-    idx = subsample_indices(len(obs), rate, rng)
+def subsample_frame(obs: Observations, rate: float, seed: int, t: int) -> Observations:
+    """Frame t's points that a run keeps, in their original order."""
+    idx = subsample_indices(len(obs), rate, seed, t)
     return obs if idx is None else obs.take(idx)
+
+
+def start(obs0: Observations, K: int, L: int, hyper: HyperParams, cfg: TrackConfig,
+          seed: int, candidates: TransformCandidates, derive_hyper: bool = True,
+          init_proposal=None) -> tuple[ModelState, HyperParams]:
+    """Frame-0 state of a chain on the (subsampled) points ``obs0``, and the
+    hyperparameters in effect.
+
+    ``init_state``; data-dependent hyperparameters if ``derive_hyper``; the
+    optional burn-in accelerator ``init_proposal(state, obs0, hyper,
+    candidates)``; then ``cfg.init_sweeps`` full sweeps.
+    """
+    state = init_state(obs0, K, L, hyper, seed)
+    if derive_hyper:
+        hyper = data_dependent_hyperparams(obs0, state, base=hyper)
+    if init_proposal is not None:
+        state = init_proposal(state, obs0, hyper, candidates)
+    # frame-0 sweeps establish the segmentation, so z_H stays live here;
+    # frozen spatial covariances keep their empirical per-cell extent
+    init_sched = full_sweep_schedule(
+        freeze_Sigma_B=cfg.freeze_Sigma_B,
+        enable_features=cfg.enable_features)
+    for _ in range(cfg.init_sweeps):
+        state = sweep(state, obs0, hyper, init_sched, candidates)
+    return state, hyper
 
 
 def track(frames: list[Observations], K: int, L: int, hyper: HyperParams,
@@ -111,53 +136,36 @@ def track(frames: list[Observations], K: int, L: int, hyper: HyperParams,
           init_proposal=None) -> list[ModelState]:
     """Run sequential inference over a frame list.
 
-    Returns one posterior state per frame.  ``initial_state`` resumes an
+    Returns one posterior state per tracked frame.  Without
+    ``initial_state``, frame 0 goes through ``start`` (``derive_hyper`` and
+    ``init_proposal`` are its options).  ``initial_state`` resumes an
     earlier run: pass the state dumped after frame ``start_frame - 1``
     together with the hyperparameters in effect (set ``derive_hyper=False``)
     and the continuation is bit-identical to the uninterrupted run.
-    ``init_proposal`` is an optional burn-in accelerator applied to the
-    frame-0 state before the init sweeps, called as
-    ``proposal(state, obs, hyper, candidates)``.
     """
     if len(frames) < 1:
         raise ValidationError("track requires at least one frame")
     for t, f in enumerate(frames):
         if len(f) == 0:
             raise ValidationError(f"frame {t} is empty")
-    dim = frames[0].dim
     if candidates is None:
-        candidates = make_transform_candidates(dim, hyper)
+        candidates = make_transform_candidates(frames[0].dim, hyper)
 
-    states: list[ModelState] = []
     if initial_state is None:
-        obs0 = subsample_frame(frames[0], cfg.subsample_rate,
-                               substream(seed, rngmod.SUBSAMPLE, 0))
-        state = init_state(obs0, K, L, hyper, seed)
-        if derive_hyper:
-            hyper = data_dependent_hyperparams(obs0, state, base=hyper)
-        if init_proposal is not None:
-            state = init_proposal(state, obs0, hyper, candidates)
-        # frame-0 sweeps establish the segmentation, so z_H stays live here;
-        # frozen spatial covariances keep their empirical per-cell extent
-        init_sched = full_sweep_schedule(
-            freeze_Sigma_B=cfg.freeze_Sigma_B,
-            enable_features=cfg.enable_features)
-        for _ in range(cfg.init_sweeps):
-            state = sweep(state, obs0, hyper, init_sched, candidates)
-        states.append(state)
-        first = 1
+        obs0 = subsample_frame(frames[0], cfg.subsample_rate, seed, 0)
+        state, hyper = start(obs0, K, L, hyper, cfg, seed, candidates,
+                             derive_hyper=derive_hyper, init_proposal=init_proposal)
+        states, first = [state], 1
     else:
         if derive_hyper:
             raise ValidationError("resume requires derive_hyper=False with explicit hyper")
-        state = initial_state
-        first = start_frame
-        if first < 1:
+        if start_frame < 1:
             raise ValidationError("start_frame must be >= 1 when resuming")
+        state, states, first = initial_state, [], start_frame
 
     sched = cfg.frame_schedule()
     for t in range(first, len(frames)):
-        obs_t = subsample_frame(frames[t], cfg.subsample_rate,
-                                substream(seed, rngmod.SUBSAMPLE, t))
+        obs_t = subsample_frame(frames[t], cfg.subsample_rate, seed, t)
         state = propagate(state)
         state = sweep(state, obs_t, hyper, sched, candidates)
         states.append(state)

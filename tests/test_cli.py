@@ -8,10 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from mattertrack import io as mio
-from mattertrack import rng as rngmod
 from mattertrack.cli import main
 from mattertrack.evaluation import adjusted_rand_index, point_cluster_labels
-from mattertrack.rng import substream
 from mattertrack.tracker import subsample_indices
 
 
@@ -131,7 +129,7 @@ def test_eval_subsample_pairs_labels_with_tracked_points(tmp_path):
     frames, labels = mio.read_observations(obs), mio.read_labels(gt)
     for rec, frame_rep in zip(mio.read_states(track_out), rep["frames"]):
         t = rec.t
-        keep = subsample_indices(len(frames[t]), 0.5, substream(6, rngmod.SUBSAMPLE, t))
+        keep = subsample_indices(len(frames[t]), 0.5, 6, t)
         assert len(keep) == rec.state.N < len(frames[t])
         want = adjusted_rand_index(point_cluster_labels(rec.state), labels[t][keep])
         assert frame_rep["ari"] == want
@@ -305,3 +303,144 @@ def test_simulate_determinism_bitwise(tmp_path):
                  "--out", str(out)])
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def tracked_scene(tmp_path):
+    """A 5-frame RDK file, its labels, the test config, and a K=2, L=8 track dump."""
+    obs, gt = tmp_path / "rdk.jsonl", tmp_path / "rdk_gt.jsonl"
+    run_cli(["rdk-gen", "--spec", str(scene_spec_file(tmp_path)), "--seed", "4",
+             "--out", str(obs), "--labels-out", str(gt)])
+    conf, full = config_file(tmp_path), tmp_path / "full.jsonl"
+    run_cli(["track", "--obs", str(obs), "-K", "2", "-L", "8", "--seed", "5",
+             "--config", str(conf), "--out", str(full)])
+    return obs, gt, conf, full
+
+
+@pytest.mark.parametrize("plot", [False, True], ids=["no-plot", "plot"])
+def test_resume_past_the_files_end_is_a_one_line_error(tmp_path, plot):
+    obs, _, conf, full = tracked_scene(tmp_path)
+    out, svg = tmp_path / "o", tmp_path / "last.svg"
+    result = CliRunner().invoke(main, [
+        "track", "--obs", str(obs), "-K", "2", "-L", "8", "--seed", "5",
+        "--config", str(conf), "--resume-from", str(full), "--out", str(out),
+        *(["--plot", str(svg)] if plot else [])], catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == [
+        "Error: resume dump ends at frame 4, but the observation file holds 5 frames: "
+        "none is left to track"]
+    assert not out.exists() and not svg.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["-K", "3", "-L", "8", "--seed", "5"], "-K/--clusters 3 (dump: 2)"),
+    (["-K", "2", "-L", "40", "--seed", "5"], "-L/--particles 40 (dump: 8)"),
+    (["-K", "2", "-L", "8", "--seed", "9"], "--seed 9 (dump: 5)"),
+    (["-K", "5", "-L", "40"], "-K/--clusters 5 (dump: 2), -L/--particles 40 (dump: 8), "
+                              "--seed 0 (dump: 5)"),
+], ids=["K", "L", "seed", "all"])
+def test_resume_flags_that_contradict_the_dump_are_a_one_line_error(tmp_path, flags, message):
+    obs, _, conf, full = tracked_scene(tmp_path)
+    head, out = tmp_path / "head.jsonl", tmp_path / "o"
+    records = mio.read_states(full)
+    mio.write_states(head, [r.state for r in records[:3]], hyper=records[0].hyper)
+    result = CliRunner().invoke(main, [
+        "track", "--obs", str(obs), *flags, "--config", str(conf),
+        "--resume-from", str(head), "--out", str(out)], catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == [f"Error: resume flags differ from the dump: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dump,message", [("empty", "resume dump holds no states"),
+                                          ("no-hyper", "resume dump lacks hyperparameters")])
+def test_unusable_resume_dump_is_a_one_line_error(tmp_path, dump, message):
+    obs, _, conf, full = tracked_scene(tmp_path)
+    head, out = tmp_path / "head.jsonl", tmp_path / "o"
+    if dump == "empty":
+        head.write_text("")
+    else:
+        mio.write_states(head, [r.state for r in mio.read_states(full)[:2]])
+    result = CliRunner().invoke(main, [
+        "track", "--obs", str(obs), "-K", "2", "-L", "8", "--seed", "5",
+        "--config", str(conf), "--resume-from", str(head), "--out", str(out)],
+        catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == [f"Error: {message}"]
+    assert not out.exists()
+
+
+def svg_counts(path):
+    root = ET.parse(path).getroot()
+    tags = [e.tag.rsplit("}", 1)[-1] for e in root.iter()]
+    return tags.count("circle"), tags.count("ellipse")
+
+
+def test_track_plot_draws_the_tracked_points_of_each_frame(tmp_path):
+    obs, _, conf, _ = tracked_scene(tmp_path)
+    out = tmp_path / "sub.jsonl"
+    run_cli(["track", "--obs", str(obs), "-K", "2", "-L", "8", "--seed", "6",
+             "--subsample", "0.5", "--config", str(conf), "--out", str(out),
+             "--plot", str(tmp_path / "frame{t}.svg")])
+    records = mio.read_states(out)
+    for rec in records:
+        assert svg_counts(tmp_path / f"frame{rec.t}.svg") == (rec.state.N, 8)
+    # without a placeholder only the final frame is drawn, to the path as given
+    last = tmp_path / "last.svg"
+    run_cli(["track", "--obs", str(obs), "-K", "2", "-L", "8", "--seed", "6",
+             "--subsample", "0.5", "--config", str(conf), "--out", str(out),
+             "--plot", str(last)])
+    assert last.read_bytes() == (tmp_path / "frame4.svg").read_bytes()
+    assert len(list(tmp_path.glob("*.svg"))) == 6
+
+
+def test_fit_flow_split_is_tracks_frame_zero(tmp_path):
+    obs, _, _, _ = tracked_scene(tmp_path)
+    conf = tmp_path / "fit_conf.json"
+    conf.write_text(json.dumps({
+        "hyper": {"sigma2_V": 0.001, "s2": 0.01},
+        "track": {"init_sweeps": 6, "freeze_Sigma_B": False, "subsample_rate": 0.5},
+        "candidates": {"M_r": 9, "M_t": 25},
+    }))
+    common = ["--obs", str(obs), "-K", "2", "-L", "8", "--seed", "3", "--flow-split",
+              "--config", str(conf)]
+    run_cli(["fit", *common, "--sweeps", "6", "--subsample", "0.5",
+             "--out", str(tmp_path / "fit.jsonl")])
+    run_cli(["track", *common, "--out", str(tmp_path / "track.jsonl")])
+    fit_line = (tmp_path / "fit.jsonl").read_text().splitlines()
+    track_lines = (tmp_path / "track.jsonl").read_text().splitlines()
+    assert len(fit_line) == 1 and fit_line[0] == track_lines[0]
+
+
+def test_eval_on_states_that_do_not_match_the_file_is_a_one_line_error(tmp_path):
+    obs, gt, _, full = tracked_scene(tmp_path)
+    late = tmp_path / "late.jsonl"
+    mio.write_states(late, [mio.read_states(full)[0].state], first_t=7)
+    cases = [(["--states", str(late)], "state for frame 7 has no matching obs/labels"),
+             (["--states", str(full), "--subsample", "0.5"],
+              "frame 0: point counts differ between state and labels")]
+    for args, message in cases:
+        result = CliRunner().invoke(main, ["eval", "--obs", str(obs), "--gt", str(gt), *args,
+                                           "--out", str(tmp_path / "o")],
+                                    catch_exceptions=False)
+        assert result.exit_code == 1, result.output
+        assert result.output.splitlines() == [f"Error: {message}"]
+        assert not (tmp_path / "o").exists()
+
+
+def test_track_initializes_frame_zero_once(tmp_path, monkeypatch):
+    from mattertrack import initialization
+
+    spec, obs = scene_spec_file(tmp_path), tmp_path / "rdk.jsonl"
+    run_cli(["rdk-gen", "--spec", str(spec), "--seed", "4", "--out", str(obs)])
+    calls = []
+    kmeans_pp = initialization.kmeans_pp
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return kmeans_pp(*args, **kwargs)
+
+    monkeypatch.setattr(initialization, "kmeans_pp", counted)
+    run_cli(["track", "--obs", str(obs), "-K", "2", "-L", "8", "--seed", "5",
+             "--config", str(config_file(tmp_path)), "--out", str(tmp_path / "o.jsonl")])
+    # one init_state: frame 0's points into particles, then particles into clusters
+    assert calls == [len(mio.read_observations(obs)[0]), 8]

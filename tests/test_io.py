@@ -267,12 +267,10 @@ def test_dump_resume_matches_uninterrupted_track(tmp_path):
     cfg = TrackConfig(init_sweeps=6)
     full = track(frames, K=1, L=6, hyper=hyper, cfg=cfg, seed=9)
 
-    from mattertrack import rng as rngmod
     from mattertrack.initialization import data_dependent_hyperparams, init_state
-    from mattertrack.rng import substream
     from mattertrack.tracker import subsample_frame
 
-    obs0 = subsample_frame(frames[0], 1.0, substream(9, rngmod.SUBSAMPLE, 0))
+    obs0 = subsample_frame(frames[0], 1.0, 9, 0)
     eff = data_dependent_hyperparams(obs0, init_state(obs0, 1, 6, hyper, 9), base=hyper)
 
     dump = tmp_path / "mid.jsonl"

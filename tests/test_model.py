@@ -192,6 +192,41 @@ def test_log_joint_matches_scipy_composition():
     assert log_joint(state, obs, hyper) == pytest.approx(expected, abs=1e-10)
 
 
+def test_log_joint_feature_and_outlier_terms_match_scipy():
+    # one particle owning two points with features, plus one outlier point
+    hyper = diag_hyper(2, sigma2_mu_H=4.0, psi_h=1.2, psi_b=0.3, psi_v=0.05,
+                       sigma2_V=0.09, sigma2_F=0.3, p_outlier=0.2,
+                       outlier_gamma_shape=2.0, outlier_gamma_rate=1.5)
+    state = single_particle_state(
+        dim=2, mu_b=(0.4, -0.2), sigma_b=0.5, v=(0.12, 0.05), sigma_v=0.07,
+        mu_h=(0.1, 0.3), sigma_h=1.5, trans=(0.08, -0.03), z_B=(0, 1, 0))
+    feat = np.array([0.6, -1.1, 0.25])
+    state = state.replace(feat=feat[None])
+    x = np.array([[0.55, -0.11], [2.0, 1.5], [0.31, -0.4]])
+    v = np.array([[0.10, 0.02], [0.9, -0.6], [0.15, 0.07]])
+    f = np.array([[0.7, -1.0, 0.1], [3.0, 2.0, -1.0], [0.2, -1.5, 0.6]])
+    obs = Observations(x, v, f)
+    eye = np.eye(2)
+    expected = stats.invwishart(df=hyper.nu_H, scale=hyper.Psi_H).logpdf(1.5 * eye)
+    expected += stats.multivariate_normal(hyper.mu_H_prior, 4.0 * eye).logpdf([0.1, 0.3])
+    expected += stats.invwishart(df=hyper.nu_B, scale=hyper.Psi_B).logpdf(0.5 * eye)
+    expected += stats.multivariate_normal([0.1, 0.3], 1.5 * eye).logpdf([0.4, -0.2])
+    expected += stats.multivariate_normal([0.08, -0.03], 0.09 * eye).logpdf([0.12, 0.05])
+    expected += stats.invwishart(df=hyper.nu_V, scale=hyper.Psi_V).logpdf(0.07 * eye)
+    for n in (0, 2):  # the particle's points: position, velocity and feature
+        expected += stats.multivariate_normal([0.4, -0.2], 0.5 * eye).logpdf(x[n])
+        expected += stats.multivariate_normal([0.12, 0.05], 0.07 * eye).logpdf(v[n])
+        expected += stats.multivariate_normal(feat, 0.3 * np.eye(3)).logpdf(f[n])
+    # two inliers and one outlier, whose speed is Gamma(shape 2, rate 1.5)
+    expected += 2 * math.log(0.8) + math.log(0.2)
+    expected += stats.gamma(a=2.0, scale=1 / 1.5).logpdf(np.linalg.norm(v[1]))
+    assert log_joint(state, obs, hyper) == pytest.approx(expected, abs=1e-10)
+    # without features on the observations their term drops out, term by term
+    no_feat = expected - sum(stats.multivariate_normal(feat, 0.3 * np.eye(3)).logpdf(f[n])
+                             for n in (0, 2))
+    assert log_joint(state, Observations(x, v), hyper) == pytest.approx(no_feat, abs=1e-10)
+
+
 def test_log_joint_invariant_under_particle_relabeling():
     hyper = diag_hyper(2)  # symmetric beta
     state, obs = sample_forward(hyper, K=2, L=5, N=40, seed=5)

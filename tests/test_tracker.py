@@ -144,8 +144,6 @@ def test_track_prefix_is_markov_consistent():
 
 def test_track_resume_continuation_is_bit_identical():
     from mattertrack.initialization import data_dependent_hyperparams, init_state
-    from mattertrack.rng import substream
-    from mattertrack import rng as rngmod
 
     frames, _ = static_scene(T=7, seed=5)
     hyper = tracking_hyper()
@@ -153,7 +151,7 @@ def test_track_resume_continuation_is_bit_identical():
     full = track(frames, K=2, L=8, hyper=hyper, cfg=cfg, seed=4)
 
     # effective hyper after frame-0 derivation, as the dump would carry
-    obs0 = subsample_frame(frames[0], cfg.subsample_rate, substream(4, rngmod.SUBSAMPLE, 0))
+    obs0 = subsample_frame(frames[0], cfg.subsample_rate, 4, 0)
     eff = data_dependent_hyperparams(obs0, init_state(obs0, 2, 8, hyper, 4), base=hyper)
 
     resumed = track(frames, K=2, L=8, hyper=eff, cfg=cfg, seed=4,
@@ -168,9 +166,8 @@ def test_track_resume_continuation_is_bit_identical():
 def test_track_subsampling_rate_one_is_identity_and_small_rates_sample():
     frames, _ = static_scene(T=2, seed=6)
     obs = frames[0]
-    rng = np.random.default_rng(0)
-    assert subsample_frame(obs, 1.0, rng) is obs
-    sub = subsample_frame(obs, 0.25, rng)
+    assert subsample_frame(obs, 1.0, 0, 0) is obs
+    sub = subsample_frame(obs, 0.25, 0, 0)
     assert len(sub) == int(np.ceil(0.25 * len(obs)))
 
 

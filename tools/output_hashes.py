@@ -36,10 +36,13 @@ it drew from:
                reference runs);
   cli          the bytes of every file the seven commands write at fixed
                seeds: ``simulate`` (D=2 and D=3), ``rdk-gen``, ``fit`` with
-               its SVG, ``track`` whole, subsampled with a flow split, and as
-               a 3-frame run resumed on the full file, ``sva``, ``eval`` and
-               ``geweke --out``.  It passes only options that older versions
-               of the CLI also take, so ``--src`` can point at one.
+               its SVG and subsampled with a flow split and fixed
+               hyperparameters, ``track`` whole, with fixed hyperparameters,
+               subsampled with a flow split, subsampled with an SVG per frame,
+               and as a 3-frame run resumed on the full file, ``sva``,
+               ``eval`` and ``geweke --out``.  It passes only options that
+               older versions of the CLI also take, so ``--src`` can point at
+               one.
 
 One BLAS thread is used, as in the benchmark.  The whole run takes under a
 minute on a 2-vCPU Xeon.
@@ -294,7 +297,13 @@ def piece_cli(d: Digest) -> None:
         common = ["--obs", path("rdk.jsonl"), *counts]
         run("fit", *common, *conf, "--sweeps", "10", "--out", path("fit.jsonl"),
             "--plot", path("fit.svg"))
+        run("fit", *common, *conf, "--sweeps", "10", "--seed", "4", "--flow-split",
+            "--subsample", "0.5", "--no-auto-hyper", "--out", path("fit_split.jsonl"))
         run("track", *common, *conf, "--seed", "11", "--out", path("track.jsonl"))
+        run("track", *common, *conf, "--seed", "11", "--no-auto-hyper",
+            "--out", path("track_fixed_hyper.jsonl"))
+        run("track", *common, *conf, "--seed", "6", "--subsample", "0.5",
+            "--out", path("track_plot.jsonl"), "--plot", path("track_{t}.svg"))
         run("track", *common, *conf, "--seed", "5", "--subsample", "0.5", "--flow-split",
             "--out", path("track_sub.jsonl"))
         with open(path("rdk.jsonl")) as src, open(path("head_obs.jsonl"), "w") as dst:
