@@ -68,19 +68,20 @@ def _first_frame(frames: list, rate: float, seed: int, num_particles: int):
     return obs
 
 
-def _resume_record(path: str, num_frames: int, num_clusters: int, num_particles: int,
-                   seed: int) -> mio.StateRecord:
+def _resume_record(path: str, frames: list, rate: float, num_clusters: int,
+                   num_particles: int, seed: int) -> mio.StateRecord:
     """The last record of a resume dump; a one-line error unless it carries
-    hyperparameters, leaves a frame to track and matches -K, -L and --seed."""
+    hyperparameters, leaves a frame to track, matches -K, -L and --seed, and
+    holds as many points of its frame as --subsample keeps."""
     records = mio.read_states(path)
     if not records:
         raise click.ClickException("resume dump holds no states")
     last = records[-1]
     if last.hyper is None:
         raise click.ClickException("resume dump lacks hyperparameters")
-    if last.t + 1 >= num_frames:
+    if last.t + 1 >= len(frames):
         raise click.ClickException(f"resume dump ends at frame {last.t}, but the observation "
-                                   f"file holds {num_frames} frames: none is left to track")
+                                   f"file holds {len(frames)} frames: none is left to track")
     flags = (("-K/--clusters", num_clusters, last.state.K),
              ("-L/--particles", num_particles, last.state.L),
              ("--seed", seed, last.state.rng.seed))
@@ -88,6 +89,11 @@ def _resume_record(path: str, num_frames: int, num_clusters: int, num_particles:
               if ours != dumped]
     if differ:
         raise click.ClickException("resume flags differ from the dump: " + ", ".join(differ))
+    # the rate is in no record, but the point count of the last frame shows it
+    kept = len(subsample_frame(frames[last.t], rate, seed, last.t))
+    if kept != last.state.N:
+        raise click.ClickException(f"resume dump holds {last.state.N} points of frame {last.t}, "
+                                   f"but --subsample {rate} keeps {kept}")
     return last
 
 
@@ -212,7 +218,8 @@ def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsampl
     m_r, m_t = cfg.candidate_sizes()
     candidates = make_transform_candidates(frames[0].dim, hyper, m_r, m_t)
     if resume_from:
-        last = _resume_record(resume_from, len(frames), num_clusters, num_particles, seed)
+        last = _resume_record(resume_from, frames, tcfg.subsample_rate, num_clusters,
+                              num_particles, seed)
         state, hyper, first_t = last.state, last.hyper, last.t + 1
         states = []
     else:

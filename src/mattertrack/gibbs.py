@@ -11,7 +11,7 @@ keyed by ``z_B`` or ``z_H``: counts, sums and scatter entries.  Covariances
 are factored and inverted as stacks, and within a sweep each of ``Sigma_B``,
 ``Sigma_V`` and ``Sigma_H`` is factored once per value and shared by the
 steps that read it (``_CovFactors``).  Assignment scores are one matrix
-product per row block: ``expand_gaussians`` expands each Gaussian term as
+product per block: ``expand_gaussians`` expands each Gaussian term as
 -x'^T P x'/2 + (P m')^T x' - m'^T P m'/2 - log-normalizer, x' and m' centred
 at the mean of the term's component means, which keeps rounding near
 eps cond(Sigma) |x - c|^2 / sigma^2.  The rotation and translation grids are
@@ -29,9 +29,9 @@ component by component, interleaving chi-square and normal draws as
 ``inverse_wishart_sample`` does.  Transform steps draw one uniform per
 cluster in cluster order (one ``rng.random(K)`` call, equal to K
 ``categorical_sample`` calls), and assignment steps one uniform per row.  Point
-assignment scores and draws its rows block by block and takes each block's
-uniforms from the same stream in row order, so the variates equal one
-``rng.random((N, 1))`` call and the stream ends at the same position.
+assignment scores and draws blocks of points column-major, one row per particle,
+and takes each block's uniforms in point order, so the variates still equal
+one ``rng.random((N, 1))`` call and the stream ends at the same position.
 
 The ``*_conditional`` / ``*_posterior`` / ``*_log_probs`` helpers expose one
 component's slice of these kernels so tests can check them against closed
@@ -51,7 +51,7 @@ from .distributions import (
     _bartlett_fill,
     _categorical_cdf,
     _categorical_from_cdf,
-    _categorical_sample_rows,
+    _categorical_sample_columns,
     _spd_inverse_from_tril,
     categorical_sample_rows,
     chol_spd_stack,
@@ -347,23 +347,22 @@ def _draw_rows(log_weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 # Point-to-particle assignment (with feature and outlier extensions)
 # --------------------------------------------------------------------------
 
-# Score entries per block of the point-assignment draw (256 KiB of float64),
-# so that a block's scores and scratch stay in cache from the first score
-# term to the label.  Chosen by measurement: at N=5000, L=100 blocks of
-# 160-640 rows beat both 64 rows and one block of all rows, and at
-# N=3000, L=30 blocks of 512 rows or more beat 128.
-_ASSIGN_BLOCK_ENTRIES = 1 << 15
+# Score entries per block of the point-assignment draw (1 MiB of float64), the
+# smallest that pays: the draw makes one call per particle row and block.  With
+# one BLAS thread a step at N=5000, L=100 takes 3.9 ms in blocks of 327 points,
+# 3.2 at 648 and ~3.0 from 1,014 up; at N=3000, L=30 one block beats 2,114 by 15%.
+_ASSIGN_BLOCK_ENTRIES = 1 << 17
 
 
 class _PointScores:
-    """Point-assignment scores, set up once per step and written by row range.
+    """Point-assignment scores, set up once per step and written by point range.
 
     The constructor expands the position, velocity and isotropic feature terms
     (``expand_gaussians``), each centred at the mean of its component means: 11 row
     features in D=2 and 19 in D=3 for position plus velocity, plus |f'|^2 and f'
     for features, rounding near eps cond(Sigma) |x - c|^2 / sigma^2.  A zero weight
     scores -inf; numpy's divide warning is the caller's to silence, as ``sweep``
-    does.  ``rows`` writes the scores of a row range with one product.
+    does.  ``columns`` writes a point range's scores, a row per particle, in one product.
     """
 
     def __init__(self, state: ModelState, obs: Observations, hyper: HyperParams,
@@ -389,18 +388,18 @@ class _PointScores:
         with_features = use_features and not position_only
         self.features, self.coefs = expand_gaussians(
             stacks, log_pi, (obs.features, state.feat, hyper.sigma2_F) if with_features else None)
-        self.outlier_col = None
+        self.outlier_row = None
         if outlier:
             speeds = np.linalg.norm(obs.velocities, axis=1)
-            self.outlier_col = np.log(hyper.p_outlier) + gamma_logpdf(
+            self.outlier_row = np.log(hyper.p_outlier) + gamma_logpdf(
                 speeds, hyper.outlier_gamma_shape, hyper.outlier_gamma_rate)
 
-    def rows(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        """Scores of rows [start, stop) into ``out`` (n, width); every row
-        range gives the same entries."""
-        np.matmul(self.features[start:stop], self.coefs, out=out[:, :self.L])
-        if self.outlier_col is not None:
-            out[:, self.L] = self.outlier_col[start:stop]
+    def columns(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Scores of points [start, stop) into ``out`` (width, n).  Ranges of two or
+        more points give the same entries; one point is a matrix-vector product."""
+        np.matmul(self.coefs.T, self.features.T[:, start:stop], out=out[:self.L])
+        if self.outlier_row is not None:
+            out[self.L] = self.outlier_row[start:stop]
         return out
 
 
@@ -416,7 +415,7 @@ def point_assignment_log_probs(state: ModelState, obs: Observations, hyper: Hype
     with np.errstate(divide="ignore"):
         scores = _PointScores(state, obs, hyper, position_only, include_outlier,
                               use_features, _CovFactors(state))
-    return scores.rows(0, len(obs), np.empty((len(obs), scores.width)))
+    return scores.columns(0, len(obs), np.empty((scores.width, len(obs)))).T
 
 
 def assign_points_to_particles(state: ModelState, obs: Observations, hyper: HyperParams,
@@ -425,21 +424,21 @@ def assign_points_to_particles(state: ModelState, obs: Observations, hyper: Hype
                                factors: _CovFactors | None = None) -> np.ndarray:
     """Draw every point's label from ``point_assignment_log_probs``.
 
-    Rows are scored and drawn in blocks of about ``_ASSIGN_BLOCK_ENTRIES``
-    scores, in buffers reused from block to block, so no (N, L) array is
-    built.  The uniforms come block by block from ``rng``, equal to one
-    ``rng.random((N, 1))`` call.  ``factors`` is the covariance factors a
+    Points are scored and drawn column-major, in (width, n) blocks of about
+    ``_ASSIGN_BLOCK_ENTRIES`` scores reused from block to block, so no (N, L)
+    array is built.  The uniforms come block by block from ``rng``, equal to
+    one ``rng.random((N, 1))`` call.  ``factors`` is the covariance factors a
     sweep shares between its steps; without it the step factors for itself.
     """
     scores = _PointScores(state, obs, hyper, position_only, include_outlier, use_features,
                           _own_factors(state, factors))
-    n = len(obs)
-    rows = max(1, _ASSIGN_BLOCK_ENTRIES // scores.width)
-    block, labels = np.empty((min(n, rows), scores.width)), np.empty(n, dtype=np.int64)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        b = scores.rows(start, stop, block[:stop - start])
-        labels[start:stop] = _categorical_sample_rows(b, rng, out=b)
+    n, points = len(obs), max(1, _ASSIGN_BLOCK_ENTRIES // scores.width)
+    block, labels = np.empty((scores.width, min(n, points))), np.empty(n, dtype=np.int64)
+    keep = np.empty(block.shape, dtype=bool)
+    for start in range(0, n, points):
+        stop = min(start + points, n)
+        b = scores.columns(start, stop, block[:, :stop - start])
+        labels[start:stop] = _categorical_sample_columns(b, rng, keep[:, :stop - start])
     return labels
 
 

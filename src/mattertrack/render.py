@@ -33,7 +33,8 @@ def render_frame_svg(state: ModelState, obs: Observations, path: str,
     particles are 1-sigma covariance ellipses in their cluster color.  Only
     the first two coordinates are drawn for 3D states.
     """
-    pos = obs.positions[:, :2]
+    # an empty frame is framed by its particles alone
+    pos = (obs.positions if len(obs) else state.mu_B)[:, :2]
     lo = pos.min(axis=0)
     hi = pos.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)

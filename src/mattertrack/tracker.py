@@ -39,7 +39,7 @@ from .gibbs import (
 )
 from .initialization import data_dependent_hyperparams, init_state
 from .rng import SUBSAMPLE, substream
-from .types import HyperParams, ModelState, Observations, ValidationError
+from .types import Assignments, HyperParams, ModelState, Observations, ValidationError
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,11 @@ def subsample_indices(n: int, rate: float, seed: int, t: int) -> np.ndarray | No
 
     None when ``rate >= 1`` keeps every point.  Otherwise a draw from the
     run's subsample stream for frame t: a function of (n, rate, seed, t).
+    An empty frame keeps no points.
     """
     if rate >= 1.0:
         return None
-    m = max(1, math.ceil(rate * n))
+    m = math.ceil(rate * n)
     return np.sort(substream(seed, SUBSAMPLE, t).choice(n, size=m, replace=False))
 
 
@@ -136,7 +137,9 @@ def track(frames: list[Observations], K: int, L: int, hyper: HyperParams,
           init_proposal=None) -> list[ModelState]:
     """Run sequential inference over a frame list.
 
-    Returns one posterior state per tracked frame.  Without
+    Returns one posterior state per tracked frame.  Frame 0 must hold points;
+    a later empty frame only propagates the particles, with no point labels,
+    no sweep and no draws.  Without
     ``initial_state``, frame 0 goes through ``start`` (``derive_hyper`` and
     ``init_proposal`` are its options).  ``initial_state`` resumes an
     earlier run: pass the state dumped after frame ``start_frame - 1``
@@ -145,9 +148,8 @@ def track(frames: list[Observations], K: int, L: int, hyper: HyperParams,
     """
     if len(frames) < 1:
         raise ValidationError("track requires at least one frame")
-    for t, f in enumerate(frames):
-        if len(f) == 0:
-            raise ValidationError(f"frame {t} is empty")
+    if len(frames[0]) == 0:
+        raise ValidationError("frame 0 is empty")
     if candidates is None:
         candidates = make_transform_candidates(frames[0].dim, hyper)
 
@@ -167,7 +169,10 @@ def track(frames: list[Observations], K: int, L: int, hyper: HyperParams,
     for t in range(first, len(frames)):
         obs_t = subsample_frame(frames[t], cfg.subsample_rate, seed, t)
         state = propagate(state)
-        state = sweep(state, obs_t, hyper, sched, candidates)
+        if len(obs_t):
+            state = sweep(state, obs_t, hyper, sched, candidates)
+        else:
+            state = state.replace(assignments=Assignments(np.empty(0, np.int64), state.z_H))
         states.append(state)
     return states
 

@@ -1,6 +1,7 @@
 """Command-line surface: every command runs, outputs parse, and dumps are
 bitwise identical across seed-fixed reruns."""
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -351,6 +352,30 @@ def test_resume_flags_that_contradict_the_dump_are_a_one_line_error(tmp_path, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dumped,resumed", [(0.5, 1.0), (1.0, 0.5)], ids=["half-to-all",
+                                                                        "all-to-half"])
+def test_resume_with_another_subsample_rate_is_a_one_line_error(tmp_path, dumped, resumed):
+    # the rate is in no record; the dumped point count of the last frame shows it
+    obs, head, out = tmp_path / "rdk.jsonl", tmp_path / "head.jsonl", tmp_path / "o"
+    run_cli(["rdk-gen", "--spec", str(scene_spec_file(tmp_path)), "--seed", "4",
+             "--out", str(obs)])
+    args = ["track", "--obs", str(obs), "-K", "2", "-L", "8", "--seed", "5",
+            "--config", str(config_file(tmp_path))]
+    run_cli([*args, "--subsample", str(dumped), "--out", str(head)])
+    records = mio.read_states(head)
+    mio.write_states(head, [r.state for r in records[:3]], hyper=records[0].hyper)
+    n = len(mio.read_observations(obs)[2])
+    kept = {1.0: n, 0.5: math.ceil(n / 2)}
+    result = CliRunner().invoke(main, [
+        *args, *([] if resumed == 1.0 else ["--subsample", str(resumed)]),
+        "--resume-from", str(head), "--out", str(out)], catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == [
+        f"Error: resume dump holds {kept[dumped]} points of frame 2, but --subsample "
+        f"{resumed} keeps {kept[resumed]}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dump,message", [("empty", "resume dump holds no states"),
                                           ("no-hyper", "resume dump lacks hyperparameters")])
 def test_unusable_resume_dump_is_a_one_line_error(tmp_path, dump, message):
@@ -391,6 +416,21 @@ def test_track_plot_draws_the_tracked_points_of_each_frame(tmp_path):
              "--plot", str(last)])
     assert last.read_bytes() == (tmp_path / "frame4.svg").read_bytes()
     assert len(list(tmp_path.glob("*.svg"))) == 6
+
+
+def test_track_steps_over_an_empty_later_frame(tmp_path):
+    obs, out = tmp_path / "rdk.jsonl", tmp_path / "t.jsonl"
+    run_cli(["rdk-gen", "--spec", str(scene_spec_file(tmp_path)), "--seed", "4",
+             "--out", str(obs)])
+    lines = obs.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "points": []})
+    obs.write_text("\n".join(lines) + "\n")
+    run_cli(["track", "--obs", str(obs), "-K", "2", "-L", "8", "--seed", "5",
+             "--config", str(config_file(tmp_path)), "--out", str(out),
+             "--plot", str(tmp_path / "f_{t}.svg")])
+    records = mio.read_states(out)
+    assert [len(r.state.z_B) for r in records][2] == 0 and len(records) == 5
+    assert svg_counts(tmp_path / "f_2.svg") == (0, 8)
 
 
 def test_fit_flow_split_is_tracks_frame_zero(tmp_path):

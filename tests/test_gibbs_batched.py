@@ -7,12 +7,14 @@ under the same ``np.random.default_rng(seed)``: equal labels and candidate
 indices, continuous outputs within 1e-10, and the stream left at the same
 position.  That pins the draw-order contract of ``mattertrack.gibbs``.
 The blocked point-assignment draw must equal the one-shot draw over the
-whole score matrix, label for label.  The transform steps' one-pass draw
+whole score matrix, label for label, and the column-major draw and score
+blocks the row-major ones, bit for bit.  The transform steps' one-pass draw
 over all clusters must equal one ``categorical_sample`` call per cluster, and
 a sweep whose steps share covariance factors must equal one whose steps each
 factor for themselves, bit for bit.
 """
 import copy
+import re
 import tracemalloc
 import warnings
 
@@ -22,6 +24,7 @@ import pytest
 from mattertrack import gibbs
 from mattertrack.distributions import (
     TransformCandidates,
+    _categorical_sample_columns,
     categorical_sample,
     categorical_sample_rows,
     dirichlet_sample,
@@ -70,8 +73,24 @@ def ref_point_log_probs(state, obs, hyper, position_only=False, include_outlier=
     return scores
 
 
+def ref_categorical_sample_rows(log_weights, rng):
+    """The row-major draw: shift by the row maximum, flush terms below
+    exp(-707) to 0, a row ``cumsum``, and the first column at or above u."""
+    m = log_weights.max(axis=1, keepdims=True)
+    if not np.isfinite(m).all():
+        raise ValidationError("no admissible component: a row has all -inf weights")
+    c = log_weights - m
+    keep = c >= -707.0
+    np.maximum(c, -707.0, out=c)
+    np.exp(c, out=c)
+    c *= keep
+    c.cumsum(axis=1, out=c)
+    u = rng.random((len(c), 1)) * c[:, -1:]
+    return (c >= u).argmax(axis=1).astype(np.int64)
+
+
 def ref_assign_points(state, obs, hyper, rng, **kw):
-    return categorical_sample_rows(ref_point_log_probs(state, obs, hyper, **kw), rng)
+    return ref_categorical_sample_rows(ref_point_log_probs(state, obs, hyper, **kw), rng)
 
 
 def ref_particle_weights(state, hyper, rng):
@@ -503,6 +522,81 @@ def test_assignment_with_one_particle(kw):
     labels = gibbs.assign_points_to_particles(state, obs, hyper, np.random.default_rng(4), **kw)
     assert set(labels) <= {0, state.L}
     assert_blocked_draw_matches_one_shot(state, obs, hyper, seed=4, **kw)
+
+
+def draw_inputs():
+    """(N, M) log weights: random rows with -inf entries, shifted weights at,
+    just above and just below the -707 flush threshold and in exp's slow
+    range, ties, one column, and no rows."""
+    rng = np.random.default_rng(60)
+    for n, m in ((500, 12), (1300, 101), (300, 31)):
+        lw = rng.normal(0.0, 10.0 ** rng.uniform(-1, 3), (n, m))
+        lw[rng.random(lw.shape) < 0.2] = -np.inf
+        lw[:, rng.integers(0, m)] = -np.inf
+        lw[np.arange(n), rng.integers(0, m, n)] = rng.normal(0.0, 1.0, n)
+        yield lw
+    edge = np.array([-707.0, np.nextafter(-707.0, 0.0), np.nextafter(-707.0, -np.inf),
+                     -707.7, -708.0, -745.0, -746.0, -np.inf])
+    lw = rng.choice(edge, (2000, 9))
+    lw[np.arange(2000), rng.integers(0, 9, 2000)] = 0.0
+    yield lw
+    yield lw + 1e3                      # the same rows, shifted
+    yield np.zeros((400, 7))            # ties everywhere
+    yield np.repeat(rng.normal(size=(400, 3)), 2, axis=1)   # pairwise ties
+    yield rng.normal(size=(50, 1))      # one column
+    yield np.zeros((0, 5))              # no rows
+
+
+def test_column_draw_matches_row_draw():
+    for seed, lw in enumerate(draw_inputs()):
+        rng_c, rng_p, rng_r = (np.random.default_rng(seed) for _ in range(3))
+        block = lw.T.copy()
+        got = _categorical_sample_columns(block, rng_c, np.empty(block.shape, dtype=bool))
+        want = ref_categorical_sample_rows(lw, rng_r)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(categorical_sample_rows(lw, rng_p), want)
+        assert (rng_c.bit_generator.state == rng_p.bit_generator.state
+                == rng_r.bit_generator.state)
+
+
+def test_column_draw_rejects_a_row_without_admissible_column_like_row_draw():
+    lw = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
+    with pytest.raises(ValidationError) as want:
+        ref_categorical_sample_rows(lw, np.random.default_rng(0))
+    with pytest.raises(ValidationError) as got:
+        _categorical_sample_columns(lw.T.copy(), np.random.default_rng(0),
+                                    np.empty((2, 2), dtype=bool))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValidationError, match=re.escape(str(want.value))):
+        categorical_sample_rows(lw, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kw", ASSIGN_VARIANTS)
+def test_column_scores_equal_row_scores_with_a_rank_one_covariance(dim, kw):
+    # a particle of two points gives a rank-one covariance, which chol_spd's
+    # jitter admits; its scores round the most
+    state, obs, hyper = wide_scene(dim, 8, 700, seed=dim)
+    d = np.linspace(0.3, -0.2, dim)
+    Sigma_B = state.Sigma_B.copy()
+    Sigma_B[2] = np.outer(d, d)
+    assert np.linalg.cond(Sigma_B[2]) >= 1e16
+    state = state.replace(Sigma_B=Sigma_B)
+    with np.errstate(divide="ignore"):
+        scores = gibbs._PointScores(state, obs, hyper, kw.get("position_only", False),
+                                    kw.get("include_outlier", False),
+                                    kw.get("use_features", False), gibbs._CovFactors(state))
+    whole = gibbs.point_assignment_log_probs(state, obs, hyper, **kw)
+    for start, stop in ((0, 700), (3, 257), (257, 700), (698, 700), (0, 1), (699, 700)):
+        block = scores.columns(start, stop, np.empty((scores.width, stop - start)))
+        # the row-major product of the same points, bit for bit
+        rows = np.matmul(scores.features[start:stop], scores.coefs)
+        np.testing.assert_array_equal(block[:state.L], rows.T)
+        # a one-point product is a matrix-vector product in either layout, and
+        # rounds unlike the whole; every longer range gives the whole's entries
+        if stop - start > 1:
+            np.testing.assert_array_equal(block, whole.T[:, start:stop])
 
 
 # ---------------------------------------------------------------------------

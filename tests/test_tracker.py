@@ -1,13 +1,16 @@
 """Sequential tracking: propagation, anchoring stability, freeze contracts,
 subsampling, and resume determinism."""
+import math
+
 import numpy as np
 import pytest
 
+from mattertrack import io as mio
 from mattertrack.distributions import make_transform_candidates
 from mattertrack.evaluation import adjusted_rand_index, point_cluster_labels
 from mattertrack.gibbs import particle_mean_conditional
 from mattertrack.synth import Body, SceneSpec, make_rigid_scene
-from mattertrack.tracker import TrackConfig, propagate, subsample_frame, track
+from mattertrack.tracker import TrackConfig, propagate, start, subsample_frame, track
 from mattertrack.types import Observations, ValidationError
 
 from conftest import diag_hyper, single_particle_state
@@ -238,6 +241,40 @@ def test_track_rejects_empty_frames_and_bad_config():
     with pytest.raises(ValidationError):
         TrackConfig(subsample_rate=0.0)
     empty = Observations(np.zeros((0, 2)), np.zeros((0, 2)))
-    with pytest.raises(ValidationError, match="frame 1"):
-        track([frames[0], empty], K=1, L=2, hyper=tracking_hyper(),
+    with pytest.raises(ValidationError, match="frame 0"):
+        track([empty, frames[0]], K=1, L=2, hyper=tracking_hyper(),
               cfg=TrackConfig(), seed=0)
+
+
+def assert_states_equal(a, b):
+    for name in ("mu_B", "Sigma_B", "vel", "Sigma_V", "pi_B", "mu_H", "Sigma_H", "rot",
+                 "trans", "pi_H", "z_B", "z_H"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.rng == b.rng
+
+
+def test_track_runs_an_empty_later_frame_as_a_propagate_only_step(tmp_path):
+    frames, _ = static_scene(T=6, seed=9)
+    frames = [*frames[:2], Observations(np.zeros((0, 2)), np.zeros((0, 2))), *frames[3:]]
+    hyper, cfg = tracking_hyper(), TrackConfig(init_sweeps=8, subsample_rate=0.5)
+    states = track(frames, K=2, L=8, hyper=hyper, cfg=cfg, seed=4)
+    assert len(states) == 6
+    # the particles move on; nothing else changes and the stream is not touched
+    before, gap = states[1], states[2]
+    assert gap.z_B.shape == (0,)
+    assert_states_equal(gap, propagate(before).replace(assignments=gap.assignments))
+    assert len(states[3].z_B) == math.ceil(0.5 * len(frames[3]))
+    # a run resumed from the empty frame's dump, or from the frame before it,
+    # continues bit for bit
+    obs0 = subsample_frame(frames[0], cfg.subsample_rate, 4, 0)
+    _, eff = start(obs0, 2, 8, hyper, cfg, 4, make_transform_candidates(2, hyper))
+    dump = tmp_path / "head.jsonl"
+    mio.write_states(dump, states[:3], hyper=eff)
+    last = mio.read_states(dump)[-1]
+    assert last.t == 2
+    for initial, first in ((last.state, 3), (states[1], 2)):
+        resumed = track(frames, K=2, L=8, hyper=eff, cfg=cfg, seed=4, derive_hyper=False,
+                        initial_state=initial, start_frame=first)
+        assert len(resumed) == 6 - first
+        for a, b in zip(resumed, states[first:]):
+            assert_states_equal(a, b)

@@ -26,6 +26,9 @@ it drew from:
   sweeps       200 Geweke-size sweeps with observation redraws, as criterion 2
                runs them;
   features     20 sweeps with outliers and features on, in D=2 and D=3;
+  assign       ``assign_points_to_particles`` labels and generator position at
+               benchmark sizes, three seeds each: N=5000, L=100 in D=2 with and
+               without outliers and features, and N=3000, L=30 in D=3 with them;
   kmeans       ``kmeans_pp`` centers, labels and generator position over
                random, clustered and duplicate-heavy points in D=1-3, K from 1
                to 100 and ``n_init`` 1-4, plus the D=1, K=2 calls of the
@@ -172,19 +175,26 @@ def piece_sweeps(d: Digest) -> None:
             d.obs(obs)
 
 
+def _extras_hyper(dim: int):
+    """Hyperparameters with the feature and outlier terms set."""
+    from mattertrack.types import HyperParams
+
+    eye = np.eye(dim)
+    return HyperParams(
+        alpha=1.0, beta=1.0, mu_H_prior=np.zeros(dim), sigma2_mu_H=4.0,
+        Psi_H=eye, nu_H=dim + 3.0, Psi_B=0.25 * eye, nu_B=dim + 3.0,
+        sigma2_V=0.05, Psi_V=0.04 * eye, nu_V=dim + 3.0, s2=0.5,
+        kappa_vmf=2.0, theta_max=np.pi / 6, sigma2_F=0.3, p_outlier=0.1,
+        outlier_gamma_shape=2.0, outlier_gamma_rate=1.5)
+
+
 def piece_features(d: Digest) -> None:
     from mattertrack import gibbs, model
     from mattertrack.distributions import make_transform_candidates
-    from mattertrack.types import Assignments, HyperParams, Observations
+    from mattertrack.types import Assignments, Observations
 
     for dim in (2, 3):
-        eye = np.eye(dim)
-        hyper = HyperParams(
-            alpha=1.0, beta=1.0, mu_H_prior=np.zeros(dim), sigma2_mu_H=4.0,
-            Psi_H=eye, nu_H=dim + 3.0, Psi_B=0.25 * eye, nu_B=dim + 3.0,
-            sigma2_V=0.05, Psi_V=0.04 * eye, nu_V=dim + 3.0, s2=0.5,
-            kappa_vmf=2.0, theta_max=np.pi / 6, sigma2_F=0.3, p_outlier=0.1,
-            outlier_gamma_shape=2.0, outlier_gamma_rate=1.5)
+        hyper = _extras_hyper(dim)
         cands = make_transform_candidates(dim, hyper, M_r=17, M_t=5 ** dim)
         state, obs = model.sample_forward(hyper.replace(p_outlier=0.0), 3, 8, 150, dim,
                                           candidates=cands)
@@ -202,6 +212,26 @@ def piece_features(d: Digest) -> None:
         for _ in range(20):
             state = gibbs.sweep(state, obs, hyper, schedule, cands)
             d.state(state)
+
+
+def piece_assign(d: Digest) -> None:
+    from mattertrack import gibbs, model
+    from mattertrack.types import Observations
+
+    for dim, L, N, extras in ((2, 100, 5000, False), (2, 100, 5000, True), (3, 30, 3000, True)):
+        hyper = _extras_hyper(dim)
+        state, obs = model.sample_forward(hyper.replace(p_outlier=0.0), 3, L, N, 10 + dim)
+        if extras:
+            rng = np.random.default_rng(dim)
+            feat = rng.standard_normal((L, 3))
+            obs = Observations(obs.positions, obs.velocities,
+                               feat[state.z_B] + 0.5 * rng.standard_normal((N, 3)))
+            state = state.replace(feat=feat)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            d.array(gibbs.assign_points_to_particles(
+                state, obs, hyper, rng, include_outlier=extras, use_features=extras))
+            d.generator(rng)
 
 
 def _kmeans_inputs(dim: int):
@@ -329,6 +359,7 @@ PIECES = {
     "geweke": piece_geweke,
     "sweeps": piece_sweeps,
     "features": piece_features,
+    "assign": piece_assign,
     "kmeans": piece_kmeans,
     "recovery": _bench_piece("recovery"),
     "scale": _bench_piece("scale"),
