@@ -175,8 +175,7 @@ def fit(obs_path, num_clusters, num_particles, sweeps, seed, config_path,
     hyper = cfg.resolve_hyper(obs.dim)
     m_r, m_t = cfg.candidate_sizes()
     candidates = make_transform_candidates(obs.dim, hyper, m_r, m_t)
-    tcfg = TrackConfig(init_sweeps=sweeps, freeze_Sigma_B=False,
-                       enable_features=obs.features is not None)
+    tcfg = TrackConfig(init_sweeps=sweeps, freeze_Sigma_B=False)
     state, hyper = start(obs, num_clusters, num_particles, hyper, tcfg, seed, candidates,
                          derive_hyper=auto_hyper,
                          init_proposal=flow_split_proposal if flow_split else None)
@@ -308,6 +307,9 @@ def eval_cmd(states_path, obs_path, gt_path, subsample, seed, grid, probes,
         pred = point_cluster_labels(rec.state)
         if len(pred) != len(lab_t):
             raise click.ClickException(f"frame {t}: point counts differ between state and labels")
+        if not len(pred):
+            report["frames"].append({"t": t, "points": 0})
+            continue
         ari = adjusted_rand_index(pred, lab_t)
         fg_mask = (lab_t != -1) if foreground_label is None else (lab_t == foreground_label)
         L, z_B = rec.state.L, rec.state.z_B
@@ -326,6 +328,8 @@ def eval_cmd(states_path, obs_path, gt_path, subsample, seed, grid, probes,
         report["frames"].append(frame_report)
         aris.append(ari)
         jms.append(jm)
+    if not aris:
+        raise click.ClickException("state dump holds no frame with points")
     report["mean_ari"] = float(np.mean(aris))
     report["mean_matter_weighted_jaccard"] = float(np.mean(jms))
     text = json.dumps(report, indent=2)

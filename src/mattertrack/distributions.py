@@ -207,7 +207,9 @@ def expand_gaussians(stacks, const: np.ndarray,
     -x'^T P x'/2 + (P m')^T x' - m'^T P m'/2 - D log(2 pi)/2 - log det L
     over features [1, each stack's x'_i x'_j (i <= j), the isotropic |x'|^2,
     each term's x'], stored feature by feature.  N may be 0, a -inf in
-    ``const`` scores -inf, and any row range gives the entries of the whole.
+    ``const`` scores -inf, and the product over any range of two or more rows
+    gives the entries of the whole; one row is a matrix-vector product, whose
+    last bits may differ.
     Rounding grows with cond(Sigma) |x - c|^2 / sigma^2: only near-singular
     covariances, such as the rank-one ones ``chol_spd``'s jitter admits,
     round visibly differently from a direct whitening.

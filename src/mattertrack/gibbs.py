@@ -18,10 +18,9 @@ eps cond(Sigma) |x - c|^2 / sigma^2.  The rotation and translation grids are
 scored from per-cluster moments rather than candidate by candidate.
 
 Draw-order contract: a sweep draws from one stream, keyed by the state's rng
-cursor alone (``state.rng.stream(SWEEP)``).  The steps that run take their
-variates from it one after another in schedule order, and a step skipped by
-a freeze flag takes none.  Each step takes exactly the variates, in exactly
-the order, that a loop over components would take from the stream, so a
+cursor alone (``state.rng.stream(SWEEP)``).  The steps take their variates
+from it one after another in schedule order; a step left out takes none.
+Each step takes exactly the variates, in exactly the order, that a loop over components would take from the stream, so a
 seeded chain does not depend on how a step is vectorized.  Gaussian steps
 draw one ``standard_normal((n, D))`` block, equal to n calls of
 ``standard_normal(D)``.  Inverse-Wishart steps draw their Bartlett variates
@@ -130,13 +129,9 @@ class Block:
 
 @dataclass(frozen=True)
 class SweepSchedule:
-    """Ordered Gibbs steps with repeat counts plus the flags ``sweep`` reads."""
+    """Ordered Gibbs steps with repeat counts; ``sweep`` runs every one."""
 
     steps: tuple
-    freeze_Sigma_B: bool = False
-    freeze_z_H: bool = False
-    enable_outliers: bool = False
-    enable_features: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -172,7 +167,7 @@ class SweepSchedule:
         return tuple(out)
 
 
-def full_sweep_schedule(**flags) -> SweepSchedule:
+def full_sweep_schedule() -> SweepSchedule:
     """One pass over all twelve conditionals in bottom-up order."""
     names = (
         ASSIGN_POINTS,
@@ -188,10 +183,10 @@ def full_sweep_schedule(**flags) -> SweepSchedule:
         CLUSTER_ROTATIONS,
         CLUSTER_TRANSLATIONS,
     )
-    return SweepSchedule(steps=tuple(Step(n) for n in names), **flags)
+    return SweepSchedule(steps=tuple(Step(n) for n in names))
 
 
-def tracking_frame_schedule(**flags) -> SweepSchedule:
+def tracking_frame_schedule() -> SweepSchedule:
     """Per-frame order for sequential tracking.
 
     Spatial anchoring first (position-only assignment of the unordered point
@@ -214,7 +209,7 @@ def tracking_frame_schedule(**flags) -> SweepSchedule:
         CLUSTER_ROTATIONS,
         CLUSTER_TRANSLATIONS,
     )
-    return SweepSchedule(steps=tuple(Step(n) for n in names), **flags)
+    return SweepSchedule(steps=tuple(Step(n) for n in names))
 
 
 # --------------------------------------------------------------------------
@@ -357,37 +352,32 @@ _ASSIGN_BLOCK_ENTRIES = 1 << 17
 class _PointScores:
     """Point-assignment scores, set up once per step and written by point range.
 
-    The constructor expands the position, velocity and isotropic feature terms
-    (``expand_gaussians``), each centred at the mean of its component means: 11 row
-    features in D=2 and 19 in D=3 for position plus velocity, plus |f'|^2 and f'
-    for features, rounding near eps cond(Sigma) |x - c|^2 / sigma^2.  A zero weight
-    scores -inf; numpy's divide warning is the caller's to silence, as ``sweep``
-    does.  ``columns`` writes a point range's scores, a row per particle, in one product.
+    The terms follow the model, as in ``log_joint``: unless ``position_only``, an
+    outlier row if p_outlier > 0 and features if obs, state and sigma2_F carry them.
+    The constructor expands the Gaussian terms (``expand_gaussians``), each centred
+    at the mean of its component means: 11 row features in D=2 and 19 in D=3 for
+    position plus velocity, plus |f'|^2 and f' for features, rounding near
+    eps cond(Sigma) |x - c|^2 / sigma^2.  A zero weight scores -inf; numpy's divide
+    warning is the caller's to silence, as ``sweep`` does.  ``columns`` writes a
+    point range's scores, a row per particle, in one product.
     """
 
     def __init__(self, state: ModelState, obs: Observations, hyper: HyperParams,
-                 position_only: bool, include_outlier: bool, use_features: bool,
-                 factors: _CovFactors):
-        if use_features and not position_only:
-            if obs.features is None:
-                raise ValidationError(
-                    "feature likelihood requested but observations have no features")
-            if state.feat is None:
-                raise ValidationError("feature likelihood requested but state has no feature means")
-            if hyper.sigma2_F is None:
-                raise ValidationError("feature likelihood requested but sigma2_F is unset")
+                 position_only: bool, factors: _CovFactors):
         L = self.L = state.L
-        outlier = include_outlier and hyper.p_outlier > 0
+        outlier = not position_only and hyper.p_outlier > 0
         self.width = L + 1 if outlier else L
         log_pi = np.log(state.pi_B)
         if outlier:
             log_pi += np.log1p(-hyper.p_outlier)
         stacks = [(obs.positions, state.mu_B, *factors.expansion("Sigma_B"))]
+        isotropic = None
         if not position_only:
             stacks.append((obs.velocities, state.vel, *factors.expansion("Sigma_V")))
-        with_features = use_features and not position_only
-        self.features, self.coefs = expand_gaussians(
-            stacks, log_pi, (obs.features, state.feat, hyper.sigma2_F) if with_features else None)
+            if (obs.features is not None and state.feat is not None
+                    and hyper.sigma2_F is not None):
+                isotropic = obs.features, state.feat, hyper.sigma2_F
+        self.features, self.coefs = expand_gaussians(stacks, log_pi, isotropic)
         self.outlier_row = None
         if outlier:
             speeds = np.linalg.norm(obs.velocities, axis=1)
@@ -395,8 +385,8 @@ class _PointScores:
                 speeds, hyper.outlier_gamma_shape, hyper.outlier_gamma_rate)
 
     def columns(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        """Scores of points [start, stop) into ``out`` (width, n).  Ranges of two or
-        more points give the same entries; one point is a matrix-vector product."""
+        """Scores of points [start, stop) into ``out`` (width, n).  Two or more points
+        give the entries of the whole; one is a matrix-vector product, rounded apart."""
         np.matmul(self.coefs.T, self.features.T[:, start:stop], out=out[:self.L])
         if self.outlier_row is not None:
             out[self.L] = self.outlier_row[start:stop]
@@ -404,40 +394,40 @@ class _PointScores:
 
 
 def point_assignment_log_probs(state: ModelState, obs: Observations, hyper: HyperParams,
-                               *, position_only: bool = False,
-                               include_outlier: bool = False,
-                               use_features: bool = False) -> np.ndarray:
+                               *, position_only: bool = False) -> np.ndarray:
     """Unnormalized log probabilities over particles (columns) per point (rows).
 
-    With ``include_outlier`` an extra final column scores the outlier
-    component: weight p_outlier with a Gamma likelihood on speed.
+    Unless ``position_only``, a positive ``hyper.p_outlier`` adds a final column
+    for the outlier component: weight p_outlier with a Gamma likelihood on speed.
     """
     with np.errstate(divide="ignore"):
-        scores = _PointScores(state, obs, hyper, position_only, include_outlier,
-                              use_features, _CovFactors(state))
+        scores = _PointScores(state, obs, hyper, position_only, _CovFactors(state))
     return scores.columns(0, len(obs), np.empty((scores.width, len(obs)))).T
 
 
 def assign_points_to_particles(state: ModelState, obs: Observations, hyper: HyperParams,
                                rng: np.random.Generator, *, position_only: bool = False,
-                               include_outlier: bool = False, use_features: bool = False,
                                factors: _CovFactors | None = None) -> np.ndarray:
     """Draw every point's label from ``point_assignment_log_probs``.
 
     Points are scored and drawn column-major, in (width, n) blocks of about
     ``_ASSIGN_BLOCK_ENTRIES`` scores reused from block to block, so no (N, L)
-    array is built.  The uniforms come block by block from ``rng``, equal to
-    one ``rng.random((N, 1))`` call.  ``factors`` is the covariance factors a
-    sweep shares between its steps; without it the step factors for itself.
+    array is built.  A one-point last block is scored with the point before
+    it, so every point's scores are those of the whole.  The uniforms come
+    block by block from ``rng``, equal to one ``rng.random((N, 1))`` call.
+    ``factors`` is the covariance factors a sweep shares between its steps;
+    without it the step factors for itself.
     """
-    scores = _PointScores(state, obs, hyper, position_only, include_outlier, use_features,
-                          _own_factors(state, factors))
-    n, points = len(obs), max(1, _ASSIGN_BLOCK_ENTRIES // scores.width)
+    scores = _PointScores(state, obs, hyper, position_only, _own_factors(state, factors))
+    n, points = len(obs), max(2, _ASSIGN_BLOCK_ENTRIES // scores.width)
     block, labels = np.empty((scores.width, min(n, points))), np.empty(n, dtype=np.int64)
     keep = np.empty(block.shape, dtype=bool)
     for start in range(0, n, points):
         stop = min(start + points, n)
-        b = scores.columns(start, stop, block[:, :stop - start])
+        if stop - start == 1 and start > 0:
+            b = scores.columns(start - 1, stop, block[:, :2])[:, 1:]
+        else:
+            b = scores.columns(start, stop, block[:, :stop - start])
         labels[start:stop] = _categorical_sample_columns(b, rng, keep[:, :stop - start])
     return labels
 
@@ -741,42 +731,41 @@ def update_cluster_translations(state: ModelState, hyper: HyperParams,
 # --------------------------------------------------------------------------
 
 # step id -> (state field, update).  An update takes (state, obs, hyper,
-# schedule, candidates, rng, factors) and returns the field's new value.  The
-# lambdas look their kernel up in the module globals when called, so a kernel
-# rebound after import (as the benchmark tracer does) is the one that runs.
+# candidates, rng, factors) and returns the field's new value.  The lambdas
+# look their kernel up in the module globals when called, so a kernel rebound
+# after import (as the benchmark tracer does) is the one that runs.
 _STEP_UPDATES = {
-    ASSIGN_POINTS: ("assignments", lambda s, o, h, sc, c, r, f: Assignments(
-        assign_points_to_particles(s, o, h, r, include_outlier=sc.enable_outliers,
-                                   use_features=sc.enable_features, factors=f), s.z_H)),
-    ASSIGN_POINTS_SPATIAL: ("assignments", lambda s, o, h, sc, c, r, f: Assignments(
+    ASSIGN_POINTS: ("assignments", lambda s, o, h, c, r, f: Assignments(
+        assign_points_to_particles(s, o, h, r, factors=f), s.z_H)),
+    ASSIGN_POINTS_SPATIAL: ("assignments", lambda s, o, h, c, r, f: Assignments(
         assign_points_to_particles(s, o, h, r, position_only=True, factors=f), s.z_H)),
-    PARTICLE_WEIGHTS: ("pi_B", lambda s, o, h, sc, c, r, f: update_particle_weights(s, h, r)),
-    PARTICLE_MEANS: ("mu_B", lambda s, o, h, sc, c, r, f:
+    PARTICLE_WEIGHTS: ("pi_B", lambda s, o, h, c, r, f: update_particle_weights(s, h, r)),
+    PARTICLE_MEANS: ("mu_B", lambda s, o, h, c, r, f:
                      update_particle_means(s, o, h, r, factors=f)),
-    PARTICLE_COVS: ("Sigma_B", lambda s, o, h, sc, c, r, f:
+    PARTICLE_COVS: ("Sigma_B", lambda s, o, h, c, r, f:
                     update_particle_covariances(s, o, h, r)),
-    PARTICLE_VELOCITIES: ("vel", lambda s, o, h, sc, c, r, f:
+    PARTICLE_VELOCITIES: ("vel", lambda s, o, h, c, r, f:
                           update_particle_velocity_means(s, o, h, r, factors=f)),
-    PARTICLE_VELOCITY_COVS: ("Sigma_V", lambda s, o, h, sc, c, r, f:
+    PARTICLE_VELOCITY_COVS: ("Sigma_V", lambda s, o, h, c, r, f:
                              update_particle_velocity_covariances(s, o, h, r)),
-    PARTICLE_FEATURES: ("feat", lambda s, o, h, sc, c, r, f: update_particle_features(s, o)),
-    ASSIGN_PARTICLES: ("assignments", lambda s, o, h, sc, c, r, f: Assignments(
+    PARTICLE_FEATURES: ("feat", lambda s, o, h, c, r, f: update_particle_features(s, o)),
+    ASSIGN_PARTICLES: ("assignments", lambda s, o, h, c, r, f: Assignments(
         s.z_B, assign_particles_to_clusters(s, h, r, factors=f))),
-    CLUSTER_WEIGHTS: ("pi_H", lambda s, o, h, sc, c, r, f: update_cluster_weights(s, h, r)),
-    CLUSTER_MEANS: ("mu_H", lambda s, o, h, sc, c, r, f:
+    CLUSTER_WEIGHTS: ("pi_H", lambda s, o, h, c, r, f: update_cluster_weights(s, h, r)),
+    CLUSTER_MEANS: ("mu_H", lambda s, o, h, c, r, f:
                     update_cluster_means(s, h, r, factors=f)),
-    CLUSTER_COVS: ("Sigma_H", lambda s, o, h, sc, c, r, f:
+    CLUSTER_COVS: ("Sigma_H", lambda s, o, h, c, r, f:
                    update_cluster_covariances(s, h, r)),
-    CLUSTER_ROTATIONS: ("rot", lambda s, o, h, sc, c, r, f:
+    CLUSTER_ROTATIONS: ("rot", lambda s, o, h, c, r, f:
                         update_cluster_rotations(s, h, c, r)),
-    CLUSTER_TRANSLATIONS: ("trans", lambda s, o, h, sc, c, r, f:
+    CLUSTER_TRANSLATIONS: ("trans", lambda s, o, h, c, r, f:
                            update_cluster_translations(s, h, c, r)),
 }
 
 
 def _apply_step(name: str, work: ModelState, obs: Observations, hyper: HyperParams,
-                schedule: SweepSchedule, candidates: TransformCandidates,
-                rng: np.random.Generator, factors: _CovFactors | None = None) -> None:
+                candidates: TransformCandidates, rng: np.random.Generator,
+                factors: _CovFactors | None = None) -> None:
     """Run step ``name`` and swap its field of ``work`` in place, unvalidated.
 
     ``work`` is a private copy of a state; its owner builds the validated
@@ -787,7 +776,7 @@ def _apply_step(name: str, work: ModelState, obs: Observations, hyper: HyperPara
     if name not in _STEP_UPDATES:
         raise ValidationError(f"unknown schedule step {name!r}")
     field, update = _STEP_UPDATES[name]
-    object.__setattr__(work, field, update(work, obs, hyper, schedule, candidates, rng, factors))
+    object.__setattr__(work, field, update(work, obs, hyper, candidates, rng, factors))
     if factors is not None:
         factors.drop(field)
 
@@ -796,14 +785,14 @@ def sweep(state: ModelState, obs: Observations, hyper: HyperParams,
           schedule: SweepSchedule, candidates: TransformCandidates) -> ModelState:
     """Execute the schedule once, each step reading the latest state.
 
-    Freeze flags skip the corresponding steps so the frozen arrays pass
-    through bitwise unchanged, and a skipped step draws nothing.  The sweep
+    Every step of ``schedule.flatten()`` runs; a quantity left out of the
+    schedule passes through bitwise unchanged and draws nothing.  The sweep
     builds one Generator, the stream keyed by the state's rng cursor alone,
-    and every step that runs takes its variates from it in schedule order;
-    the cursor advances once per sweep.  The steps swap fields of one private
-    copy of ``state`` and share one ``_CovFactors`` of it, so each covariance
-    stack is factored once per value within the sweep; the returned state is
-    built and validated once.
+    and every step takes its variates from it in schedule order; the cursor
+    advances once per sweep.  The steps swap fields of one private copy of
+    ``state`` and share one ``_CovFactors`` of it, so each covariance stack is
+    factored once per value within the sweep; the returned state is built and
+    validated once.
     """
     work = copy.copy(state)
     factors = _CovFactors(work)
@@ -811,9 +800,5 @@ def sweep(state: ModelState, obs: Observations, hyper: HyperParams,
     # the log of a zero mixture weight is -inf, never drawn
     with np.errstate(divide="ignore"):
         for name in schedule.flatten():
-            if name == PARTICLE_COVS and schedule.freeze_Sigma_B:
-                continue
-            if name == ASSIGN_PARTICLES and schedule.freeze_z_H:
-                continue
-            _apply_step(name, work, obs, hyper, schedule, candidates, rng, factors)
+            _apply_step(name, work, obs, hyper, candidates, rng, factors)
     return work.replace(rng=state.rng.tick())

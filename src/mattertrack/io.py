@@ -211,7 +211,7 @@ def track_config_from_dict(d: dict) -> TrackConfig:
         if not isinstance(raw, dict) or set(raw) != {"steps"}:
             raise ValidationError(
                 f'per_frame_schedule must be {{"steps": [...]}}, got {raw!r}; '
-                "freeze and enable flags belong in the track section")
+                "freeze flags belong in the track section")
         kw["per_frame_schedule"] = schedule_items_from_json(raw["steps"])
     return TrackConfig(**kw)
 

@@ -16,14 +16,7 @@ import numpy as np
 
 from .distributions import TransformCandidates, make_transform_candidates
 from .gibbs import (
-    Block,
-    Step,
-    SweepSchedule,
-    full_sweep_schedule,
-    sweep,
-    tracking_frame_schedule,
-)
-from .gibbs import (
+    ASSIGN_PARTICLES,
     ASSIGN_POINTS,
     ASSIGN_POINTS_SPATIAL,
     CLUSTER_COVS,
@@ -31,23 +24,38 @@ from .gibbs import (
     CLUSTER_ROTATIONS,
     CLUSTER_TRANSLATIONS,
     CLUSTER_WEIGHTS,
+    PARTICLE_COVS,
     PARTICLE_FEATURES,
     PARTICLE_MEANS,
     PARTICLE_VELOCITIES,
     PARTICLE_VELOCITY_COVS,
     PARTICLE_WEIGHTS,
+    Block,
+    Step,
+    SweepSchedule,
+    full_sweep_schedule,
+    sweep,
+    tracking_frame_schedule,
 )
 from .initialization import data_dependent_hyperparams, init_state
 from .rng import SUBSAMPLE, substream
 from .types import Assignments, HyperParams, ModelState, Observations, ValidationError
 
 
+def _drop_steps(items: tuple, names: set[str]) -> tuple:
+    """Schedule items less every ``Step`` named in ``names``, inside blocks too."""
+    return tuple(Block(_drop_steps(item.items, names), item.repeat)
+                 if isinstance(item, Block) else item
+                 for item in items if isinstance(item, Block) or item.name not in names)
+
+
 @dataclass(frozen=True)
 class TrackConfig:
     """Knobs of the sequential tracking procedure.
 
-    ``per_frame_schedule`` holds only schedule items (``Step``/``Block``);
-    the four flags here apply to the frame-0 sweeps and to every later frame.
+    ``per_frame_schedule`` holds only schedule items (``Step``/``Block``).  A
+    frozen quantity's step is left out: ``freeze_Sigma_B`` drops ``particle_covs``
+    from frame 0 on, ``freeze_z_H`` drops ``assign_particles`` after frame 0.
     """
 
     init_sweeps: int = 50
@@ -55,8 +63,6 @@ class TrackConfig:
     freeze_z_H: bool = False
     freeze_Sigma_B: bool = True
     subsample_rate: float = 1.0
-    enable_outliers: bool = False
-    enable_features: bool = False
 
     def __post_init__(self):
         if self.init_sweeps < 0:
@@ -66,17 +72,19 @@ class TrackConfig:
         if self.per_frame_schedule is not None:
             SweepSchedule(self.per_frame_schedule)  # rejects unknown steps and bad repeats
 
+    def init_schedule(self) -> SweepSchedule:
+        """The frame-0 sweep, z_H live: these sweeps establish the segmentation."""
+        frozen = {PARTICLE_COVS} if self.freeze_Sigma_B else set()
+        return SweepSchedule(_drop_steps(full_sweep_schedule().steps, frozen))
+
     def frame_schedule(self) -> SweepSchedule:
+        """A later frame's sweep: the per-frame steps less the frozen ones."""
         steps = self.per_frame_schedule
         if steps is None:
             steps = tracking_frame_schedule().steps
-        return SweepSchedule(
-            steps,
-            freeze_z_H=self.freeze_z_H,
-            freeze_Sigma_B=self.freeze_Sigma_B,
-            enable_outliers=self.enable_outliers,
-            enable_features=self.enable_features,
-        )
+        frozen = {name for name, freeze in ((PARTICLE_COVS, self.freeze_Sigma_B),
+                                            (ASSIGN_PARTICLES, self.freeze_z_H)) if freeze}
+        return SweepSchedule(_drop_steps(steps, frozen))
 
 
 def propagate(state: ModelState) -> ModelState:
@@ -118,11 +126,7 @@ def start(obs0: Observations, K: int, L: int, hyper: HyperParams, cfg: TrackConf
         hyper = data_dependent_hyperparams(obs0, state, base=hyper)
     if init_proposal is not None:
         state = init_proposal(state, obs0, hyper, candidates)
-    # frame-0 sweeps establish the segmentation, so z_H stays live here;
-    # frozen spatial covariances keep their empirical per-cell extent
-    init_sched = full_sweep_schedule(
-        freeze_Sigma_B=cfg.freeze_Sigma_B,
-        enable_features=cfg.enable_features)
+    init_sched = cfg.init_schedule()
     for _ in range(cfg.init_sweeps):
         state = sweep(state, obs0, hyper, init_sched, candidates)
     return state, hyper
@@ -211,11 +215,11 @@ def gestalt_track_config(init_sweeps: int = 50, velocity_iters: int = 20,
 def rgb_track_config(init_sweeps: int = 30, refine_iters: int = 3) -> TrackConfig:
     """Preset for feature-augmented natural-video tracking.
 
-    Per frame: rigid transforms first, a position-only anchoring assignment
-    with outliers disabled, a full position-velocity-feature assignment with
-    the outlier component enabled, repeated spatial/velocity refinements, and
-    a feature-mean refresh.  The hyperparameters must carry ``sigma2_F`` and
-    a positive ``p_outlier`` (0.1 is the reference weight).
+    Per frame: rigid transforms first, a position-only anchoring assignment,
+    a full assignment, repeated spatial/velocity refinements, and a
+    feature-mean refresh.  The observations must carry features and the
+    hyperparameters ``sigma2_F`` and a positive ``p_outlier`` (0.1 is the
+    reference weight), so every full assignment, frame 0's too, scores both.
     """
     refine_block = Block(
         items=(
@@ -239,5 +243,4 @@ def rgb_track_config(init_sweeps: int = 30, refine_iters: int = 3) -> TrackConfi
         Step(CLUSTER_COVS),
     )
     return TrackConfig(init_sweeps=init_sweeps, per_frame_schedule=steps,
-                       freeze_z_H=True, freeze_Sigma_B=True,
-                       enable_outliers=True, enable_features=True)
+                       freeze_z_H=True, freeze_Sigma_B=True)

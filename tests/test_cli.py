@@ -12,6 +12,7 @@ from mattertrack import io as mio
 from mattertrack.cli import main
 from mattertrack.evaluation import adjusted_rand_index, point_cluster_labels
 from mattertrack.tracker import subsample_indices
+from mattertrack.types import Observations
 
 
 def run_cli(args):
@@ -422,9 +423,7 @@ def test_track_steps_over_an_empty_later_frame(tmp_path):
     obs, out = tmp_path / "rdk.jsonl", tmp_path / "t.jsonl"
     run_cli(["rdk-gen", "--spec", str(scene_spec_file(tmp_path)), "--seed", "4",
              "--out", str(obs)])
-    lines = obs.read_text().splitlines()
-    lines[2] = json.dumps({**json.loads(lines[2]), "points": []})
-    obs.write_text("\n".join(lines) + "\n")
+    blank_frame(obs, 2, "points")
     run_cli(["track", "--obs", str(obs), "-K", "2", "-L", "8", "--seed", "5",
              "--config", str(config_file(tmp_path)), "--out", str(out),
              "--plot", str(tmp_path / "f_{t}.svg")])
@@ -484,3 +483,69 @@ def test_track_initializes_frame_zero_once(tmp_path, monkeypatch):
              "--config", str(config_file(tmp_path)), "--out", str(tmp_path / "o.jsonl")])
     # one init_state: frame 0's points into particles, then particles into clusters
     assert calls == [len(mio.read_observations(obs)[0]), 8]
+
+
+def blank_frame(path, t, key):
+    lines = path.read_text().splitlines()
+    lines[t] = json.dumps({**json.loads(lines[t]), key: []})
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_eval_reports_an_empty_frame_by_its_point_count(tmp_path):
+    obs, gt, out = tmp_path / "rdk.jsonl", tmp_path / "rdk_gt.jsonl", tmp_path / "t.jsonl"
+    run_cli(["rdk-gen", "--spec", str(scene_spec_file(tmp_path)), "--seed", "4",
+             "--out", str(obs), "--labels-out", str(gt)])
+    blank_frame(obs, 2, "points")
+    blank_frame(gt, 2, "labels")
+    run_cli(["track", "--obs", str(obs), "-K", "2", "-L", "8", "--seed", "5",
+             "--config", str(config_file(tmp_path)), "--out", str(out)])
+    report = tmp_path / "report.json"
+    run_cli(["eval", "--states", str(out), "--obs", str(obs), "--gt", str(gt),
+             "--grid", "16", "--out", str(report)])
+    rep = json.loads(report.read_text())
+    assert rep["frames"][2] == {"t": 2, "points": 0}
+    aris = [f["ari"] for i, f in enumerate(rep["frames"]) if i != 2]
+    assert len(aris) == 4 and all("probe_jaccard" in f for i, f in enumerate(rep["frames"])
+                                  if i != 2)
+    assert rep["mean_ari"] == float(np.mean(aris))
+
+    # a dump whose frames are all empty has nothing to score
+    empty = tmp_path / "empty.jsonl"
+    mio.write_states(empty, [mio.read_states(out)[2].state], first_t=2)
+    result = CliRunner().invoke(main, ["eval", "--states", str(empty), "--obs", str(obs),
+                                       "--gt", str(gt), "--out", str(tmp_path / "o")],
+                                catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == ["Error: state dump holds no frame with points"]
+    assert not (tmp_path / "o").exists()
+
+
+def feature_file(tmp_path):
+    """A simulated frame whose points carry 2-D features."""
+    path = tmp_path / "obs.jsonl"
+    run_cli(["simulate", "-K", "2", "-L", "4", "-N", "40", "--seed", "1", "--out", str(path)])
+    obs = mio.read_observations(path)[0]
+    features = np.random.default_rng(0).standard_normal((len(obs), 2))
+    mio.write_observations(path, [Observations(obs.positions, obs.velocities, features)])
+    return path
+
+
+def test_fit_on_a_feature_bearing_file_with_the_default_config(tmp_path):
+    # the feature term follows the model: without sigma2_F it is off
+    out = tmp_path / "fit.jsonl"
+    run_cli(["fit", "--obs", str(feature_file(tmp_path)), "-K", "2", "-L", "4",
+             "--sweeps", "3", "--out", str(out)])
+    assert mio.read_states(out)[0].state.N == 40
+
+
+def test_fit_samples_particle_covariances_at_frame_zero(tmp_path, monkeypatch):
+    from mattertrack import tracker
+
+    schedules, sweep = [], tracker.sweep
+    monkeypatch.setattr(tracker, "sweep", lambda state, obs, hyper, schedule, cands: (
+        schedules.append(schedule.flatten()) or sweep(state, obs, hyper, schedule, cands)))
+    run_cli(["fit", "--obs", str(feature_file(tmp_path)), "-K", "2", "-L", "4",
+             "--sweeps", "3", "--out", str(tmp_path / "fit.jsonl")])
+    assert len(schedules) == 3
+    assert all("particle_covs" in names and "assign_particles" in names
+               for names in schedules)

@@ -115,7 +115,7 @@ def test_assign_points_position_only_drops_velocity_and_features():
     obs = Observations(np.array([[0.3, 0.0]]), np.array([[5.0, 5.0]]),
                        np.array([[0.9]]))
     hyper = diag_hyper(2, sigma2_F=0.5)
-    full = point_assignment_log_probs(state, obs, hyper, use_features=True)
+    full = point_assignment_log_probs(state, obs, hyper)
     pos_only = point_assignment_log_probs(state, obs, hyper, position_only=True)
     from mattertrack.distributions import mvn_logpdf_rows
 
@@ -126,12 +126,19 @@ def test_assign_points_position_only_drops_velocity_and_features():
     assert not np.allclose(full, pos_only)
 
 
-def test_assign_points_feature_flag_without_features_errors():
+def test_assign_points_scores_features_only_when_the_model_has_them():
+    # as in log_joint: the points, the state and sigma2_F must all carry features
     state = two_particle_state()
-    obs = Observations(np.zeros((1, 2)), np.zeros((1, 2)))
-    with pytest.raises(ValidationError):
-        point_assignment_log_probs(state, obs, diag_hyper(2, sigma2_F=1.0),
-                                   use_features=True)
+    obs = Observations(np.array([[0.3, 0.0], [-0.2, 0.1]]), np.array([[0.1, 0.0], [0.0, 0.0]]))
+    bare = dict(state=state, obs=obs, hyper=diag_hyper(2))
+    full = dict(state=state.replace(feat=np.array([[1.0], [-1.0]])),
+                obs=Observations(obs.positions, obs.velocities, np.array([[0.9], [-0.4]])),
+                hyper=bare["hyper"].replace(sigma2_F=0.5))
+    plain = point_assignment_log_probs(**bare)
+    for missing in full:
+        scores = point_assignment_log_probs(**{**full, missing: bare[missing]})
+        np.testing.assert_array_equal(scores, plain, strict=True)
+    assert not np.allclose(point_assignment_log_probs(**full), plain)
 
 
 def test_assign_points_outlier_catches_fast_points():
@@ -139,7 +146,7 @@ def test_assign_points_outlier_catches_fast_points():
     hyper = diag_hyper(2, p_outlier=0.1, outlier_gamma_shape=2.0,
                        outlier_gamma_rate=0.5)
     obs = Observations(np.zeros((1, 2)), np.array([[8.0, 6.0]]))  # speed 10
-    scores = point_assignment_log_probs(state, obs, hyper, include_outlier=True)
+    scores = point_assignment_log_probs(state, obs, hyper)
     assert scores.shape == (1, 3)
     probs = log_normalize(scores[0])
     assert probs[2] > 0.999
@@ -560,19 +567,6 @@ def test_transform_prior_shift_invariance():
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
-
-def test_sweep_freeze_flags_bitwise():
-    hyper = diag_hyper(2)
-    cands = make_transform_candidates(2, hyper, M_r=9, M_t=9)
-    state, obs = sample_forward(hyper, K=2, L=5, N=50, seed=16)
-    frozen = full_sweep_schedule(freeze_Sigma_B=True, freeze_z_H=True)
-    out = sweep(state, obs, hyper, frozen, cands)
-    np.testing.assert_array_equal(out.Sigma_B, state.Sigma_B)
-    np.testing.assert_array_equal(out.z_H, state.z_H)
-    thawed = full_sweep_schedule()
-    out2 = sweep(state, obs, hyper, thawed, cands)
-    assert not np.array_equal(out2.Sigma_B, state.Sigma_B)
-
 
 def test_sweep_preserves_invariants():
     hyper = diag_hyper(2)

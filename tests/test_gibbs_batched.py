@@ -39,6 +39,7 @@ from mattertrack.distributions import (
 )
 from mattertrack.model import induced_velocities, sample_forward
 from mattertrack.rng import SWEEP
+from mattertrack.tracker import TrackConfig
 from mattertrack.types import Assignments, Observations, ValidationError
 
 from conftest import diag_hyper
@@ -50,10 +51,11 @@ TOL = dict(rtol=1e-10, atol=1e-10)
 # per-component reference implementations
 # ---------------------------------------------------------------------------
 
-def ref_point_log_probs(state, obs, hyper, position_only=False, include_outlier=False,
-                        use_features=False):
+def ref_point_log_probs(state, obs, hyper, position_only=False):
     with np.errstate(divide="ignore"):
         log_pi = np.log(state.pi_B)
+    use_features = (obs.features is not None and state.feat is not None
+                    and hyper.sigma2_F is not None)
 
     def column(ell):
         ll = mvn_logpdf_rows(obs.positions, state.mu_B[ell], state.Sigma_B[ell])
@@ -64,7 +66,7 @@ def ref_point_log_probs(state, obs, hyper, position_only=False, include_outlier=
         return log_pi[ell] + ll
 
     scores = np.column_stack([column(ell) for ell in range(state.L)])
-    if include_outlier and hyper.p_outlier > 0:
+    if not position_only and hyper.p_outlier > 0:
         scores = scores + np.log1p(-hyper.p_outlier)
         speeds = np.linalg.norm(obs.velocities, axis=1)
         out_col = np.log(hyper.p_outlier) + gamma_logpdf(
@@ -239,7 +241,7 @@ def ref_transform_indices(log_probs, state, hyper, candidates, rng):
 def ref_apply_step(name, state, obs, hyper, candidates, rng):
     L, K = state.L, state.K
     if name == gibbs.ASSIGN_POINTS:
-        z = ref_assign_points(state, obs, hyper, rng, include_outlier=True, use_features=True)
+        z = ref_assign_points(state, obs, hyper, rng)
         return state.replace(assignments=Assignments(z, state.z_H))
     if name == gibbs.ASSIGN_POINTS_SPATIAL:
         z = ref_assign_points(state, obs, hyper, rng, position_only=True)
@@ -312,9 +314,8 @@ def scene(dim, seed=0):
 
 
 def batched_step(name, state, obs, hyper, cands, rng):
-    schedule = gibbs.full_sweep_schedule(enable_outliers=True, enable_features=True)
     work = copy.copy(state)
-    gibbs._apply_step(name, work, obs, hyper, schedule, cands, rng)
+    gibbs._apply_step(name, work, obs, hyper, cands, rng)
     return work.replace()
 
 
@@ -358,10 +359,10 @@ def test_batched_step_matches_loop(dim, name):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_batched_scores_match_loop(dim):
     state, obs, hyper, cands = scene(dim, seed=10 + dim)
-    for kw in ({}, {"position_only": True},
-               {"include_outlier": True, "use_features": True}):
-        np.testing.assert_allclose(gibbs.point_assignment_log_probs(state, obs, hyper, **kw),
-                                   ref_point_log_probs(state, obs, hyper, **kw), **TOL)
+    for variant in ASSIGN_VARIANTS:
+        h, kw = variant_inputs(hyper, **variant)
+        np.testing.assert_allclose(gibbs.point_assignment_log_probs(state, obs, h, **kw),
+                                   ref_point_log_probs(state, obs, h, **kw), **TOL)
     np.testing.assert_allclose(gibbs.cluster_assignment_log_probs(state, hyper),
                                ref_cluster_log_probs(state, hyper), **TOL)
     for k in range(state.K):
@@ -401,8 +402,7 @@ def test_batched_sweeps_match_loop(dim):
     # the tracking order runs every step but features; features are appended
     state, obs, hyper, cands = scene(dim, seed=30 + dim)
     names = gibbs.tracking_frame_schedule().flatten() + (gibbs.PARTICLE_FEATURES,)
-    schedule = gibbs.SweepSchedule(steps=tuple(gibbs.Step(n) for n in names),
-                                   enable_outliers=True, enable_features=True)
+    schedule = gibbs.SweepSchedule(steps=tuple(gibbs.Step(n) for n in names))
     got = want = state
     for _ in range(3):
         got = gibbs.sweep(got, obs, hyper, schedule, cands)
@@ -431,11 +431,23 @@ def wide_scene(dim, L, N, seed=0, K=3):
             hyper)
 
 
+# the terms a variant scores: position only, positions and velocities, or
+# those with the outlier component and features
 ASSIGN_VARIANTS = [{"position_only": True}, {},
                    {"include_outlier": True, "use_features": True}]
 
 
-def assert_blocked_draw_matches_one_shot(state, obs, hyper, seed, **kw):
+def variant_inputs(hyper, position_only=False, include_outlier=False, use_features=False):
+    """The hyperparameters and keywords of an assignment variant.  The scores
+    take the outlier and feature terms from the model, so ``hyper`` loses the
+    terms the variant leaves out."""
+    hyper = hyper.replace(p_outlier=hyper.p_outlier if include_outlier else 0.0,
+                          sigma2_F=hyper.sigma2_F if use_features else None)
+    return hyper, {"position_only": position_only}
+
+
+def assert_blocked_draw_matches_one_shot(state, obs, hyper, seed, **variant):
+    hyper, kw = variant_inputs(hyper, **variant)
     rng_b, rng_o = np.random.default_rng(seed), np.random.default_rng(seed)
     got = gibbs.assign_points_to_particles(state, obs, hyper, rng_b, **kw)
     want = categorical_sample_rows(
@@ -472,8 +484,7 @@ def test_blocked_assignment_peak_memory_below_one_score_matrix():
     state, obs, hyper = wide_scene(2, L, N)
     tracemalloc.start()
     try:
-        gibbs.assign_points_to_particles(state, obs, hyper, np.random.default_rng(0),
-                                         include_outlier=True, use_features=True)
+        gibbs.assign_points_to_particles(state, obs, hyper, np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -493,9 +504,10 @@ def test_scores_match_loop_far_from_the_origin(dim):
     state = state.replace(mu_B=state.mu_B + SHIFT, vel=state.vel + SHIFT,
                           mu_H=state.mu_H + SHIFT, trans=state.trans + SHIFT)
     obs = Observations(obs.positions + SHIFT, obs.velocities + SHIFT, obs.features)
-    for kw in ASSIGN_VARIANTS:
-        np.testing.assert_allclose(gibbs.point_assignment_log_probs(state, obs, hyper, **kw),
-                                   ref_point_log_probs(state, obs, hyper, **kw), **TOL)
+    for variant in ASSIGN_VARIANTS:
+        h, kw = variant_inputs(hyper, **variant)
+        np.testing.assert_allclose(gibbs.point_assignment_log_probs(state, obs, h, **kw),
+                                   ref_point_log_probs(state, obs, h, **kw), **TOL)
     np.testing.assert_allclose(gibbs.cluster_assignment_log_probs(state, hyper),
                                ref_cluster_log_probs(state, hyper), **TOL)
 
@@ -504,6 +516,7 @@ def test_scores_match_loop_far_from_the_origin(dim):
 @pytest.mark.parametrize("kw", ASSIGN_VARIANTS)
 def test_assignment_of_an_empty_frame_draws_nothing(L, kw):
     state, obs, hyper = wide_scene(2, L, 20, K=1)
+    hyper, kw = variant_inputs(hyper, **kw)
     empty = obs.take(np.arange(0))
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
@@ -517,9 +530,10 @@ def test_assignment_of_an_empty_frame_draws_nothing(L, kw):
 @pytest.mark.parametrize("kw", ASSIGN_VARIANTS)
 def test_assignment_with_one_particle(kw):
     state, obs, hyper = wide_scene(2, 1, 20, K=1)
-    np.testing.assert_allclose(gibbs.point_assignment_log_probs(state, obs, hyper, **kw),
-                               ref_point_log_probs(state, obs, hyper, **kw), **TOL)
-    labels = gibbs.assign_points_to_particles(state, obs, hyper, np.random.default_rng(4), **kw)
+    h, opts = variant_inputs(hyper, **kw)
+    np.testing.assert_allclose(gibbs.point_assignment_log_probs(state, obs, h, **opts),
+                               ref_point_log_probs(state, obs, h, **opts), **TOL)
+    labels = gibbs.assign_points_to_particles(state, obs, h, np.random.default_rng(4), **opts)
     assert set(labels) <= {0, state.L}
     assert_blocked_draw_matches_one_shot(state, obs, hyper, seed=4, **kw)
 
@@ -572,21 +586,25 @@ def test_column_draw_rejects_a_row_without_admissible_column_like_row_draw():
         categorical_sample_rows(lw, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("kw", ASSIGN_VARIANTS)
-def test_column_scores_equal_row_scores_with_a_rank_one_covariance(dim, kw):
-    # a particle of two points gives a rank-one covariance, which chol_spd's
-    # jitter admits; its scores round the most
-    state, obs, hyper = wide_scene(dim, 8, 700, seed=dim)
+def rank_one_scene(dim, N):
+    """``wide_scene`` with particle 2's covariance rank one: a particle of two
+    points gives one, which chol_spd's jitter admits; its scores round the most."""
+    state, obs, hyper = wide_scene(dim, 8, N, seed=dim)
     d = np.linspace(0.3, -0.2, dim)
     Sigma_B = state.Sigma_B.copy()
     Sigma_B[2] = np.outer(d, d)
     assert np.linalg.cond(Sigma_B[2]) >= 1e16
-    state = state.replace(Sigma_B=Sigma_B)
+    return state.replace(Sigma_B=Sigma_B), obs, hyper
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kw", ASSIGN_VARIANTS)
+def test_column_scores_equal_row_scores_with_a_rank_one_covariance(dim, kw):
+    state, obs, hyper = rank_one_scene(dim, 700)
+    hyper, kw = variant_inputs(hyper, **kw)
     with np.errstate(divide="ignore"):
-        scores = gibbs._PointScores(state, obs, hyper, kw.get("position_only", False),
-                                    kw.get("include_outlier", False),
-                                    kw.get("use_features", False), gibbs._CovFactors(state))
+        scores = gibbs._PointScores(state, obs, hyper, kw["position_only"],
+                                    gibbs._CovFactors(state))
     whole = gibbs.point_assignment_log_probs(state, obs, hyper, **kw)
     for start, stop in ((0, 700), (3, 257), (257, 700), (698, 700), (0, 1), (699, 700)):
         block = scores.columns(start, stop, np.empty((scores.width, stop - start)))
@@ -597,6 +615,26 @@ def test_column_scores_equal_row_scores_with_a_rank_one_covariance(dim, kw):
         # rounds unlike the whole; every longer range gives the whole's entries
         if stop - start > 1:
             np.testing.assert_array_equal(block, whole.T[:, start:stop])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kw", ASSIGN_VARIANTS)
+def test_a_one_point_last_block_is_scored_like_the_whole(dim, kw, monkeypatch):
+    monkeypatch.setattr(gibbs, "_ASSIGN_BLOCK_ENTRIES", 200)
+    state, obs, hyper = rank_one_scene(dim, 700)
+    points = 200 // (state.L + 1 if kw.get("include_outlier") else state.L)
+    hyper, kw = variant_inputs(hyper, **kw)
+    obs = obs.take(np.arange(26 * points + 1))
+    blocks, draw = [], gibbs._categorical_sample_columns
+    monkeypatch.setattr(gibbs, "_categorical_sample_columns",
+                        lambda b, rng, keep: blocks.append(b.copy()) or draw(b, rng, keep))
+    rng_b, rng_o = np.random.default_rng(dim), np.random.default_rng(dim)
+    got = gibbs.assign_points_to_particles(state, obs, hyper, rng_b, **kw)
+    whole = gibbs.point_assignment_log_probs(state, obs, hyper, **kw)
+    assert [b.shape[1] for b in blocks] == [points] * 26 + [1]
+    np.testing.assert_array_equal(np.hstack(blocks), whole.T)
+    np.testing.assert_array_equal(got, categorical_sample_rows(whole, rng_o))
+    assert rng_b.bit_generator.state == rng_o.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -684,17 +722,12 @@ def test_transform_steps_match_loop_with_excluded_candidates(dim, name):
 
 def sweep_with_own_factors(state, obs, hyper, schedule, cands):
     """``gibbs.sweep`` with every step factoring its covariances for itself;
-    the steps that run draw from one stream in schedule order, frozen steps
-    draw nothing."""
+    the steps draw from one stream in schedule order."""
     work = copy.copy(state)
     rng = state.rng.stream(SWEEP)
     for name in schedule.flatten():
-        if name == gibbs.PARTICLE_COVS and schedule.freeze_Sigma_B:
-            continue
-        if name == gibbs.ASSIGN_PARTICLES and schedule.freeze_z_H:
-            continue
         with np.errstate(divide="ignore"):
-            gibbs._apply_step(name, work, obs, hyper, schedule, cands, rng)
+            gibbs._apply_step(name, work, obs, hyper, cands, rng)
     return work.replace(rng=state.rng.tick())
 
 
@@ -702,9 +735,8 @@ SHARED_FACTOR_SCHEDULES = {
     # two passes, so that later steps read covariances swapped earlier
     "full_twice": gibbs.SweepSchedule(
         steps=(gibbs.Block(gibbs.full_sweep_schedule().steps
-                           + (gibbs.Step(gibbs.PARTICLE_FEATURES),), repeat=2),),
-        enable_outliers=True, enable_features=True),
-    "tracking_frozen": gibbs.tracking_frame_schedule(freeze_Sigma_B=True),
+                           + (gibbs.Step(gibbs.PARTICLE_FEATURES),), repeat=2),)),
+    "tracking_frozen": TrackConfig(freeze_Sigma_B=True).frame_schedule(),
 }
 
 
@@ -746,8 +778,7 @@ def test_apply_step_drops_the_swapped_field_from_the_factors():
     work = copy.copy(state)
     factors = gibbs._CovFactors(work)
     before = {f: factors.chol(f)[0] for f in ("Sigma_B", "Sigma_V", "Sigma_H")}
-    sched = gibbs.full_sweep_schedule(enable_outliers=True, enable_features=True)
-    gibbs._apply_step(gibbs.PARTICLE_COVS, work, obs, hyper, sched, cands,
+    gibbs._apply_step(gibbs.PARTICLE_COVS, work, obs, hyper, cands,
                       np.random.default_rng(0), factors)
     assert factors.chol("Sigma_B")[0] is not before["Sigma_B"]
     np.testing.assert_array_equal(factors.chol("Sigma_B")[0],

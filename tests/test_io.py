@@ -180,8 +180,10 @@ def test_track_config_schedule_roundtrip():
             "particle_velocity_covs", "assign_particles", "cluster_weights",
             "cluster_means", "cluster_covs", "cluster_rotations", "cluster_translations"]}})
     assert back == cfg
-    assert back.frame_schedule() == tracking_frame_schedule(
-        freeze_z_H=True, freeze_Sigma_B=True)
+    # frozen z_H and Sigma_B leave their steps out
+    assert back.frame_schedule().flatten() == tuple(
+        n for n in tracking_frame_schedule().flatten()
+        if n not in ("particle_covs", "assign_particles"))
 
 
 @pytest.mark.parametrize("flag", ["freeze_z_H", "position_only_assignment"])

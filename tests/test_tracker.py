@@ -205,6 +205,20 @@ def test_track_gestalt_preset_runs_with_frozen_structure():
         np.testing.assert_array_equal(s.Sigma_B, states[0].Sigma_B)
 
 
+def test_frozen_quantities_are_steps_left_out_of_the_schedules():
+    from mattertrack.tracker import gestalt_track_config
+
+    cfg = gestalt_track_config()
+    names = cfg.frame_schedule().flatten()
+    assert "particle_covs" not in names and "assign_particles" not in names
+    # the other steps stay, inside the nested 500x block too
+    assert names.count("assign_points") == 20 + 500
+    assert names.count("cluster_covs") == 500
+    init = cfg.init_schedule().flatten()
+    assert "particle_covs" not in init and "assign_particles" in init
+    assert "particle_covs" in TrackConfig(freeze_Sigma_B=False).init_schedule().flatten()
+
+
 def test_track_rgb_preset_features_and_outliers():
     from mattertrack.tracker import rgb_track_config
 

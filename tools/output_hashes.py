@@ -8,13 +8,14 @@ Usage (from the repository root):
 Run it on two checkouts, say a parent commit and a change, and compare the
 printed lines: equal prefixes mean equal outputs.  A change to the sweep's
 random stream moves exactly the pieces that run ``gibbs.sweep``: geweke,
-sweeps, features, recovery, scale and track.  A change that only rounds the
-assignment scores differently moves exactly the track piece today: some of
-its scenes start from a rank-deficient ``Sigma_B`` (a particle of two points
-in D=2 gives a rank-one covariance, which ``chol_spd``'s jitter admits), and
-the scores' rounding error grows with the condition number (above 1e12
-there), enough to move a draw.  Every other piece's covariances are well
-conditioned, so its labels and states stay bitwise.  Each piece hashes every
+sweeps, features, gestalt, rgb, recovery, scale and track.  A change that
+only rounds the assignment scores differently can move only the track and
+rgb pieces: some of their scenes start from a rank-deficient ``Sigma_B`` (a
+particle of two points in D=2 gives a rank-one covariance, which
+``chol_spd``'s jitter admits), and the scores' rounding error grows with the
+condition number (above 1e12 there), enough to move a draw.  Every other
+piece's covariances are well conditioned, so its labels and states stay
+bitwise.  Each piece hashes every
 array of every state it produces (dtype, shape and bytes), the labels, the
 rng cursor of each state, and the bit-generator position of every Generator
 it drew from:
@@ -29,6 +30,14 @@ it drew from:
   assign       ``assign_points_to_particles`` labels and generator position at
                benchmark sizes, three seeds each: N=5000, L=100 in D=2 with and
                without outliers and features, and N=3000, L=30 in D=3 with them;
+  gestalt      ``track`` with ``gestalt_track_config(4, 2, 2)`` (frozen
+               ``Sigma_B`` and ``z_H``, a nested 2x block) on 3-frame static
+               and moving scenes, two seeds each;
+  rgb          ``track`` with ``rgb_track_config(5, 2)`` on 3-frame scenes with
+               features, outlier velocities and ``p_outlier`` = 0.1, three
+               seeds.  Libraries that switch the outlier term on from the
+               model score it in the frame-0 sweeps too, and hash apart from
+               those that took it from a flag there;
   kmeans       ``kmeans_pp`` centers, labels and generator position over
                random, clustered and duplicate-heavy points in D=1-3, K from 1
                to 100 and ``n_init`` 1-4, plus the D=1, K=2 calls of the
@@ -47,6 +56,11 @@ it drew from:
                older versions of the CLI also take, so ``--src`` can point at
                one.
 
+The ``features`` and ``assign`` pieces pass the outlier and feature flags of
+older libraries only where the called function takes them; newer libraries
+turn both terms on from the model, so the pieces build inputs whose model has
+exactly the terms the flags asked for.
+
 One BLAS thread is used, as in the benchmark.  The whole run takes under a
 minute on a 2-vCPU Xeon.
 """
@@ -59,6 +73,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -188,6 +203,12 @@ def _extras_hyper(dim: int):
         outlier_gamma_shape=2.0, outlier_gamma_rate=1.5)
 
 
+def _taken(func, **flags) -> dict:
+    """The entries of ``flags`` that ``func`` takes as keyword arguments."""
+    params = inspect.signature(func).parameters
+    return {k: v for k, v in flags.items() if k in params}
+
+
 def piece_features(d: Digest) -> None:
     from mattertrack import gibbs, model
     from mattertrack.distributions import make_transform_candidates
@@ -207,8 +228,9 @@ def piece_features(d: Digest) -> None:
         state = state.replace(assignments=Assignments(z_B, state.z_H), feat=feat)
         obs = Observations(obs.positions, obs.velocities, features)
         names = gibbs.full_sweep_schedule().flatten() + (gibbs.PARTICLE_FEATURES,)
-        schedule = gibbs.SweepSchedule(steps=tuple(gibbs.Step(n) for n in names),
-                                       enable_outliers=True, enable_features=True)
+        schedule = gibbs.SweepSchedule(
+            steps=tuple(gibbs.Step(n) for n in names),
+            **_taken(gibbs.SweepSchedule, enable_outliers=True, enable_features=True))
         for _ in range(20):
             state = gibbs.sweep(state, obs, hyper, schedule, cands)
             d.state(state)
@@ -221,7 +243,9 @@ def piece_assign(d: Digest) -> None:
     for dim, L, N, extras in ((2, 100, 5000, False), (2, 100, 5000, True), (3, 30, 3000, True)):
         hyper = _extras_hyper(dim)
         state, obs = model.sample_forward(hyper.replace(p_outlier=0.0), 3, L, N, 10 + dim)
-        if extras:
+        if not extras:
+            hyper = hyper.replace(p_outlier=0.0)
+        else:
             rng = np.random.default_rng(dim)
             feat = rng.standard_normal((L, 3))
             obs = Observations(obs.positions, obs.velocities,
@@ -229,9 +253,55 @@ def piece_assign(d: Digest) -> None:
             state = state.replace(feat=feat)
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            d.array(gibbs.assign_points_to_particles(
-                state, obs, hyper, rng, include_outlier=extras, use_features=extras))
+            flags = _taken(gibbs.assign_points_to_particles,
+                           include_outlier=extras, use_features=extras)
+            d.array(gibbs.assign_points_to_particles(state, obs, hyper, rng, **flags))
             d.generator(rng)
+
+
+def _tracking_hyper():
+    """Tracking hyperparameters as ``tests/test_tracker.py`` sets them."""
+    return _extras_hyper(2).replace(sigma2_mu_H=25.0, sigma2_V=1e-3, s2=0.01, kappa_vmf=8.0,
+                                    theta_max=np.pi / 8, sigma2_F=None, p_outlier=0.0)
+
+
+def piece_gestalt(d: Digest) -> None:
+    from mattertrack.synth import Body, SceneSpec, make_rigid_scene
+    from mattertrack.tracker import gestalt_track_config, track
+
+    cfg = gestalt_track_config(4, 2, 2)
+    static = (Body(kind="rect", center=(0.5, 0.5), size=(0.8, 0.8), num_dots=240),)
+    moving = (Body(kind="disk", center=(0.35, 1.5), size=0.16, num_dots=150,
+                   velocity=(0.15, 0.0)),
+              Body(kind="rect", center=(0.8, 0.45), size=(1.2, 0.8), num_dots=150))
+    for bodies, extent in ((static, ((0.0, 1.0), (0.0, 1.0))),
+                           (moving, ((0.0, 6.0), (0.0, 2.0)))):
+        spec = SceneSpec(bodies=bodies, extent=extent, frames=3, velocity_noise=0.004)
+        for seed in (6, 10):
+            frames, _ = make_rigid_scene(spec, seed)
+            for state in track(frames, K=2, L=8, hyper=_tracking_hyper(), cfg=cfg, seed=seed):
+                d.state(state)
+
+
+def piece_rgb(d: Digest) -> None:
+    from mattertrack.tracker import rgb_track_config, track
+    from mattertrack.types import Observations
+
+    hyper = _tracking_hyper().replace(sigma2_F=0.1, p_outlier=0.1, outlier_gamma_shape=2.0,
+                                      outlier_gamma_rate=1.0)
+    for seed in (7, 8, 9):
+        rng = np.random.default_rng(4 + seed)
+        frames = []
+        for _ in range(3):
+            pos = np.vstack([rng.normal(0, 0.2, (40, 2)), rng.normal(3, 0.2, (40, 2))])
+            vel = np.vstack([np.tile([0.1, 0.0], (40, 1)), np.zeros((40, 2))])
+            vel += 0.004 * rng.standard_normal(vel.shape)
+            vel[:2] = 4.0   # junk velocities for the outlier component
+            feat = np.vstack([np.full((40, 2), 1.0), np.full((40, 2), -1.0)])
+            frames.append(Observations(pos, vel, feat + 0.05 * rng.standard_normal(feat.shape)))
+        for state in track(frames, K=2, L=8, hyper=hyper, cfg=rgb_track_config(5, 2),
+                           seed=seed):
+            d.state(state)
 
 
 def _kmeans_inputs(dim: int):
@@ -361,6 +431,8 @@ PIECES = {
     "features": piece_features,
     "assign": piece_assign,
     "kmeans": piece_kmeans,
+    "gestalt": piece_gestalt,
+    "rgb": piece_rgb,
     "recovery": _bench_piece("recovery"),
     "scale": _bench_piece("scale"),
     "track": _bench_piece("track"),
