@@ -97,6 +97,13 @@ def _resume_record(path: str, frames: list, rate: float, num_clusters: int,
     return last
 
 
+def _note_unscored_features(frames: list, hyper) -> None:
+    """Say on stderr when the observations carry features that no term scores."""
+    if hyper.sigma2_F is None and any(f.features is not None for f in frames):
+        click.echo("note: the observations carry features, but sigma2_F is unset, "
+                   "so the feature term is not scored", err=True)
+
+
 @click.group()
 def main() -> None:
     """Generative clustering and tracking of moving point matter."""
@@ -179,6 +186,7 @@ def fit(obs_path, num_clusters, num_particles, sweeps, seed, config_path,
     state, hyper = start(obs, num_clusters, num_particles, hyper, tcfg, seed, candidates,
                          derive_hyper=auto_hyper,
                          init_proposal=flow_split_proposal if flow_split else None)
+    _note_unscored_features([obs], hyper)
     mio.write_states(out_path, [state], hyper=hyper)
     if plot_path:
         render_frame_svg(state, obs, plot_path)
@@ -227,6 +235,7 @@ def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsampl
                              derive_hyper=auto_hyper,
                              init_proposal=flow_split_proposal if flow_split else None)
         states, first_t = [state], 0
+    _note_unscored_features(frames, hyper)
     # track from the frame after `state`
     states += track(frames, num_clusters, num_particles, hyper, tcfg, seed,
                     candidates=candidates, derive_hyper=False,

@@ -20,17 +20,20 @@ scored from per-cluster moments rather than candidate by candidate.
 Draw-order contract: a sweep draws from one stream, keyed by the state's rng
 cursor alone (``state.rng.stream(SWEEP)``).  The steps take their variates
 from it one after another in schedule order; a step left out takes none.
-Each step takes exactly the variates, in exactly the order, that a loop over components would take from the stream, so a
-seeded chain does not depend on how a step is vectorized.  Gaussian steps
-draw one ``standard_normal((n, D))`` block, equal to n calls of
-``standard_normal(D)``.  Inverse-Wishart steps draw their Bartlett variates
-component by component, interleaving chi-square and normal draws as
-``inverse_wishart_sample`` does.  Transform steps draw one uniform per
-cluster in cluster order (one ``rng.random(K)`` call, equal to K
-``categorical_sample`` calls), and assignment steps one uniform per row.  Point
-assignment scores and draws blocks of points column-major, one row per particle,
-and takes each block's uniforms in point order, so the variates still equal
-one ``rng.random((N, 1))`` call and the stream ends at the same position.
+Each step takes a fixed number of variates in a fixed order, so a seeded
+chain is reproducible.  Gaussian steps draw one ``standard_normal((n, D))``
+block, equal to n calls of ``standard_normal(D)``.  Inverse-Wishart steps
+make two calls for all n components: ``chisquare`` of shape (n, D), the
+Bartlett diagonal with component l's row i at nu_l - i degrees of freedom,
+then ``standard_normal`` of shape (n, D(D-1)/2), each component's strictly
+lower triangle row by row ((1,0), (2,0), (2,1)).  This is not the order of
+``inverse_wishart_sample``, which interleaves the two per component.
+Transform steps draw one uniform per cluster in cluster order (one
+``rng.random(K)`` call, equal to K ``categorical_sample`` calls), and
+assignment steps one uniform per row.  Point assignment scores and draws
+blocks of points column-major, one row per particle, and takes each block's
+uniforms in point order, so the variates still equal one
+``rng.random((N, 1))`` call and the stream ends at the same position.
 
 The ``*_conditional`` / ``*_posterior`` / ``*_log_probs`` helpers expose one
 component's slice of these kernels so tests can check them against closed
@@ -47,7 +50,6 @@ import numpy as np
 from . import rng as rngmod
 from .distributions import (
     TransformCandidates,
-    _bartlett_fill,
     _categorical_cdf,
     _categorical_from_cdf,
     _categorical_sample_columns,
@@ -307,19 +309,23 @@ def _mvn_sample_stack(means: np.ndarray, covs: np.ndarray,
 
 def _inverse_wishart_stack(psi: np.ndarray, nu: np.ndarray,
                            rng: np.random.Generator) -> np.ndarray:
-    """One IW(psi_i, nu_i) draw per component, equal to ``inverse_wishart_sample``
-    called component by component.
+    """One IW(psi_l, nu_l) draw per component from two stacked Bartlett draws.
 
-    The Bartlett variates interleave chi-square and normal draws within a
-    component, so they are drawn in a scalar loop; the algebra is stacked.
+    ``rng.chisquare`` of shape (n, D) gives the diagonal, row i of component l
+    with nu_l - i degrees of freedom; ``rng.standard_normal`` of shape
+    (n, D(D-1)/2) fills each strictly lower triangle row by row, in
+    ``np.tril_indices(D, -1)`` order.  The factor is filled with basic
+    slices, which at Geweke size (n = 2-4) cost less than fancy indexing.
+    ``HyperParams`` floors every prior dof at D + 2, so each nu_l is valid.
     """
     n, d, _ = psi.shape
-    if not np.all(nu > d - 1):
-        raise ValidationError(f"nu must exceed dim - 1 = {d - 1}, got {nu.min()}")
     scale = chol_spd_stack(spd_inverse_stack(psi))
+    chi2 = rng.chisquare(nu[:, None] - np.arange(d))
+    normals = rng.standard_normal((n, d * (d - 1) // 2))
     bartlett = np.zeros((n, d, d))
-    for a, dof in zip(bartlett, nu):
-        _bartlett_fill(a, dof, rng)
+    bartlett.reshape(n, d * d)[:, ::d + 1] = np.sqrt(chi2)
+    for i in range(1, d):
+        bartlett[:, i, :i] = normals[:, i * (i - 1) // 2:i * (i + 1) // 2]
     c_inv = tril_inverse_stack(scale @ bartlett)
     out = np.einsum("nki,nkj->nij", c_inv, c_inv)
     return 0.5 * (out + np.swapaxes(out, 1, 2))

@@ -531,11 +531,22 @@ def feature_file(tmp_path):
 
 
 def test_fit_on_a_feature_bearing_file_with_the_default_config(tmp_path):
-    # the feature term follows the model: without sigma2_F it is off
+    # the feature term follows the model: without sigma2_F it is off, and says so
     out = tmp_path / "fit.jsonl"
-    run_cli(["fit", "--obs", str(feature_file(tmp_path)), "-K", "2", "-L", "4",
-             "--sweeps", "3", "--out", str(out)])
+    result = run_cli(["fit", "--obs", str(feature_file(tmp_path)), "-K", "2", "-L", "4",
+                      "--sweeps", "3", "--out", str(out)])
     assert mio.read_states(out)[0].state.N == 40
+    assert result.stderr == ("note: the observations carry features, but sigma2_F is "
+                             "unset, so the feature term is not scored\n")
+
+
+def test_track_notes_unscored_features_only_without_sigma2_F(tmp_path):
+    obs = str(feature_file(tmp_path))
+    args = ["track", "--obs", obs, "-K", "2", "-L", "4", "--out", str(tmp_path / "t.jsonl")]
+    assert "sigma2_F is unset" in run_cli(args).stderr
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"hyper": {"sigma2_F": 0.3}, "track": {"init_sweeps": 2}}))
+    assert run_cli(args + ["--config", str(conf)]).stderr == ""
 
 
 def test_fit_samples_particle_covariances_at_frame_zero(tmp_path, monkeypatch):

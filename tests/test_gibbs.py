@@ -276,6 +276,38 @@ def test_particle_cov_prior_fallback_moments():
     assert np.all(np.linalg.eigvalsh(draws) > 0)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_particle_cov_step_moments_with_distinct_dof(dim):
+    # four kinds of particle, each with its own members, so each has its own
+    # posterior IW(psi, nu); the kinds are interleaved over 4 * reps particles
+    counts = (0, 2, 5, 11)
+    reps = 2500
+    rng = np.random.default_rng(40 + dim)
+    offsets = [rng.standard_normal((m, dim)) * 0.3 for m in counts]
+    hyper = diag_hyper(dim, psi_b=0.5).replace(nu_B=dim + 6.0)
+    L = len(counts) * reps
+    kind = np.arange(L) % len(counts)
+    z_B = np.concatenate([np.full(counts[c], ell) for ell, c in enumerate(kind)])
+    x = np.concatenate([offsets[c] for c in kind])
+    eye = np.eye(dim)
+    state = make_state(
+        mu_B=np.zeros((L, dim)), Sigma_B=np.broadcast_to(eye, (L, dim, dim)),
+        vel=np.zeros((L, dim)), Sigma_V=np.broadcast_to(eye, (L, dim, dim)),
+        pi_B=np.full(L, 1 / L), mu_H=[np.zeros(dim)], Sigma_H=[eye], rot=[eye],
+        trans=[np.zeros(dim)], pi_H=[1.0], z_B=z_B, z_H=np.zeros(L, dtype=int))
+    obs = Observations(x, np.zeros_like(x))
+    draws = update_particle_covariances(state, obs, hyper, np.random.default_rng(dim))
+    for c, (m, off) in enumerate(zip(counts, offsets)):
+        psi, nu = hyper.Psi_B + off.T @ off, hyper.nu_B + m
+        q = nu - dim
+        # entrywise mean and variance of IW(psi, nu)
+        mean = psi / (q - 1)
+        var = ((q + 1) * psi ** 2 + (q - 1) * np.outer(np.diag(psi), np.diag(psi))) / (
+            q * (q - 1) ** 2 * (q - 3))
+        z = (draws[kind == c].mean(axis=0) - mean) / np.sqrt(var / reps)
+        assert np.abs(z).max() < 4.5, (m, z)
+
+
 # ---------------------------------------------------------------------------
 # particle velocity means and covariances
 # ---------------------------------------------------------------------------

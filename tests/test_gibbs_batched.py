@@ -5,7 +5,9 @@ Python iteration per particle, cluster or transform candidate, built from the
 single-matrix distribution helpers.  Each batched step must reproduce them
 under the same ``np.random.default_rng(seed)``: equal labels and candidate
 indices, continuous outputs within 1e-10, and the stream left at the same
-position.  That pins the draw-order contract of ``mattertrack.gibbs``.
+position.  That pins the draw-order contract of ``mattertrack.gibbs``; the
+inverse-Wishart reference takes its Bartlett variates in that contract's
+stacked order, one scalar at a time.
 The blocked point-assignment draw must equal the one-shot draw over the
 whole score matrix, label for label, and the column-major draw and score
 blocks the row-major ones, bit for bit.  The transform steps' one-pass draw
@@ -27,9 +29,9 @@ from mattertrack.distributions import (
     _categorical_sample_columns,
     categorical_sample,
     categorical_sample_rows,
+    chol_spd,
     dirichlet_sample,
     gamma_logpdf,
-    inverse_wishart_sample,
     isotropic_logpdf_rows,
     make_transform_candidates,
     moments_from_precision,
@@ -179,7 +181,23 @@ def ref_gaussian_draws(conds, rng):
 
 
 def ref_iw_draws(posteriors, rng):
-    return np.stack([inverse_wishart_sample(psi, nu, rng) for psi, nu in posteriors])
+    """One IW(psi, nu) draw per component, Bartlett variates one scalar at a
+    time: every component's chi-square diagonal (row i at nu - i), then every
+    component's strictly lower triangle row by row."""
+    d = posteriors[0][0].shape[0]
+    bartlett = [np.zeros((d, d)) for _ in posteriors]
+    for a, (_, nu) in zip(bartlett, posteriors):
+        for i in range(d):
+            a[i, i] = np.sqrt(rng.chisquare(nu - i))
+    for a in bartlett:
+        for i, j in zip(*np.tril_indices(d, -1)):
+            a[i, j] = rng.standard_normal()
+    draws = []
+    for a, (psi, _) in zip(bartlett, posteriors):
+        c_inv = np.linalg.inv(chol_spd(spd_inverse(psi)) @ a)
+        out = c_inv.T @ c_inv
+        draws.append(0.5 * (out + out.T))
+    return np.stack(draws)
 
 
 def ref_particle_features(state, obs):

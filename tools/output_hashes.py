@@ -8,7 +8,8 @@ Usage (from the repository root):
 Run it on two checkouts, say a parent commit and a change, and compare the
 printed lines: equal prefixes mean equal outputs.  A change to the sweep's
 random stream moves exactly the pieces that run ``gibbs.sweep``: geweke,
-sweeps, features, gestalt, rgb, recovery, scale and track.  A change that
+sweeps, features, gestalt, rgb, recovery, scale, track and cli (whose
+``fit`` and ``track`` runs sweep).  A change that
 only rounds the assignment scores differently can move only the track and
 rgb pieces: some of their scenes start from a rank-deficient ``Sigma_B`` (a
 particle of two points in D=2 gives a rank-one covariance, which
