@@ -3,7 +3,10 @@
 Gaussian log densities go through triangular (Cholesky) factorizations; the
 Inverse-Wishart sampler uses the Bartlett decomposition of the Wishart of the
 inverse scale.  All categorical arithmetic is done in log space with
-max-subtraction.
+max-subtraction.  The samplers draw whole stacks in a fixed number of
+generator calls (``inverse_wishart_stack``, ``mvn_sample_stack``,
+``categorical_sample_rows`` and ``categorical_sample_wide_rows``), and both
+``model.sample_forward`` and ``gibbs.sweep`` draw through them.
 """
 from __future__ import annotations
 
@@ -14,7 +17,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtrs
 from scipy.special import gammaln, logsumexp, multigammaln, xlogy
 
 from .types import NumericalDomainError, ValidationError, check_dim
@@ -54,35 +56,10 @@ def chol_spd(cov: np.ndarray) -> np.ndarray:
 
 
 def spd_inverse(cov: np.ndarray) -> np.ndarray:
-    inv_l = _tril_inverses(chol_spd(np.asarray(cov, dtype=np.float64))[None])[0]
-    inv = inv_l.T @ inv_l
-    return 0.5 * (inv + inv.T)
-
-
-def _tril_inverses(factors: np.ndarray) -> np.ndarray:
-    """Inverses of a (n, D, D) stack of lower-triangular factors, one LAPACK
-    ``dtrtrs`` call each.
-
-    Each inverse equals ``solve_triangular(factor, eye, lower=True)`` bit for
-    bit: that function solves the transposed, upper-triangular system of a
-    C-ordered factor through the same ``dtrtrs`` call, which is made here
-    without its per-call argument handling.  Raises ValueError on a
-    non-finite factor and LinAlgError on a singular one, as
-    ``solve_triangular`` does.
-    """
-    factors = np.asarray(factors, dtype=np.float64)
-    if not np.all(np.isfinite(factors)):
+    cov = np.asarray(cov, dtype=np.float64)
+    if not np.all(np.isfinite(cov)):  # np.linalg.cholesky factors them silently
         raise ValueError("array must not contain infs or NaNs")
-    n, d, _ = factors.shape
-    eye = np.eye(d)
-    out = np.empty((n, d, d))
-    for i, factor in enumerate(factors):
-        inv, info = dtrtrs(factor.T, eye, lower=0, trans=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"singular matrix: resolution failed at diagonal {info - 1}")
-        out[i] = inv
-    return out
+    return spd_inverse_stack(cov[None])[0]
 
 
 def chol_spd_stack(covs: np.ndarray) -> np.ndarray:
@@ -266,6 +243,14 @@ def mvn_sample(mean, cov, rng: np.random.Generator, size: int | None = None) -> 
     return mean + rng.standard_normal((size, mean.size)) @ L.T
 
 
+def mvn_sample_stack(means: np.ndarray, covs: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """One draw per row of ``means`` (n, D) from the (n, D, D) ``covs``, equal
+    to ``mvn_sample`` called row by row: one ``standard_normal((n, D))`` call."""
+    noise = rng.standard_normal(means.shape)
+    return means + np.einsum("nij,nj->ni", chol_spd_stack(covs), noise)
+
+
 def moments_from_precision(m_vec: np.ndarray, precision: np.ndarray):
     """(mean, covariance) of the Gaussian N(P^{-1} m, P^{-1})."""
     cov = spd_inverse(precision)
@@ -278,57 +263,41 @@ def moments_from_precision(m_vec: np.ndarray, precision: np.ndarray):
 
 def inverse_wishart_sample(Psi: np.ndarray, nu: float, rng: np.random.Generator,
                            size: int | None = None) -> np.ndarray:
-    """Draw from IW(Psi, nu) via Bartlett decomposition of the inverse Wishart."""
+    """Draw from IW(Psi, nu): one ``inverse_wishart_stack`` draw, or ``size`` of them."""
     Psi = np.asarray(Psi, dtype=np.float64)
     d = Psi.shape[0]
     if not nu > d - 1:
         raise ValidationError(f"nu must exceed dim - 1 = {d - 1}, got {nu}")
-    return _inverse_wishart_draw(chol_spd(spd_inverse(Psi)), nu, rng, size)
+    if not np.all(np.isfinite(Psi)):
+        raise ValueError("array must not contain infs or NaNs")
+    draws = inverse_wishart_stack(Psi[None], np.full(1 if size is None else int(size), nu), rng)
+    return draws[0] if size is None else draws
 
 
-def _inverse_wishart_draw(Ls: np.ndarray, nu: float, rng: np.random.Generator,
-                          size: int | None = None) -> np.ndarray:
-    """``inverse_wishart_sample`` given ``Ls``, the Cholesky factor of Psi^-1,
-    for callers that draw many times from one scale."""
-    d = Ls.shape[0]
-    if size is None:
-        bartlett = np.zeros((1, d, d))
-        _bartlett_fill(bartlett[0], nu, rng)
-        return _inverse_wishart_from_bartlett(Ls, bartlett)[0]
-    n = int(size)
-    A = np.zeros((n, d, d))
-    for i in range(d):
-        A[:, i, i] = np.sqrt(rng.chisquare(nu - i, size=n))
-        for j in range(i):
-            A[:, i, j] = rng.standard_normal(n)
-    C = Ls[None, :, :] @ A
-    c_inv = np.linalg.inv(C)
+def inverse_wishart_stack(psi: np.ndarray, nu: np.ndarray,
+                          rng: np.random.Generator) -> np.ndarray:
+    """One IW(psi_l, nu_l) draw per entry of ``nu`` (n,), from two stacked
+    Bartlett draws.
+
+    ``psi`` is (n, D, D), or one (1, D, D) scale for every draw.  With A the
+    Bartlett factor and Ls the Cholesky factor of psi^-1, a draw is
+    (C C^T)^-1 for C = Ls A.  ``rng.chisquare`` of shape (n, D) gives A's
+    diagonal, row i of draw l with nu_l - i degrees of freedom;
+    ``rng.standard_normal`` of shape (n, D(D-1)/2) fills each strictly lower
+    triangle row by row, in ``np.tril_indices(D, -1)`` order.  The factor is
+    filled with basic slices, which at Geweke size (n = 2-4) cost less than
+    fancy indexing.  Every nu_l must exceed D - 1.
+    """
+    n, d = len(nu), psi.shape[-1]
+    scale = chol_spd_stack(spd_inverse_stack(psi))
+    chi2 = rng.chisquare(nu[:, None] - np.arange(d))
+    normals = rng.standard_normal((n, d * (d - 1) // 2))
+    bartlett = np.zeros((n, d, d))
+    bartlett.reshape(n, d * d)[:, ::d + 1] = np.sqrt(chi2)
+    for i in range(1, d):
+        bartlett[:, i, :i] = normals[:, i * (i - 1) // 2:i * (i + 1) // 2]
+    c_inv = tril_inverse_stack(scale @ bartlett)
     out = np.einsum("nki,nkj->nij", c_inv, c_inv)
-    return 0.5 * (out + np.transpose(out, (0, 2, 1)))
-
-
-def _bartlett_fill(a: np.ndarray, nu: float, rng: np.random.Generator) -> None:
-    """Bartlett variates of one Wishart(nu) draw into the zeroed (D, D) ``a``.
-
-    Row by row: the chi-square diagonal entry, then the normals left of it,
-    the order in which one ``inverse_wishart_sample`` call takes them.
-    """
-    for i in range(a.shape[0]):
-        a[i, i] = math.sqrt(rng.chisquare(nu - i))
-        for j in range(i):
-            a[i, j] = rng.standard_normal()
-
-
-def _inverse_wishart_from_bartlett(Ls: np.ndarray, bartlett: np.ndarray) -> np.ndarray:
-    """IW draws (C C^T)^-1, C = Ls A, for a (n, D, D) stack of Bartlett factors A.
-
-    ``Ls`` is the Cholesky factor of Psi^-1.  Each draw equals the single
-    draw of ``inverse_wishart_sample`` from the same variates, bit for bit:
-    the products are stacked ``matmul`` calls, which compute each matrix as
-    the single product does, and C is inverted by ``_tril_inverses``.
-    """
-    c_inv = _tril_inverses(Ls[None] @ bartlett)
-    out = np.swapaxes(c_inv, 1, 2) @ c_inv
     return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
@@ -392,31 +361,24 @@ def categorical_sample(log_weights: np.ndarray, rng: np.random.Generator) -> int
     return int(np.searchsorted(c, rng.random() * c[-1], side="right").clip(0, len(p) - 1))
 
 
-def _categorical_cdf(log_weights: np.ndarray) -> np.ndarray:
-    """Cumulative normalized weights along the last axis, built as
-    ``categorical_sample`` builds them for one row."""
+def categorical_sample_wide_rows(log_weights: np.ndarray,
+                                rng: np.random.Generator) -> np.ndarray:
+    """One label per row of a (n, M) log-weight matrix, equal to
+    ``categorical_sample`` called row by row (the count of cumulative weights
+    at or below u * total, clipped to the last column), with one uniform per
+    row from a single ``rng.random(n)`` call.  Every pass runs along the rows:
+    the kernel for few rows of many columns, such as the transform grids,
+    where ``categorical_sample_rows`` would loop once per column.
+    """
     lw = np.asarray(log_weights, dtype=np.float64)
-    m = lw.max(axis=-1, keepdims=True)
+    m = lw.max(axis=1, keepdims=True)
     if not np.isfinite(m).all():
         raise ValidationError("no admissible component: all log weights are -inf")
-    p = np.exp(lw - m)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p.cumsum(axis=-1)
-
-
-def _categorical_from_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Labels for the uniforms ``u`` (n,), from one (M,) ``cdf`` or one row of a
-    (n, M) ``cdf`` each.
-
-    The label is the count of cumulative weights at or below u * total,
-    clipped to the last column: ``categorical_sample``'s right-sided
-    ``searchsorted``, so row k with ``u[k]`` gives the label of the k-th of
-    n ``categorical_sample`` calls that drew ``u[k]``.
-    """
-    cdf = np.atleast_2d(cdf)
-    target = u * cdf[:, -1]
-    counts = (cdf <= target[:, None]).sum(axis=1)
-    return np.minimum(counts, cdf.shape[1] - 1)
+    cdf = np.exp(lw - m)
+    cdf /= cdf.sum(axis=1, keepdims=True)
+    cdf = cdf.cumsum(axis=1)
+    target = rng.random(len(cdf)) * cdf[:, -1]
+    return np.minimum((cdf <= target[:, None]).sum(axis=1), cdf.shape[1] - 1)
 
 
 def categorical_sample_rows(log_weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -21,19 +21,21 @@ Draw-order contract: a sweep draws from one stream, keyed by the state's rng
 cursor alone (``state.rng.stream(SWEEP)``).  The steps take their variates
 from it one after another in schedule order; a step left out takes none.
 Each step takes a fixed number of variates in a fixed order, so a seeded
-chain is reproducible.  Gaussian steps draw one ``standard_normal((n, D))``
-block, equal to n calls of ``standard_normal(D)``.  Inverse-Wishart steps
-make two calls for all n components: ``chisquare`` of shape (n, D), the
-Bartlett diagonal with component l's row i at nu_l - i degrees of freedom,
-then ``standard_normal`` of shape (n, D(D-1)/2), each component's strictly
-lower triangle row by row ((1,0), (2,0), (2,1)).  This is not the order of
-``inverse_wishart_sample``, which interleaves the two per component.
-Transform steps draw one uniform per cluster in cluster order (one
-``rng.random(K)`` call, equal to K ``categorical_sample`` calls), and
-assignment steps one uniform per row.  Point assignment scores and draws
-blocks of points column-major, one row per particle, and takes each block's
-uniforms in point order, so the variates still equal one
-``rng.random((N, 1))`` call and the stream ends at the same position.
+chain is reproducible.  The stacked draws are ``distributions``' kernels,
+which ``model.sample_forward`` shares.  Gaussian steps draw through
+``mvn_sample_stack``: one ``standard_normal((n, D))`` block, equal to n
+calls of ``standard_normal(D)``.  Inverse-Wishart steps draw through
+``inverse_wishart_stack``, two calls for all n components: ``chisquare`` of
+shape (n, D), the Bartlett diagonal with component l's row i at nu_l - i
+degrees of freedom, then ``standard_normal`` of shape (n, D(D-1)/2), each
+component's strictly lower triangle row by row ((1,0), (2,0), (2,1)).
+Transform steps draw one uniform per cluster in cluster order
+(``categorical_sample_wide_rows``: one ``rng.random(K)`` call, equal to K
+``categorical_sample`` calls), and assignment steps one uniform per row.
+Point assignment scores and draws blocks of points column-major, one row
+per particle, and takes each block's uniforms in point order, so the
+variates still equal one ``rng.random((N, 1))`` call and the stream ends at
+the same position.
 
 The ``*_conditional`` / ``*_posterior`` / ``*_log_probs`` helpers expose one
 component's slice of these kernels so tests can check them against closed
@@ -50,16 +52,17 @@ import numpy as np
 from . import rng as rngmod
 from .distributions import (
     TransformCandidates,
-    _categorical_cdf,
-    _categorical_from_cdf,
     _categorical_sample_columns,
     _spd_inverse_from_tril,
     categorical_sample_rows,
+    categorical_sample_wide_rows,
     chol_spd_stack,
     dirichlet_sample,
     expand_gaussians,
     gamma_logpdf,
+    inverse_wishart_stack,
     isotropic_logpdf_rows,
+    mvn_sample_stack,
     spd_inverse_stack,
     tril_inverse_stack,
 )
@@ -215,7 +218,7 @@ def tracking_frame_schedule() -> SweepSchedule:
 
 
 # --------------------------------------------------------------------------
-# Covariance factors, sufficient statistics and stacked draws
+# Covariance factors and sufficient statistics
 # --------------------------------------------------------------------------
 
 class _CovFactors:
@@ -300,48 +303,10 @@ def _gaussians_from_precision(m_vec: np.ndarray,
     return np.einsum("nij,nj->ni", cov, m_vec), cov
 
 
-def _mvn_sample_stack(means: np.ndarray, covs: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    """One draw per row, equal to ``mvn_sample`` called row by row."""
-    noise = rng.standard_normal(means.shape)
-    return means + np.einsum("nij,nj->ni", chol_spd_stack(covs), noise)
-
-
-def _inverse_wishart_stack(psi: np.ndarray, nu: np.ndarray,
-                           rng: np.random.Generator) -> np.ndarray:
-    """One IW(psi_l, nu_l) draw per component from two stacked Bartlett draws.
-
-    ``rng.chisquare`` of shape (n, D) gives the diagonal, row i of component l
-    with nu_l - i degrees of freedom; ``rng.standard_normal`` of shape
-    (n, D(D-1)/2) fills each strictly lower triangle row by row, in
-    ``np.tril_indices(D, -1)`` order.  The factor is filled with basic
-    slices, which at Geweke size (n = 2-4) cost less than fancy indexing.
-    ``HyperParams`` floors every prior dof at D + 2, so each nu_l is valid.
-    """
-    n, d, _ = psi.shape
-    scale = chol_spd_stack(spd_inverse_stack(psi))
-    chi2 = rng.chisquare(nu[:, None] - np.arange(d))
-    normals = rng.standard_normal((n, d * (d - 1) // 2))
-    bartlett = np.zeros((n, d, d))
-    bartlett.reshape(n, d * d)[:, ::d + 1] = np.sqrt(chi2)
-    for i in range(1, d):
-        bartlett[:, i, :i] = normals[:, i * (i - 1) // 2:i * (i + 1) // 2]
-    c_inv = tril_inverse_stack(scale @ bartlett)
-    out = np.einsum("nki,nkj->nij", c_inv, c_inv)
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
-
-
 def _isotropic_sum_loglik(counts: np.ndarray, sq: np.ndarray, d: int,
                           var: float) -> np.ndarray:
     """Summed log N(r; 0, var I) of ``counts`` D-vectors whose squared norms sum to ``sq``."""
     return -0.5 * (counts[:, None] * (d * (_LOG_2PI + math.log(var))) + sq / var)
-
-
-def _draw_rows(log_weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One label per row of ``log_weights``, equal to ``categorical_sample``
-    called row by row: the same arithmetic per row and one uniform per row,
-    in row order, from a single ``rng.random(n)`` call."""
-    return _categorical_from_cdf(_categorical_cdf(log_weights), rng.random(len(log_weights)))
 
 
 # --------------------------------------------------------------------------
@@ -492,7 +457,7 @@ def particle_mean_conditional(state: ModelState, obs: Observations, hyper: Hyper
 def update_particle_means(state: ModelState, obs: Observations, hyper: HyperParams,
                           rng: np.random.Generator, *,
                           factors: _CovFactors | None = None) -> np.ndarray:
-    return _mvn_sample_stack(*_particle_mean_conditionals(state, obs, hyper, factors), rng)
+    return mvn_sample_stack(*_particle_mean_conditionals(state, obs, hyper, factors), rng)
 
 
 def _particle_cov_posteriors(state: ModelState, obs: Observations,
@@ -510,7 +475,7 @@ def particle_cov_posterior(state: ModelState, obs: Observations, hyper: HyperPar
 
 def update_particle_covariances(state: ModelState, obs: Observations, hyper: HyperParams,
                                 rng: np.random.Generator) -> np.ndarray:
-    return _inverse_wishart_stack(*_particle_cov_posteriors(state, obs, hyper), rng)
+    return inverse_wishart_stack(*_particle_cov_posteriors(state, obs, hyper), rng)
 
 
 def _velocity_mean_conditionals(state: ModelState, obs: Observations, hyper: HyperParams,
@@ -537,7 +502,7 @@ def velocity_mean_conditional(state: ModelState, obs: Observations, hyper: Hyper
 def update_particle_velocity_means(state: ModelState, obs: Observations, hyper: HyperParams,
                                    rng: np.random.Generator, *,
                                    factors: _CovFactors | None = None) -> np.ndarray:
-    return _mvn_sample_stack(*_velocity_mean_conditionals(state, obs, hyper, factors), rng)
+    return mvn_sample_stack(*_velocity_mean_conditionals(state, obs, hyper, factors), rng)
 
 
 def _velocity_cov_posteriors(state: ModelState, obs: Observations,
@@ -555,7 +520,7 @@ def velocity_cov_posterior(state: ModelState, obs: Observations, hyper: HyperPar
 def update_particle_velocity_covariances(state: ModelState, obs: Observations,
                                          hyper: HyperParams,
                                          rng: np.random.Generator) -> np.ndarray:
-    return _inverse_wishart_stack(*_velocity_cov_posteriors(state, obs, hyper), rng)
+    return inverse_wishart_stack(*_velocity_cov_posteriors(state, obs, hyper), rng)
 
 
 def update_particle_features(state: ModelState, obs: Observations) -> np.ndarray:
@@ -643,7 +608,7 @@ def cluster_mean_conditional(state: ModelState, hyper: HyperParams,
 def update_cluster_means(state: ModelState, hyper: HyperParams,
                          rng: np.random.Generator, *,
                          factors: _CovFactors | None = None) -> np.ndarray:
-    return _mvn_sample_stack(*_cluster_mean_conditionals(state, hyper, factors), rng)
+    return mvn_sample_stack(*_cluster_mean_conditionals(state, hyper, factors), rng)
 
 
 def _cluster_cov_posteriors(state: ModelState,
@@ -660,7 +625,7 @@ def cluster_cov_posterior(state: ModelState, hyper: HyperParams,
 
 def update_cluster_covariances(state: ModelState, hyper: HyperParams,
                                rng: np.random.Generator) -> np.ndarray:
-    return _inverse_wishart_stack(*_cluster_cov_posteriors(state, hyper), rng)
+    return inverse_wishart_stack(*_cluster_cov_posteriors(state, hyper), rng)
 
 
 # --------------------------------------------------------------------------
@@ -697,7 +662,7 @@ def update_cluster_rotations(state: ModelState, hyper: HyperParams,
                              candidates: TransformCandidates,
                              rng: np.random.Generator) -> np.ndarray:
     scores = _rotation_log_probs(state, hyper, candidates)
-    return candidates.rotations[_draw_rows(scores, rng)]
+    return candidates.rotations[categorical_sample_wide_rows(scores, rng)]
 
 
 def _translation_log_probs(state: ModelState, hyper: HyperParams,
@@ -729,7 +694,7 @@ def update_cluster_translations(state: ModelState, hyper: HyperParams,
                                 candidates: TransformCandidates,
                                 rng: np.random.Generator) -> np.ndarray:
     scores = _translation_log_probs(state, hyper, candidates)
-    return candidates.translations[_draw_rows(scores, rng)]
+    return candidates.translations[categorical_sample_wide_rows(scores, rng)]
 
 
 # --------------------------------------------------------------------------

@@ -7,22 +7,21 @@ centered at the cluster-induced rigid velocity, then emit observed points from
 their particles.  ``log_joint`` scores a full (state, observations) pair term
 by term and serves as the independent oracle for the Gibbs conditionals.
 
-Draw-order contract: ``sample_forward`` takes exactly the variates, in
-exactly the order, that a loop over the generative process takes from its
-stream, so a seeded draw does not depend on how the algebra is batched.  In
-order: the Dirichlet weights of clusters, then of particles; per cluster,
-its covariance's Bartlett variates (row by row, the chi-square diagonal entry
-before the normals left of it), a ``standard_normal(D)`` vector for its mean,
-and one uniform each for its translation and rotation; per particle, one
-uniform for its cluster, the Bartlett variates of its spatial covariance,
-``standard_normal(D)`` vectors for its mean and velocity, and the Bartlett
-variates of its velocity covariance; one uniform per point for its particle;
-then, particle by particle in index order, one ``standard_normal((n, D))``
-block for the positions of its n points and one for their velocities.
-``resample_observations`` takes only those last blocks.  The draws come
-first, in one scalar pass; the algebra then runs on stacks of matrices with
-the per-matrix arithmetic of the loop, so every output is bitwise that of
-the loop (pinned by the reference loops in the tests).
+Draw-order contract: ``sample_forward`` draws through the stacked kernels
+of ``distributions`` that ``gibbs.sweep`` also uses, so a seeded draw is
+fixed by these calls, in this order: the Dirichlet weights of clusters, then
+of particles; one ``inverse_wishart_stack`` call for all K + 2L covariances,
+``Sigma_H``, then ``Sigma_B``, then ``Sigma_V``; one ``mvn_sample_stack``
+call for the K cluster means; one ``categorical_sample_wide_rows`` call for
+the K translations, then one for the K rotations; one
+``categorical_sample_rows`` call for the L particle clusters, then one for
+the N point particles; one ``mvn_sample_stack`` call for the L particle
+means, then one for the L particle velocities; then, particle by particle in
+index order, one ``standard_normal((n, D))`` block for the positions of its
+n points and one for their velocities.  ``resample_observations`` takes only
+those last blocks.  A loop over the generative process that takes the same
+variates in the same order gives the same labels and, within rounding, the
+same arrays (pinned by the reference loops in the tests).
 """
 from __future__ import annotations
 
@@ -31,22 +30,19 @@ import numpy as np
 from . import rng as rngmod
 from .distributions import (
     TransformCandidates,
-    _bartlett_fill,
-    _categorical_cdf,
-    _categorical_from_cdf,
-    _inverse_wishart_from_bartlett,
     categorical_sample_rows,
-    chol_spd,
+    categorical_sample_wide_rows,
     chol_spd_stack,
     dirichlet_logpdf,
     dirichlet_sample,
     gamma_logpdf,
     inverse_wishart_logpdf,
+    inverse_wishart_stack,
     isotropic_logpdf_rows,
     make_transform_candidates,
     mvn_logpdf,
     mvn_logpdf_rows,
-    spd_inverse,
+    mvn_sample_stack,
 )
 from .rng import RngState, substream
 from .types import (
@@ -110,50 +106,30 @@ def _sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
         candidates = make_transform_candidates(dim, hyper)
     rng = _as_generator(seed)
     eye = np.eye(dim)
-    # the Cholesky factors of the inverse IW scales, shared by every draw
-    iw_H, iw_B, iw_V = (chol_spd(spd_inverse(psi))
-                        for psi in (hyper.Psi_H, hyper.Psi_B, hyper.Psi_V))
 
     pi_H = dirichlet_sample(hyper.alpha_vec(K), rng)
     pi_B = dirichlet_sample(hyper.beta_vec(L), rng)
-
-    # every variate, in the order of the module's draw-order contract
-    bart_H = np.zeros((K, dim, dim))
-    noise_H = np.empty((K, dim))
-    u_trans, u_rot = np.empty(K), np.empty(K)
-    for k in range(K):
-        _bartlett_fill(bart_H[k], hyper.nu_H, rng)
-        noise_H[k] = rng.standard_normal(dim)
-        u_trans[k] = rng.random()
-        u_rot[k] = rng.random()
-    u_z = np.empty(L)
-    bart_B, bart_V = np.zeros((L, dim, dim)), np.zeros((L, dim, dim))
-    noise_B, noise_V = np.empty((L, dim)), np.empty((L, dim))
-    for ell in range(L):
-        u_z[ell] = rng.random()
-        _bartlett_fill(bart_B[ell], hyper.nu_B, rng)
-        noise_B[ell] = rng.standard_normal(dim)
-        noise_V[ell] = rng.standard_normal(dim)
-        _bartlett_fill(bart_V[ell], hyper.nu_V, rng)
+    # one call for the three stacks: at small K and L the per-call cost dominates
+    counts = (K, L, L)
+    Sigma_H, Sigma_B, Sigma_V = np.split(inverse_wishart_stack(
+        np.repeat(np.stack([hyper.Psi_H, hyper.Psi_B, hyper.Psi_V]), counts, axis=0),
+        np.repeat([hyper.nu_H, hyper.nu_B, hyper.nu_V], counts), rng), [K, K + L])
+    mu_H = mvn_sample_stack(np.broadcast_to(hyper.mu_H_prior, (K, dim)),
+                            np.broadcast_to(hyper.sigma2_mu_H * eye, (K, dim, dim)), rng)
+    trans = candidates.translations[categorical_sample_wide_rows(
+        np.broadcast_to(candidates.translation_log_prior, (K, candidates.num_translations)),
+        rng)]
+    rot = candidates.rotations[categorical_sample_wide_rows(
+        np.broadcast_to(candidates.rotation_log_prior, (K, candidates.num_rotations)), rng)]
     with np.errstate(divide="ignore"):
+        z_H = categorical_sample_rows(np.broadcast_to(np.log(pi_H), (L, K)), rng)
         z_B = categorical_sample_rows(np.broadcast_to(np.log(pi_B), (N, L)), rng)
-
-    # the algebra, one stack per quantity
-    Sigma_H = _inverse_wishart_from_bartlett(iw_H, bart_H)
-    mu_H = hyper.mu_H_prior + _matvec(chol_spd(hyper.sigma2_mu_H * eye), noise_H)
-    trans = candidates.translations[_categorical_from_cdf(
-        _categorical_cdf(candidates.translation_log_prior), u_trans)]
-    rot = candidates.rotations[_categorical_from_cdf(
-        _categorical_cdf(candidates.rotation_log_prior), u_rot)]
-    z_H = _categorical_from_cdf(_categorical_cdf(np.log(pi_H)), u_z)
-    Sigma_B = _inverse_wishart_from_bartlett(iw_B, bart_B)
-    mu_B = mu_H[z_H] + _matvec(chol_spd_stack(Sigma_H)[z_H], noise_B)
+    mu_B = mvn_sample_stack(mu_H[z_H], Sigma_H[z_H], rng)
     # the rigid-motion velocity each particle's cluster induces at its mean,
     # as induced_velocities computes it for one row
     offsets = (mu_B - mu_H[z_H])[:, None, :]
     vbar = trans[z_H] + (offsets @ np.swapaxes((rot - eye)[z_H], 1, 2))[:, 0]
-    vel = vbar + _matvec(chol_spd(hyper.sigma2_V * eye), noise_V)
-    Sigma_V = _inverse_wishart_from_bartlett(iw_V, bart_V)
+    vel = mvn_sample_stack(vbar, np.broadcast_to(hyper.sigma2_V * eye, (L, dim, dim)), rng)
     positions, velocities = _draw_points(z_B, mu_B, Sigma_B, vel, Sigma_V, rng)
 
     base_seed = int(seed) if not isinstance(seed, np.random.Generator) else 0
@@ -163,12 +139,6 @@ def _sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
         assignments=Assignments(z_B, z_H), rng=RngState(base_seed),
     )
     return state, Observations(positions, velocities)
-
-
-def _matvec(factors: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Rows ``factors @ noise_i`` for one (D, D) factor or a stack of them,
-    each equal to the single product of ``mvn_sample``."""
-    return (factors @ noise[:, :, None])[:, :, 0]
 
 
 def _draw_points(z: np.ndarray, mu_B: np.ndarray, Sigma_B: np.ndarray, vel: np.ndarray,

@@ -1,8 +1,10 @@
-"""Shared builders for hand-constructed model states."""
+"""Shared builders for hand-constructed model states, and the reference
+inverse-Wishart draw of the stacked kernels."""
 from __future__ import annotations
 
 import numpy as np
 
+from mattertrack.distributions import chol_spd, spd_inverse
 from mattertrack.rng import RngState
 from mattertrack.types import Assignments, HyperParams, ModelState, Observations
 
@@ -54,3 +56,24 @@ def single_particle_state(dim=2, mu_b=(0.0, 0.0), sigma_b=0.25, v=(0.0, 0.0),
         mu_B=[mu_b], Sigma_B=[sigma_b * eye], vel=[v], Sigma_V=[sigma_v * eye],
         pi_B=[1.0], mu_H=[mu_h], Sigma_H=[sigma_h * eye], rot=[rot],
         trans=[trans], pi_H=[1.0], z_B=list(z_B), z_H=[0], seed=seed)
+
+
+def ref_iw_draws(posteriors, rng):
+    """One IW(psi, nu) draw per (psi, nu) pair, Bartlett variates one scalar at
+    a time in ``distributions.inverse_wishart_stack``'s order: every draw's
+    chi-square diagonal (row i at nu - i), then every draw's strictly lower
+    triangle row by row."""
+    d = posteriors[0][0].shape[0]
+    bartlett = [np.zeros((d, d)) for _ in posteriors]
+    for a, (_, nu) in zip(bartlett, posteriors):
+        for i in range(d):
+            a[i, i] = np.sqrt(rng.chisquare(nu - i))
+    for a in bartlett:
+        for i, j in zip(*np.tril_indices(d, -1)):
+            a[i, j] = rng.standard_normal()
+    draws = []
+    for a, (psi, _) in zip(bartlett, posteriors):
+        c_inv = np.linalg.inv(chol_spd(spd_inverse(psi)) @ a)
+        out = c_inv.T @ c_inv
+        draws.append(0.5 * (out + out.T))
+    return np.stack(draws)

@@ -6,14 +6,14 @@ single-matrix distribution helpers.  Each batched step must reproduce them
 under the same ``np.random.default_rng(seed)``: equal labels and candidate
 indices, continuous outputs within 1e-10, and the stream left at the same
 position.  That pins the draw-order contract of ``mattertrack.gibbs``; the
-inverse-Wishart reference takes its Bartlett variates in that contract's
-stacked order, one scalar at a time.
+inverse-Wishart reference (``conftest.ref_iw_draws``) takes its Bartlett
+variates in that contract's stacked order, one scalar at a time.
 The blocked point-assignment draw must equal the one-shot draw over the
 whole score matrix, label for label, and the column-major draw and score
-blocks the row-major ones, bit for bit.  The transform steps' one-pass draw
-over all clusters must equal one ``categorical_sample`` call per cluster, and
-a sweep whose steps share covariance factors must equal one whose steps each
-factor for themselves, bit for bit.
+blocks the row-major ones, bit for bit.  The transform steps' row kernel,
+``categorical_sample_wide_rows``, must equal one ``categorical_sample`` call
+per cluster, and a sweep whose steps share covariance factors must equal one
+whose steps each factor for themselves, bit for bit.
 """
 import copy
 import re
@@ -23,13 +23,13 @@ import warnings
 import numpy as np
 import pytest
 
-from mattertrack import gibbs
+from mattertrack import distributions, gibbs
 from mattertrack.distributions import (
     TransformCandidates,
     _categorical_sample_columns,
     categorical_sample,
     categorical_sample_rows,
-    chol_spd,
+    categorical_sample_wide_rows,
     dirichlet_sample,
     gamma_logpdf,
     isotropic_logpdf_rows,
@@ -44,7 +44,7 @@ from mattertrack.rng import SWEEP
 from mattertrack.tracker import TrackConfig
 from mattertrack.types import Assignments, Observations, ValidationError
 
-from conftest import diag_hyper
+from conftest import diag_hyper, ref_iw_draws
 
 TOL = dict(rtol=1e-10, atol=1e-10)
 
@@ -178,26 +178,6 @@ def ref_cluster_cov_posterior(state, hyper, k):
 
 def ref_gaussian_draws(conds, rng):
     return np.stack([mvn_sample(mean, cov, rng) for mean, cov in conds])
-
-
-def ref_iw_draws(posteriors, rng):
-    """One IW(psi, nu) draw per component, Bartlett variates one scalar at a
-    time: every component's chi-square diagonal (row i at nu - i), then every
-    component's strictly lower triangle row by row."""
-    d = posteriors[0][0].shape[0]
-    bartlett = [np.zeros((d, d)) for _ in posteriors]
-    for a, (_, nu) in zip(bartlett, posteriors):
-        for i in range(d):
-            a[i, i] = np.sqrt(rng.chisquare(nu - i))
-    for a in bartlett:
-        for i, j in zip(*np.tril_indices(d, -1)):
-            a[i, j] = rng.standard_normal()
-    draws = []
-    for a, (psi, _) in zip(bartlett, posteriors):
-        c_inv = np.linalg.inv(chol_spd(spd_inverse(psi)) @ a)
-        out = c_inv.T @ c_inv
-        draws.append(0.5 * (out + out.T))
-    return np.stack(draws)
 
 
 def ref_particle_features(state, obs):
@@ -673,7 +653,7 @@ class FixedUniforms:
 
 
 def assert_rows_drawn_like_single_calls(scores, rng_rows, rng_single):
-    got = gibbs._draw_rows(scores, rng_rows)
+    got = categorical_sample_wide_rows(scores, rng_rows)
     want = [categorical_sample(row, rng_single) for row in scores]
     np.testing.assert_array_equal(got, want)
     return got
@@ -714,7 +694,7 @@ def test_transform_row_draws_reach_the_last_column():
 def test_transform_row_draws_reject_rows_without_admissible_column():
     scores = np.array([[0.0, 1.0], [-np.inf, -np.inf]])
     with pytest.raises(ValidationError, match="no admissible component"):
-        gibbs._draw_rows(scores, np.random.default_rng(0))
+        categorical_sample_wide_rows(scores, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -775,20 +755,24 @@ def test_sweep_with_shared_factors_matches_steps_factoring_alone(dim, schedule):
 
 def test_sweep_factors_each_covariance_once_per_value(monkeypatch):
     # a full sweep factors Sigma_B, Sigma_V and Sigma_H once each instead of
-    # 2, 2 and 3 times; the three inverse-Wishart steps factor their own scales
-    calls = []
-    inverse = gibbs.tril_inverse_stack
-    monkeypatch.setattr(gibbs, "tril_inverse_stack",
-                        lambda f: calls.append(f.shape) or inverse(f))
+    # 2, 2 and 3 times.  Every step also inverts factors of its own: each
+    # inverse-Wishart step two stacks (its scales and its draws) and each
+    # Gaussian step one (its precisions), 9 in all, counted through the
+    # distributions kernels
     hyper = diag_hyper(2)
     state, obs = sample_forward(hyper, K=2, L=4, N=30, seed=0)
     sched = gibbs.full_sweep_schedule()
     cands = make_transform_candidates(2, hyper)
+    calls = []
+    inverse = gibbs.tril_inverse_stack
+    for module in (gibbs, distributions):
+        monkeypatch.setattr(module, "tril_inverse_stack",
+                            lambda f: calls.append(f.shape) or inverse(f))
     gibbs.sweep(state, obs, hyper, sched, cands)
     shared = len(calls)
     calls.clear()
     sweep_with_own_factors(state, obs, hyper, sched, cands)
-    assert (shared, len(calls)) == (6, 10)
+    assert (shared, len(calls)) == (3 + 9, 7 + 9)
 
 
 def test_apply_step_drops_the_swapped_field_from_the_factors():

@@ -1,24 +1,25 @@
 """Forward-sampler and log-joint oracles.
 
-``ref_sample_forward`` and ``ref_resample_observations`` are the earlier
-per-component loops, built from the single-matrix distribution helpers and
-scipy's ``solve_triangular``.  The stacked sampler must reproduce them bit
-for bit and leave the generator at the same position, which pins the
-draw-order contract of ``mattertrack.model``.
+``ref_sample_forward`` and ``ref_resample_observations`` are per-component
+loops built from the single-matrix distribution helpers, taking their
+variates in the stacked order of ``mattertrack.model``'s draw-order
+contract.  The stacked sampler must reproduce their labels and leave the
+generator at the same position, with continuous arrays within 1e-10 (those
+of ``resample_observations`` bit for bit), which pins that contract.  The
+prior-moment test checks the forward draws against the prior in closed form.
 """
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.linalg import solve_triangular
 
-from mattertrack import distributions
 from mattertrack.distributions import (
     categorical_sample,
     categorical_sample_rows,
-    chol_spd,
     dirichlet_sample,
+    inverse_wishart_mean,
+    inverse_wishart_sample,
     make_transform_candidates,
     mvn_sample,
     spd_inverse,
@@ -26,6 +27,7 @@ from mattertrack.distributions import (
 from mattertrack.geweke import default_check_hyper
 from mattertrack.model import (
     _as_generator,
+    _sample_forward,
     induced_velocities,
     log_joint,
     resample_observations,
@@ -37,11 +39,12 @@ from mattertrack.types import (
     Assignments,
     HyperParams,
     ModelState,
+    NumericalDomainError,
     Observations,
     ValidationError,
 )
 
-from conftest import diag_hyper, single_particle_state
+from conftest import diag_hyper, ref_iw_draws, single_particle_state
 
 
 def collapsed_hyper(dim=2):
@@ -254,59 +257,29 @@ def test_resample_observations_distribution():
 
 # -- the stacked forward sampler against the per-component loops -------------------
 
-def ref_spd_inverse(cov):
-    L = chol_spd(np.asarray(cov, dtype=np.float64))
-    inv_l = solve_triangular(L, np.eye(L.shape[0]), lower=True)
-    inv = inv_l.T @ inv_l
-    return 0.5 * (inv + inv.T)
-
-
-def ref_inverse_wishart_draw(Ls, nu, rng):
-    d = Ls.shape[0]
-    A = np.zeros((1, d, d))
-    for i in range(d):
-        A[:, i, i] = np.sqrt(rng.chisquare(nu - i, size=1))
-        for j in range(i):
-            A[:, i, j] = rng.standard_normal(1)
-    c = (Ls[None, :, :] @ A)[0]
-    c_inv = solve_triangular(c, np.eye(d), lower=True)
-    out = c_inv.T @ c_inv
-    return 0.5 * (out + out.T)
-
-
 def ref_sample_forward(hyper, K, L, N, seed, candidates):
     dim = hyper.mu_H_prior.shape[0]
     rng = _as_generator(seed)
     eye = np.eye(dim)
-    iw_H, iw_B, iw_V = (chol_spd(ref_spd_inverse(psi))
-                        for psi in (hyper.Psi_H, hyper.Psi_B, hyper.Psi_V))
     pi_H = dirichlet_sample(hyper.alpha_vec(K), rng)
     pi_B = dirichlet_sample(hyper.beta_vec(L), rng)
-    Sigma_H = np.empty((K, dim, dim))
-    mu_H = np.empty((K, dim))
-    trans = np.empty((K, dim))
-    rot = np.empty((K, dim, dim))
-    for k in range(K):
-        Sigma_H[k] = ref_inverse_wishart_draw(iw_H, hyper.nu_H, rng)
-        mu_H[k] = mvn_sample(hyper.mu_H_prior, hyper.sigma2_mu_H * eye, rng)
-        trans[k] = candidates.translations[categorical_sample(candidates.translation_log_prior, rng)]
-        rot[k] = candidates.rotations[categorical_sample(candidates.rotation_log_prior, rng)]
-    z_H = np.empty(L, dtype=np.int64)
-    Sigma_B = np.empty((L, dim, dim))
-    mu_B = np.empty((L, dim))
-    vel = np.empty((L, dim))
-    Sigma_V = np.empty((L, dim, dim))
-    log_pi_H = np.log(pi_H)
-    for ell in range(L):
-        k = categorical_sample(log_pi_H, rng)
-        z_H[ell] = k
-        Sigma_B[ell] = ref_inverse_wishart_draw(iw_B, hyper.nu_B, rng)
-        mu_B[ell] = mvn_sample(mu_H[k], Sigma_H[k], rng)
-        vbar = induced_velocities(rot[k], trans[k], mu_H[k], mu_B[ell][None])[0]
-        vel[ell] = mvn_sample(vbar, hyper.sigma2_V * eye, rng)
-        Sigma_V[ell] = ref_inverse_wishart_draw(iw_V, hyper.nu_V, rng)
+    covs = ref_iw_draws([(hyper.Psi_H, hyper.nu_H)] * K + [(hyper.Psi_B, hyper.nu_B)] * L
+                        + [(hyper.Psi_V, hyper.nu_V)] * L, rng)
+    Sigma_H, Sigma_B, Sigma_V = covs[:K], covs[K:K + L], covs[K + L:]
+    mu_H = np.stack([mvn_sample(hyper.mu_H_prior, hyper.sigma2_mu_H * eye, rng)
+                     for _ in range(K)])
+    trans = np.stack([candidates.translations[
+        categorical_sample(candidates.translation_log_prior, rng)] for _ in range(K)])
+    rot = np.stack([candidates.rotations[
+        categorical_sample(candidates.rotation_log_prior, rng)] for _ in range(K)])
     with np.errstate(divide="ignore"):
+        z_H = np.array([categorical_sample(np.log(pi_H), rng) for _ in range(L)])
         z_B = categorical_sample_rows(np.broadcast_to(np.log(pi_B), (N, L)), rng)
+    mu_B = np.stack([mvn_sample(mu_H[k], Sigma_H[k], rng) for k in z_H])
+    vel = np.stack([
+        mvn_sample(induced_velocities(rot[k], trans[k], mu_H[k], mu_B[ell][None])[0],
+                   hyper.sigma2_V * eye, rng)
+        for ell, k in enumerate(z_H)])
     positions = np.empty((N, dim))
     velocities = np.empty((N, dim))
     for ell in range(L):
@@ -341,9 +314,6 @@ def ref_resample_observations(state, hyper, rng):
     return Observations(positions, velocities, features)
 
 
-STATE_ARRAYS = ("mu_B", "Sigma_B", "vel", "Sigma_V", "pi_B", "mu_H", "Sigma_H", "rot",
-                "trans", "pi_H", "z_B", "z_H")
-
 # (K, L, N): criterion-2 size, L = K, empty particles (N < L), one of each,
 # and a larger draw
 FORWARD_SIZES = [(2, 4, 16), (3, 3, 20), (2, 8, 4), (1, 1, 1), (3, 30, 300)]
@@ -356,6 +326,21 @@ def assert_bitwise(got, want, names):
         np.testing.assert_array_equal(g, w, err_msg=name, strict=True)
 
 
+# labels, the transforms they pick and the Dirichlet weights: equal bit for bit
+LABEL_ARRAYS = ("z_B", "z_H", "rot", "trans", "pi_B", "pi_H")
+CONTINUOUS_ARRAYS = ("mu_B", "Sigma_B", "vel", "Sigma_V", "mu_H", "Sigma_H")
+
+
+def assert_forward_matches(got, want):
+    (gs, go), (ws, wo) = got, want
+    assert_bitwise(gs, ws, LABEL_ARRAYS)
+    for g, w, names in ((gs, ws, CONTINUOUS_ARRAYS), (go, wo, ("positions", "velocities"))):
+        for name in names:
+            np.testing.assert_allclose(getattr(g, name), getattr(w, name), rtol=1e-10,
+                                       atol=1e-10, err_msg=name, strict=True)
+    assert gs.rng == ws.rng
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("K,L,N", FORWARD_SIZES)
 def test_forward_matches_loop_bitwise(dim, K, L, N):
@@ -363,16 +348,12 @@ def test_forward_matches_loop_bitwise(dim, K, L, N):
     cands = make_transform_candidates(dim, hyper)
     for seed in range(4):
         # an int seed, and a Generator whose final position must match too
-        got = sample_forward(hyper, K, L, N, seed, candidates=cands)
-        want = ref_sample_forward(hyper, K, L, N, seed, cands)
+        assert_forward_matches(sample_forward(hyper, K, L, N, seed, candidates=cands),
+                               ref_sample_forward(hyper, K, L, N, seed, cands))
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        got_g = sample_forward(hyper, K, L, N, rng_got, candidates=cands)
-        want_g = ref_sample_forward(hyper, K, L, N, rng_want, cands)
+        assert_forward_matches(sample_forward(hyper, K, L, N, rng_got, candidates=cands),
+                               ref_sample_forward(hyper, K, L, N, rng_want, cands))
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
-        for (gs, go), (ws, wo) in ((got, want), (got_g, want_g)):
-            assert_bitwise(gs, ws, STATE_ARRAYS)
-            assert_bitwise(go, wo, ("positions", "velocities"))
-            assert gs.rng == ws.rng
 
 
 def test_forward_matches_loop_with_empty_particles_and_skewed_priors():
@@ -382,13 +363,62 @@ def test_forward_matches_loop_with_empty_particles_and_skewed_priors():
     empties = 0
     for seed in range(20):
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        gs, go = sample_forward(hyper, 3, 10, 12, rng_got, candidates=cands)
-        ws, wo = ref_sample_forward(hyper, 3, 10, 12, rng_want, cands)
+        got = sample_forward(hyper, 3, 10, 12, rng_got, candidates=cands)
+        assert_forward_matches(got, ref_sample_forward(hyper, 3, 10, 12, rng_want, cands))
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
-        assert_bitwise(gs, ws, STATE_ARRAYS)
-        assert_bitwise(go, wo, ("positions", "velocities"))
-        empties += 10 - len(np.unique(gs.z_B))
+        empties += 10 - len(np.unique(got[0].z_B))
     assert empties > 0
+
+
+def z_scores(samples, expected, se=None):
+    """z-scores of the column means of ``samples`` (n, ...) against ``expected``;
+    the standard error is the sample one unless ``se`` gives it."""
+    expected = np.broadcast_to(expected, samples.shape[1:]).ravel()
+    samples = samples.reshape(len(samples), -1)
+    if se is None:
+        se = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    return (samples.mean(axis=0) - expected) / se
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_forward_draws_match_prior_moments(dim):
+    # 4,000 draws at criterion-2 size against the prior's closed-form moments:
+    # IW means Psi / (nu - D - 1), the Gaussian mean and covariance of mu_H,
+    # Dirichlet means, and the candidate priors' index frequencies (with their
+    # binomial standard errors) and mean log prior.
+    hyper = default_check_hyper(dim)
+    K, L, N, draws = 2, 4, 16, 4000
+    cands = make_transform_candidates(dim, hyper)
+    rng = np.random.default_rng(dim)
+    states = [_sample_forward(hyper, K, L, N, rng, cands)[0] for _ in range(draws)]
+
+    def stack(name):
+        return np.stack([getattr(s, name) for s in states])
+
+    z = [z_scores(stack(name), inverse_wishart_mean(psi, nu))
+         for name, psi, nu in (("Sigma_H", hyper.Psi_H, hyper.nu_H),
+                               ("Sigma_B", hyper.Psi_B, hyper.nu_B),
+                               ("Sigma_V", hyper.Psi_V, hyper.nu_V))]
+    offsets = stack("mu_H") - hyper.mu_H_prior
+    z.append(z_scores(offsets, 0.0))
+    z.append(z_scores(offsets[..., :, None] * offsets[..., None, :],
+                      hyper.sigma2_mu_H * np.eye(dim)))
+    for name, conc in (("pi_H", hyper.alpha_vec(K)), ("pi_B", hyper.beta_vec(L))):
+        z.append(z_scores(stack(name), conc / conc.sum()))
+    for name, grid, log_prior in (("rot", cands.rotations, cands.rotation_log_prior),
+                                  ("trans", cands.translations,
+                                   cands.translation_log_prior)):
+        values = stack(name).reshape(draws * K, 1, -1)
+        index = np.all(values == grid.reshape(1, len(grid), -1), axis=2)
+        assert np.all(index.sum(axis=1) == 1)
+        p = np.exp(log_prior)
+        z.append(z_scores(index, p, np.sqrt(p * (1 - p) / len(index))))
+        # the mean log prior of the drawn candidates, which a flatter or a
+        # sharper prior moves even where each cell's count stays within noise
+        z.append(z_scores(index @ log_prior, p @ log_prior))
+    z = np.concatenate(z)
+    assert np.all(np.isfinite(z))
+    assert np.abs(z).max() < 5.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -411,32 +441,15 @@ def test_resample_observations_matches_loop_bitwise(dim, with_features):
             np.testing.assert_array_equal(got.features, want.features, strict=True)
 
 
-def test_spd_inverse_and_iw_draw_match_solve_triangular_bitwise():
+def test_spd_inverse_and_iw_draw_raise_on_singular_or_nonfinite_factor():
     rng = np.random.default_rng(0)
-    for dim in (2, 3):
-        for _ in range(200):
-            m = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-3, 3)
-            cov = m @ m.T + 1e-6 * np.eye(dim)
-            np.testing.assert_array_equal(spd_inverse(cov), ref_spd_inverse(cov), strict=True)
-            Ls = chol_spd(cov)
-            seed = int(rng.integers(1 << 30))
-            r_got, r_want = np.random.default_rng(seed), np.random.default_rng(seed)
-            np.testing.assert_array_equal(
-                distributions._inverse_wishart_draw(Ls, dim + 2.5, r_got),
-                ref_inverse_wishart_draw(Ls, dim + 2.5, r_want), strict=True)
-            assert r_got.bit_generator.state == r_want.bit_generator.state
-
-
-def test_spd_inverse_and_iw_draw_raise_on_singular_or_nonfinite_factor(monkeypatch):
-    rng = np.random.default_rng(0)
-    with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        distributions._inverse_wishart_draw(np.zeros((2, 2)), 5.0, rng)
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        distributions._inverse_wishart_draw(np.diag([np.nan, 1.0]), 5.0, rng)
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        spd_inverse(np.diag([np.inf, 1.0]))
-    # a factor with a zero pivot, as no Cholesky factorization returns it
-    monkeypatch.setattr(distributions, "chol_spd",
-                        lambda cov: np.array([[1.0, 0.0], [2.0, 0.0]]))
-    with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        spd_inverse(np.eye(2))
+    for bad in (np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0])):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spd_inverse(bad)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            inverse_wishart_sample(bad, 5.0, rng)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            inverse_wishart_sample(bad, 5.0, rng, size=3)
+    for draw in (spd_inverse, lambda m: inverse_wishart_sample(m, 5.0, rng)):
+        with pytest.raises(NumericalDomainError):
+            draw(np.zeros((2, 2)))

@@ -9,17 +9,19 @@ Run it on two checkouts, say a parent commit and a change, and compare the
 printed lines: equal prefixes mean equal outputs.  A change to the sweep's
 random stream moves exactly the pieces that run ``gibbs.sweep``: geweke,
 sweeps, features, gestalt, rgb, recovery, scale, track and cli (whose
-``fit`` and ``track`` runs sweep).  A change that
-only rounds the assignment scores differently can move only the track and
-rgb pieces: some of their scenes start from a rank-deficient ``Sigma_B`` (a
-particle of two points in D=2 gives a rank-one covariance, which
-``chol_spd``'s jitter admits), and the scores' rounding error grows with the
-condition number (above 1e12 there), enough to move a draw.  Every other
-piece's covariances are well conditioned, so its labels and states stay
-bitwise.  Each piece hashes every
-array of every state it produces (dtype, shape and bytes), the labels, the
-rng cursor of each state, and the bit-generator position of every Generator
-it drew from:
+``fit`` and ``track`` runs sweep).  A change to ``sample_forward``'s random
+stream moves exactly forward, resample, geweke, sweeps, features, assign
+and cli: those pieces draw their states or scenes from ``sample_forward``
+(cli through ``simulate``).  A change that only rounds the assignment
+scores differently can move only the track and rgb pieces: some of their
+scenes start from a rank-deficient ``Sigma_B`` (a particle of two points in
+D=2 gives a rank-one covariance, which ``chol_spd``'s jitter admits), and
+the scores' rounding error grows with the condition number (above 1e12
+there), enough to move a draw.  Every other piece's covariances are well
+conditioned, so its labels and states stay bitwise.  Each piece hashes
+every array of every state it produces (dtype, shape and bytes), the
+labels, the rng cursor of each state, and the bit-generator position of
+every Generator it drew from:
 
   forward      ``sample_forward`` over D=2 and D=3, int and Generator seeds,
                L=K, empty particles and K, L, N up to 3, 30, 300;
