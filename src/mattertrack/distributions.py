@@ -42,7 +42,10 @@ def chol_spd(cov: np.ndarray) -> np.ndarray:
     """Cholesky factor of an SPD matrix.
 
     On failure retries once with a diagonal jitter of 1e-9 * trace/D, then
-    raises NumericalDomainError.
+    raises NumericalDomainError.  The retry lets sampling go on through a
+    covariance that rounding left barely indefinite; it is no definiteness
+    test, and no caller may use it as one (``ModelState.validate`` and
+    ``init_state`` factor without jitter).
     """
     try:
         return np.linalg.cholesky(cov)
@@ -65,54 +68,15 @@ def spd_inverse(cov: np.ndarray) -> np.ndarray:
 def chol_spd_stack(covs: np.ndarray) -> np.ndarray:
     """Cholesky factors of a (n, D, D) stack of SPD matrices.
 
-    One LAPACK call over the stack.  If any matrix fails, only the matrices
-    that ``_marginal_spd`` flags are factored one by one through
-    ``chol_spd``, so the jitter retry and its error stay per matrix, and the
-    rest still take one stacked call.  Every factor equals ``chol_spd`` of
-    its matrix either way.
+    One LAPACK call over the stack; if any matrix fails, every matrix goes
+    through ``chol_spd``, so the jitter retry and its error stay per matrix
+    and every factor equals ``chol_spd`` of its matrix.
     """
     covs = np.asarray(covs, dtype=np.float64)
     try:
         return np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
-        pass
-    marginal = _marginal_spd(covs)
-    out = np.empty_like(covs)
-    safe = ~marginal
-    try:
-        out[safe] = np.linalg.cholesky(covs[safe])
-    except np.linalg.LinAlgError:  # the screen missed one: factor all singly
         return np.stack([chol_spd(c) for c in covs])
-    for i in np.flatnonzero(marginal):
-        out[i] = chol_spd(covs[i])
-    return out
-
-
-def _marginal_spd(covs: np.ndarray) -> np.ndarray:
-    """Flags matrices of a (n, D, D) stack whose Cholesky factorization may fail.
-
-    Runs the factorization entry by entry across the stack and flags a
-    matrix when a pivot is not above 1e-8 of its diagonal entry, or is not
-    finite.  Rounding moves a pivot by a few ulps of that entry, far less
-    than the margin, so LAPACK factors every unflagged matrix; should it
-    not, ``chol_spd_stack`` factors the whole stack singly.
-    """
-    n, d, _ = covs.shape
-    lower = [[None] * d for _ in range(d)]
-    marginal = np.zeros(n, dtype=bool)
-    for j in range(d):
-        diag = covs[:, j, j]
-        pivot = diag.copy()
-        for k in range(j):
-            pivot -= lower[j][k] * lower[j][k]
-        marginal |= ~(pivot > 1e-8 * np.abs(diag))
-        root = np.sqrt(np.where(marginal, 1.0, pivot))
-        for i in range(j + 1, d):
-            entry = covs[:, i, j].copy()
-            for k in range(j):
-                entry -= lower[i][k] * lower[j][k]
-            lower[i][j] = entry / root
-    return marginal
 
 
 def tril_inverse_stack(factors: np.ndarray) -> np.ndarray:
@@ -188,8 +152,8 @@ def expand_gaussians(stacks, const: np.ndarray,
     gives the entries of the whole; one row is a matrix-vector product, whose
     last bits may differ.
     Rounding grows with cond(Sigma) |x - c|^2 / sigma^2: only near-singular
-    covariances, such as the rank-one ones ``chol_spd``'s jitter admits,
-    round visibly differently from a direct whitening.
+    covariances, which ``validate()`` rejects and ``chol_spd``'s jitter
+    still factors, round visibly differently from a direct whitening.
     """
     terms = stacks if isotropic is None else [*stacks, isotropic]
     t, d, m = len(stacks), stacks[0][0].shape[1], len(const)

@@ -12,13 +12,12 @@ import math
 import numpy as np
 
 from . import rng as rngmod
-from .distributions import chol_spd, inverse_wishart_mean
+from .distributions import inverse_wishart_mean
 from .rng import RngState, substream
 from .types import (
     Assignments,
     HyperParams,
     ModelState,
-    NumericalDomainError,
     Observations,
     ValidationError,
 )
@@ -460,11 +459,13 @@ def kabsch_align(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _spd_or(cov: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """The symmetrized ``cov`` if it passes ``validate()``'s definiteness
+    test, a plain Cholesky factorization; otherwise a copy of ``fallback``."""
     cov = 0.5 * (cov + cov.T)
     try:
-        chol_spd(cov)
+        np.linalg.cholesky(cov)
         return cov
-    except NumericalDomainError:
+    except np.linalg.LinAlgError:
         return fallback.copy()
 
 
@@ -474,8 +475,10 @@ def init_state(obs: Observations, K: int, L: int, hyper: HyperParams, seed: int
 
     Particles come from K-means++ on positions, clusters from a second pass
     over the particle centers.  Weights and velocity means are empirical;
-    covariances are sample covariances with a prior-mean fallback below two
-    members; rigid transforms come from Kabsch alignment per cluster.
+    rigid transforms come from Kabsch alignment per cluster.  A covariance
+    is the sample covariance of a cell with more than D members when that
+    passes ``validate()``'s definiteness test, and the prior mean otherwise:
+    the sample covariance of m <= D points is singular.
     """
     N, d = len(obs), obs.dim
     if not N >= L >= K >= 1:
@@ -507,7 +510,7 @@ def init_state(obs: Observations, K: int, L: int, hyper: HyperParams, seed: int
         m = int(b - a)
         if m:
             vel[ell] = velo_b[a:b].mean(axis=0)
-        if m >= 2:
+        if m > d:
             dx = pos_b[a:b] - mu_B[ell]
             dv = velo_b[a:b] - vel[ell]
             Sigma_B[ell] = _spd_or(dx.T @ dx / (m - 1), prior_b)
@@ -527,7 +530,7 @@ def init_state(obs: Observations, K: int, L: int, hyper: HyperParams, seed: int
     for k in range(K):
         a, b = bounds_h[k], bounds_h[k + 1]
         m = int(b - a)
-        if m >= 2:
+        if m > d:
             dm = mu_h[a:b] - mu_H[k]
             Sigma_H[k] = _spd_or(dm.T @ dm / (m - 1), prior_h)
         else:

@@ -1,12 +1,33 @@
-"""Shared builders for hand-constructed model states, and the reference
-inverse-Wishart draw of the stacked kernels."""
+"""Shared builders for hand-constructed model states, the reference
+inverse-Wishart draw of the stacked kernels, and ``tools/rdk_heldout.py``
+(criterion 6's scene construction) loaded as a module."""
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+
 import numpy as np
+import pytest
 
 from mattertrack.distributions import chol_spd, spd_inverse
 from mattertrack.rng import RngState
 from mattertrack.types import Assignments, HyperParams, ModelState, Observations
+
+HELDOUT_TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "tools", "rdk_heldout.py")
+
+
+@pytest.fixture(scope="session")
+def heldout():
+    """``tools/rdk_heldout.py``: criterion 6's hyperparameters, scenes, probes
+    and judgments, which the criterion and the held-out tally share."""
+    spec = importlib.util.spec_from_file_location("rdk_heldout", HELDOUT_TOOL)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
 
 
 def diag_hyper(dim=2, sigma2_mu_H=4.0, psi_h=1.0, psi_b=0.25, psi_v=0.04,

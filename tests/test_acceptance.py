@@ -51,8 +51,6 @@ from mattertrack.sva import sva_cluster
 from mattertrack.synth import (
     Body,
     SceneSpec,
-    flow_split_proposal,
-    knn_same_object,
     make_rigid_scene,
     separated_mixture_scene,
 )
@@ -345,83 +343,15 @@ def test_criterion_05_sva_baseline():
 # 6. Moving-dot same-object judgments
 # ---------------------------------------------------------------------------
 
-def _rdk_pipeline_states(frames, K, L, base_hyper, cands, seed, init_sweeps=30):
-    return track(frames, K, L, base_hyper, TrackConfig(init_sweeps=init_sweeps),
-                 seed, candidates=cands, init_proposal=flow_split_proposal)
-
-
-def _probe_epoch(states):
-    T = len(states)
-    return np.mean(list(range(T - max(1, math.ceil(T / 3)), T)))
-
-
-def test_criterion_06_rdk_judgments():
-    base_hyper = diag_hyper(2, sigma2_V=0.002, s2=0.01, theta_max=math.pi / 8,
-                            kappa=8.0)
-    cands = make_transform_candidates(2, base_hyper, M_r=33, M_t=81)
-    K, L = 3, 40
-
-    # unambiguous: one object with distinct rigid motion over a static field
-    motions = []
-    for i in range(10):
-        ang = 2 * math.pi * i / 10 + 0.3
-        motions.append(("trans", (0.1 * math.cos(ang), 0.1 * math.sin(ang))))
-    for i in range(10):
-        motions.append(("rot", [0.3, -0.35, 0.32, -0.3, 0.35][i % 5]))
-    correct = 0
-    for i in range(20):
-        flicker = [0.0, 0.1, 0.2, 0.3][i % 4]
-        kind = "same" if i % 2 == 0 else "diff"
-        center0 = np.array([0.7, 0.7])
-        if motions[i][0] == "trans":
-            u, omega = np.array(motions[i][1]), 0.0
-        else:
-            u, omega = np.zeros(2), motions[i][1]
-        spec = SceneSpec(
-            bodies=(Body(kind="disk", center=tuple(center0), size=0.4, num_dots=70,
-                         velocity=tuple(u), omega=omega),),
-            extent=((0.0, 2.0), (0.0, 1.4)),
-            background_dots=330, flicker_prob=flicker, frames=10,
-            velocity_noise=0.004, occlude_background=True)
-        frames, _ = make_rigid_scene(spec, 100 + i)
-        states = _rdk_pipeline_states(frames, K, L, base_hyper, cands, 100 + i)
-        c = center0 + u * _probe_epoch(states)
-        if kind == "same":
-            pa, pb, truth = c + [0.22, 0.0], c - [0.22, 0.0], True
-        else:
-            pa = c
-            pb = np.array([1.75, 0.2]) if c[0] < 1.0 else np.array([0.25, 0.2])
-            truth = False
-        same, _ = knn_same_object(states, pa, pb, k=5)
-        correct += same == truth
-    accuracy = correct / 20
-
-    # ambiguous: object and surround share one translation; probes straddle
-    # the invisible boundary
-    responses = []
-    for i in range(10):
-        ang = 2 * math.pi * i / 10
-        u = np.array([0.03 * math.cos(ang), 0.03 * math.sin(ang)])
-        center0 = np.array([0.9, 0.7])
-        spec = SceneSpec(
-            bodies=(
-                Body(kind="disk", center=tuple(center0), size=0.4, num_dots=70,
-                     velocity=tuple(u)),
-                Body(kind="rect", center=(1.0, 0.7), size=(1.9, 1.3), num_dots=330,
-                     velocity=tuple(u)),
-            ),
-            extent=((0.0, 2.0), (0.0, 1.4)),
-            background_dots=0, flicker_prob=0.1, frames=10,
-            velocity_noise=0.004, occlude_background=True)
-        for rep in range(3):
-            seed = 200 + i * 10 + rep
-            frames, _ = make_rigid_scene(spec, seed)
-            states = _rdk_pipeline_states(frames, K, L, base_hyper, cands, seed)
-            c = center0 + u * _probe_epoch(states)
-            same, _ = knn_same_object(states, c + np.array([0.25, 0.0]),
-                                      c + np.array([0.55, 0.0]), k=5)
-            responses.append(bool(same))
-    same_rate = np.mean(responses)
+def test_criterion_06_rdk_judgments(heldout):
+    # unambiguous: one object with distinct rigid motion over a static field;
+    # ambiguous: object and surround share one translation, and the probes
+    # straddle the invisible boundary (scenes and probes: tools/rdk_heldout.py)
+    hyper, cands = heldout.hyper_and_candidates()
+    accuracy = np.mean([heldout.judge_unambiguous(i, 100 + i, hyper, cands).correct
+                        for i in range(20)])
+    same_rate = np.mean([heldout.judge_ambiguous(i, 200 + 10 * i + rep, hyper, cands).same
+                         for i in range(10) for rep in range(3)])
 
     ok = accuracy >= 0.9 and same_rate >= 0.7
     report(6, "same-object judgments (unambiguous >= 90%, ambiguous same >= 70%)",

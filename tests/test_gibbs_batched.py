@@ -585,8 +585,9 @@ def test_column_draw_rejects_a_row_without_admissible_column_like_row_draw():
 
 
 def rank_one_scene(dim, N):
-    """``wide_scene`` with particle 2's covariance rank one: a particle of two
-    points gives one, which chol_spd's jitter admits; its scores round the most."""
+    """``wide_scene`` with particle 2's covariance rank one.  ``validate()``
+    rejects it and ``init_state`` never stores one, but ``chol_spd``'s jitter
+    factors it, and its scores round the most."""
     state, obs, hyper = wide_scene(dim, 8, N, seed=dim)
     d = np.linspace(0.3, -0.2, dim)
     Sigma_B = state.Sigma_B.copy()

@@ -16,6 +16,7 @@ import pytest
 from mattertrack import initialization
 from mattertrack import rng as rngmod
 from mattertrack.distributions import (
+    chol_spd,
     inverse_wishart_mean,
     make_transform_candidates,
     rotation_2d,
@@ -105,7 +106,7 @@ def ref_init_state(obs, K, L, hyper, seed):
         m = int(members.sum())
         if m:
             vel[ell] = obs.velocities[members].mean(axis=0)
-        if m >= 2:
+        if m > d:
             dx = obs.positions[members] - mu_B[ell]
             dv = obs.velocities[members] - vel[ell]
             Sigma_B[ell] = _spd_or(dx.T @ dx / (m - 1), prior_b)
@@ -119,7 +120,7 @@ def ref_init_state(obs, K, L, hyper, seed):
     for k in range(K):
         members = z_H == k
         m = int(members.sum())
-        if m >= 2:
+        if m > d:
             dm = mu_B[members] - mu_H[k]
             Sigma_H[k] = _spd_or(dm.T @ dm / (m - 1), prior_h)
         else:
@@ -528,6 +529,45 @@ def test_init_state_singleton_particles_use_prior_covariance():
     expected = inverse_wishart_mean(hyper.Psi_B, hyper.nu_B)
     for ell in range(3):
         np.testing.assert_allclose(state.Sigma_B[ell], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_init_state_cells_of_at_most_d_members_use_prior_covariance(dim):
+    """A cell of m <= D members has a singular sample covariance, which
+    ``chol_spd``'s jitter would factor; it gets the prior mean instead, so
+    the state passes ``validate()``."""
+    hyper = diag_hyper(dim)
+    rng = np.random.default_rng(dim)
+    pos = np.vstack([rng.standard_normal((40, dim)),
+                     50.0 + 0.1 * rng.standard_normal((dim, dim))])
+    obs = Observations(pos, 0.1 * rng.standard_normal((40 + dim, dim)))
+    state = init_state(obs, K=1, L=2, hyper=hyper, seed=5)
+    small = state.z_B[-1]
+    assert np.bincount(state.z_B, minlength=2)[small] == dim
+    np.testing.assert_array_equal(state.Sigma_B[small],
+                                  inverse_wishart_mean(hyper.Psi_B, hyper.nu_B))
+    np.testing.assert_array_equal(state.Sigma_V[small],
+                                  inverse_wishart_mean(hyper.Psi_V, hyper.nu_V))
+    # one cluster of two particle centers
+    np.testing.assert_array_equal(state.Sigma_H[0],
+                                  inverse_wishart_mean(hyper.Psi_H, hyper.nu_H))
+    big = obs.positions[state.z_B == 1 - small]
+    np.testing.assert_allclose(state.Sigma_B[1 - small], np.cov(big.T), rtol=1e-12)
+    state.validate()
+
+
+def test_spd_or_rejects_a_rank_one_matrix_that_jitter_factors():
+    d = np.array([0.3, -0.2])
+    cov = np.outer(d, d)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov)
+    chol_spd(cov)   # factored after its jitter retry
+    fallback = 0.5 * np.eye(2)
+    got = _spd_or(cov, fallback)
+    np.testing.assert_array_equal(got, fallback)
+    assert got is not fallback
+    well = np.array([[2.0, 0.5], [0.5, 1.0]])
+    np.testing.assert_array_equal(_spd_or(well, fallback), well)
 
 
 def test_init_state_features_averaged():

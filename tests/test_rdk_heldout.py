@@ -1,23 +1,6 @@
 """Smoke test of ``tools/rdk_heldout.py``, the held-out tally of criterion 6's
-judgments, on one scene of each kind so that the tool keeps running."""
-import importlib.util
-import os
-import sys
-
-import pytest
-
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "tools", "rdk_heldout.py")
-
-
-@pytest.fixture(scope="module")
-def heldout():
-    spec = importlib.util.spec_from_file_location("rdk_heldout", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module   # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    yield module
-    del sys.modules[spec.name]
+judgments, on one scene of each kind so that the tool keeps running; the
+``heldout`` fixture (``conftest.py``) loads it."""
 
 
 def test_wilson_interval(heldout):

@@ -9,6 +9,7 @@ from mattertrack import io as mio
 from mattertrack.distributions import make_transform_candidates
 from mattertrack.evaluation import adjusted_rand_index, point_cluster_labels
 from mattertrack.gibbs import particle_mean_conditional
+from mattertrack.initialization import init_state
 from mattertrack.synth import Body, SceneSpec, make_rigid_scene
 from mattertrack.tracker import TrackConfig, propagate, start, subsample_frame, track
 from mattertrack.types import Observations, ValidationError
@@ -292,3 +293,15 @@ def test_track_runs_an_empty_later_frame_as_a_propagate_only_step(tmp_path):
         assert len(resumed) == 6 - first
         for a, b in zip(resumed, states[first:]):
             assert_states_equal(a, b)
+
+
+def test_criterion_6_scenes_start_and_track_valid_states(heldout):
+    """20 unambiguous scenes built and tracked as criterion 6 does, on seeds
+    5000-5019: the frame-0 ``init_state`` and every tracked state pass
+    ``validate()`` (no cell keeps a singular sample covariance)."""
+    hyper, cands = heldout.hyper_and_candidates()
+    for i in range(20):
+        spec, _, _ = heldout.unambiguous_scene(i)
+        frames, _ = make_rigid_scene(spec, 5000 + i)
+        init_state(frames[0], heldout.K, heldout.L, hyper, 5000 + i).validate()
+        assert not heldout.judge_unambiguous(i, 5000 + i, hyper, cands).invalid

@@ -12,13 +12,12 @@ sweeps, features, gestalt, rgb, recovery, scale, track and cli (whose
 ``fit`` and ``track`` runs sweep).  A change to ``sample_forward``'s random
 stream moves exactly forward, resample, geweke, sweeps, features, assign
 and cli: those pieces draw their states or scenes from ``sample_forward``
-(cli through ``simulate``).  A change that only rounds the assignment
-scores differently can move only the track and rgb pieces: some of their
-scenes start from a rank-deficient ``Sigma_B`` (a particle of two points in
-D=2 gives a rank-one covariance, which ``chol_spd``'s jitter admits), and
-the scores' rounding error grows with the condition number (above 1e12
-there), enough to move a draw.  Every other piece's covariances are well
-conditioned, so its labels and states stay bitwise.  Each piece hashes
+(cli through ``simulate``).  The assignment scores' rounding error grows
+with the condition number of the covariances.  ``init_state`` gives every
+cell of at most D members the prior mean, so no piece starts from a
+rank-deficient covariance; a few nearly collinear points can still give an
+ill-conditioned one, so a change that only rounds the scores differently
+is checked on every piece.  Each piece hashes
 every array of every state it produces (dtype, shape and bytes), the
 labels, the rng cursor of each state, and the bit-generator position of
 every Generator it drew from:

@@ -6,11 +6,11 @@ Usage (from the repository root):
     python3 tools/rdk_heldout.py --src OTHER/src    # another checkout's library
 
 Criterion 6 (``tests/test_acceptance.py``) judges 20 unambiguous scenes on seeds
-100-119 and 30 ambiguous ones on seeds 200-299.  This tool builds the same
-scenes (hyperparameters, motions, flicker, probes, and ``track`` with the flow
-split, as ``_rdk_pipeline_states`` runs it) on other seeds, so that a change
-to the sampler can be read against a base rate rather than against those 50
-scenes alone:
+100-119 and 30 ambiguous ones on seeds 200-299 through this module's
+``judge_unambiguous`` and ``judge_ambiguous`` (hyperparameters, motions,
+flicker, probes, and ``track`` with the flow split).  The tool judges the
+same scenes on other seeds, so that a change to the sampler can be read
+against a base rate rather than against those 50 scenes alone:
 
   unambiguous  scene i of block b uses criterion 6's motion, flicker and probe
                kind i on seed b + i; the blocks are 1000, 2000 and 3000, 20
@@ -87,7 +87,7 @@ class Judgment:
         return "other"
 
 
-def _hyper_and_candidates():
+def hyper_and_candidates():
     from mattertrack.distributions import make_transform_candidates
     from mattertrack.types import HyperParams
 
@@ -100,7 +100,7 @@ def _hyper_and_candidates():
     return hyper, make_transform_candidates(2, hyper, M_r=33, M_t=81)
 
 
-def _unambiguous_scene(i: int):
+def unambiguous_scene(i: int):
     """Criterion 6's unambiguous scene i: (spec, disk velocity, probe kind)."""
     from mattertrack.synth import Body, SceneSpec
 
@@ -179,7 +179,7 @@ def _judge(spec, u, center0, kind: str, seed: int, hyper, cands) -> Judgment:
 
 
 def judge_unambiguous(i: int, seed: int, hyper, cands) -> Judgment:
-    spec, u, kind = _unambiguous_scene(i)
+    spec, u, kind = unambiguous_scene(i)
     return _judge(spec, u, np.array([0.7, 0.7]), kind, seed, hyper, cands)
 
 
@@ -199,7 +199,7 @@ def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 def tally(blocks=BLOCKS, scenes: int = 20, ambiguous: int = 30) -> list[str]:
     """Judge the held-out scenes and return the report lines."""
-    hyper, cands = _hyper_and_candidates()
+    hyper, cands = hyper_and_candidates()
     unamb = {b: [judge_unambiguous(i, b + i, hyper, cands) for i in range(scenes)]
              for b in blocks}
     amb = [judge_ambiguous(j // 3, AMBIGUOUS_BASE + 10 * (j // 3) + j % 3, hyper, cands)
