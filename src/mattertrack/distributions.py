@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln, logsumexp, multigammaln, xlogy
 
 from .types import NumericalDomainError, ValidationError, check_dim
 
@@ -25,6 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .types import HyperParams
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
 
 # Default candidate-grid sizes; overridable through configuration.
 DEFAULT_NUM_ROTATIONS = {2: 33, 3: 129}
@@ -108,11 +107,20 @@ def _spd_inverse_from_tril(inv_l: np.ndarray) -> np.ndarray:
     return 0.5 * (inv + np.swapaxes(inv, 1, 2))
 
 
+def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b for a lower-triangular (D, D) ``L`` and a (D,) or (D, n) ``b``:
+    forward substitution, one row of the solution at a time."""
+    z = np.empty(b.shape)
+    for i in range(len(L)):
+        z[i] = (b[i] - L[i, :i] @ z[:i]) / L[i, i]
+    return z
+
+
 def mvn_logpdf(x, mean, cov) -> float:
     x = np.asarray(x, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     L = chol_spd(np.asarray(cov, dtype=np.float64))
-    z = solve_triangular(L, x - mean, lower=True)
+    z = _solve_lower(L, x - mean)
     return float(-0.5 * (x.size * _LOG_2PI + z @ z) - np.log(np.diag(L)).sum())
 
 
@@ -120,7 +128,7 @@ def mvn_logpdf_rows(X: np.ndarray, mean, cov) -> np.ndarray:
     """Log density of each row of X under a single Gaussian."""
     X = np.asarray(X, dtype=np.float64)
     L = chol_spd(np.asarray(cov, dtype=np.float64))
-    Z = solve_triangular(L, (X - mean).T, lower=True)
+    Z = _solve_lower(L, (X - mean).T)
     quad = np.einsum("dn,dn->n", Z, Z)
     return -0.5 * (X.shape[1] * _LOG_2PI + quad) - np.log(np.diag(L)).sum()
 
@@ -277,24 +285,38 @@ def inverse_wishart_logpdf(Sigma: np.ndarray, Psi: np.ndarray, nu: float) -> flo
     Sigma = np.asarray(Sigma, dtype=np.float64)
     Psi = np.asarray(Psi, dtype=np.float64)
     d = Sigma.shape[0]
+    if not nu > d - 1:
+        raise ValidationError(f"nu must exceed dim - 1 = {d - 1}, got {nu}")
     L_sig = chol_spd(Sigma)
     L_psi = chol_spd(Psi)
     logdet_sig = 2.0 * np.log(np.diag(L_sig)).sum()
     logdet_psi = 2.0 * np.log(np.diag(L_psi)).sum()
-    half = solve_triangular(L_sig, L_psi, lower=True)
+    half = _solve_lower(L_sig, L_psi)
     trace_term = float(np.sum(half * half))   # tr(Sigma^{-1} Psi)
     return float(
         0.5 * nu * logdet_psi
         - 0.5 * nu * d * math.log(2.0)
-        - multigammaln(0.5 * nu, d)
+        - _multigammaln(0.5 * nu, d)
         - 0.5 * (nu + d + 1) * logdet_sig
         - 0.5 * trace_term
     )
 
 
+def _multigammaln(a: float, d: int) -> float:
+    """log Gamma_d(a) = d(d-1)/4 log(pi) + sum_j log Gamma(a - j/2), j < d."""
+    return d * (d - 1) / 4 * _LOG_PI + sum(math.lgamma(a - 0.5 * j) for j in range(d))
+
+
 # --------------------------------------------------------------------------
 # Dirichlet / categorical / gamma
 # --------------------------------------------------------------------------
+
+def _xlogy(x, y) -> np.ndarray:
+    """x log y, and 0 wherever x is 0 (the 0 log 0 = 0 of a density's support edge)."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
 
 def dirichlet_sample(conc: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     conc = np.asarray(conc, dtype=np.float64)
@@ -306,7 +328,8 @@ def dirichlet_sample(conc: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def dirichlet_logpdf(x: np.ndarray, conc: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     conc = np.asarray(conc, dtype=np.float64)
-    return float(xlogy(conc - 1.0, x).sum() + gammaln(conc.sum()) - gammaln(conc).sum())
+    return float(_xlogy(conc - 1.0, x).sum() + math.lgamma(conc.sum())
+                 - sum(math.lgamma(c) for c in conc))
 
 
 def log_normalize(log_weights: np.ndarray) -> np.ndarray:
@@ -396,8 +419,8 @@ def gamma_logpdf(x, shape: float, rate: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     out = np.where(
         x > 0,
-        xlogy(shape - 1.0, np.maximum(x, 1e-300)) - rate * x
-        + shape * math.log(rate) - gammaln(shape),
+        _xlogy(shape - 1.0, np.maximum(x, 1e-300)) - rate * x
+        + shape * math.log(rate) - math.lgamma(shape),
         -np.inf,
     )
     return out
@@ -457,7 +480,7 @@ class TransformCandidates:
         object.__setattr__(self, "translations", np.asarray(self.translations, dtype=np.float64))
         for name in ("rotation_log_prior", "translation_log_prior"):
             lw = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, lw - logsumexp(lw))
+            object.__setattr__(self, name, lw - _logsumexp(lw))
 
     @property
     def dim(self) -> int:
@@ -482,6 +505,19 @@ class TransformCandidates:
         if hits.size == 0:
             raise ValidationError("translation is not a member of the candidate set")
         return int(hits[0])
+
+
+def _logsumexp(lw: np.ndarray) -> float:
+    """log sum exp(lw), shifted by the maximum so no term overflows.
+
+    The m maximal terms are counted apart, top + log(m) + log1p(rest / m),
+    which keeps the digits of a sum that the largest term dominates.
+    """
+    top = lw.max()
+    ties = lw == top
+    m = np.count_nonzero(ties)
+    rest = np.exp(np.where(ties, -np.inf, lw) - top).sum() / m
+    return np.log1p(rest) + np.log(float(m)) + top
 
 
 def _odd(n: int) -> int:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy import ndimage
 
 from . import rng as rngmod
 from .rng import substream
@@ -119,8 +118,37 @@ def probe_point_eval(pred_segments: np.ndarray, gt_mask: np.ndarray,
 def _components(pred: np.ndarray, label: int, cache: dict) -> tuple[np.ndarray, int]:
     key = ("lbl", label)
     if key not in cache:
-        cache[key] = ndimage.label(pred == label)
+        cache[key] = _label(pred == label)
     return cache[key]
+
+
+def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected components of a 2-D boolean mask: (labels, count), with 0
+    off the mask and components numbered 1.. in the raster order of their
+    first cell.
+
+    Each run of consecutive cells in a row gets one id in raster order.  Runs
+    that share a column in adjacent rows are joined by union-find, whose root
+    is the smallest id of the component, so the cost is linear in the cells.
+    """
+    starts = mask.copy()
+    starts[:, 1:] &= ~mask[:, :-1]
+    runs = np.cumsum(starts).reshape(mask.shape) * mask
+    parent = list(range(int(runs.max(initial=0)) + 1))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    joined = mask[:-1] & mask[1:]
+    for a, b in set(zip(runs[:-1][joined].tolist(), runs[1:][joined].tolist())):
+        a, b = root(a), root(b)
+        parent[max(a, b)] = min(a, b)
+    roots = np.array([root(i) for i in range(len(parent))])
+    _, numbers = np.unique(roots, return_inverse=True)
+    return numbers[runs], int(numbers.max())
 
 
 def _grid_cells(obs: Observations, grid_shape: tuple[int, int],

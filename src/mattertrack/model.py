@@ -11,19 +11,24 @@ Draw-order contract: ``sample_forward`` draws through the stacked kernels
 of ``distributions`` that ``gibbs.sweep`` also uses, so a seeded draw is
 fixed by these calls, in this order: the Dirichlet weights of clusters, then
 of particles; one ``inverse_wishart_stack`` call for all K + 2L covariances,
-``Sigma_H``, then ``Sigma_B``, then ``Sigma_V``; one ``mvn_sample_stack``
+``Sigma_H``, then ``Sigma_B``, then ``Sigma_V``; one ``standard_normal((K, D))``
 call for the K cluster means; one ``categorical_sample_wide_rows`` call for
 the K translations, then one for the K rotations; one
 ``categorical_sample_rows`` call for the L particle clusters, then one for
 the N point particles; one ``mvn_sample_stack`` call for the L particle
-means, then one for the L particle velocities; then, particle by particle in
-index order, one ``standard_normal((n, D))`` block for the positions of its
-n points and one for their velocities.  ``resample_observations`` takes only
+means; one ``standard_normal((L, D))`` call for the L particle velocities;
+then, particle by particle in index order, one ``standard_normal((n, D))``
+block for the positions of its n points and one for their velocities.  The
+isotropic means and velocities are scaled by sqrt(sigma2), which is
+``mvn_sample_stack`` bit for bit: the Cholesky factor of sigma2 I is
+sqrt(sigma2) I.  ``resample_observations`` takes only
 those last blocks.  A loop over the generative process that takes the same
 variates in the same order gives the same labels and, within rounding, the
 same arrays (pinned by the reference loops in the tests).
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -114,8 +119,7 @@ def _sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
     Sigma_H, Sigma_B, Sigma_V = np.split(inverse_wishart_stack(
         np.repeat(np.stack([hyper.Psi_H, hyper.Psi_B, hyper.Psi_V]), counts, axis=0),
         np.repeat([hyper.nu_H, hyper.nu_B, hyper.nu_V], counts), rng), [K, K + L])
-    mu_H = mvn_sample_stack(np.broadcast_to(hyper.mu_H_prior, (K, dim)),
-                            np.broadcast_to(hyper.sigma2_mu_H * eye, (K, dim, dim)), rng)
+    mu_H = hyper.mu_H_prior + math.sqrt(hyper.sigma2_mu_H) * rng.standard_normal((K, dim))
     trans = candidates.translations[categorical_sample_wide_rows(
         np.broadcast_to(candidates.translation_log_prior, (K, candidates.num_translations)),
         rng)]
@@ -129,7 +133,7 @@ def _sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
     # as induced_velocities computes it for one row
     offsets = (mu_B - mu_H[z_H])[:, None, :]
     vbar = trans[z_H] + (offsets @ np.swapaxes((rot - eye)[z_H], 1, 2))[:, 0]
-    vel = mvn_sample_stack(vbar, np.broadcast_to(hyper.sigma2_V * eye, (L, dim, dim)), rng)
+    vel = vbar + math.sqrt(hyper.sigma2_V) * rng.standard_normal((L, dim))
     positions, velocities = _draw_points(z_B, mu_B, Sigma_B, vel, Sigma_V, rng)
 
     base_seed = int(seed) if not isinstance(seed, np.random.Generator) else 0

@@ -2,6 +2,9 @@
 bitwise identical across seed-fixed reruns."""
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -560,3 +563,37 @@ def test_fit_samples_particle_covariances_at_frame_zero(tmp_path, monkeypatch):
     assert len(schedules) == 3
     assert all("particle_covs" in names and "assign_particles" in names
                for names in schedules)
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None      # every scipy import now raises ImportError
+
+import numpy as np
+import mattertrack
+import mattertrack.cli
+from mattertrack import (HyperParams, full_sweep_schedule, init_state, log_joint,
+                         make_transform_candidates, probe_point_eval, sample_forward,
+                         sweep)
+
+hyper = HyperParams.default(2).replace(p_outlier=0.1)
+cands = make_transform_candidates(2, hyper, M_r=5, M_t=9)
+_, obs = sample_forward(hyper, 2, 4, 40, 0, cands)
+state = sweep(init_state(obs, 2, 4, hyper, seed=1), obs, hyper, full_sweep_schedule(), cands)
+assert np.isfinite(log_joint(state, obs, hyper, cands))
+pred = np.zeros((6, 6), dtype=int)
+pred[:, 3:] = 1
+acc, jac, _ = probe_point_eval(pred, pred == 0, n_probes=10)
+assert acc == jac == 1.0
+"""
+
+
+def test_package_runs_without_scipy():
+    # scipy is only a test oracle: the library imports and runs a forward draw,
+    # an init, a sweep with the outlier term, log_joint and probe scores without it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from mattertrack.distributions import (
+    _multigammaln,
     categorical_sample,
     categorical_sample_rows,
     chol_spd,
@@ -205,9 +206,24 @@ def test_iw_single_draw_matches_scipy_logpdf_region():
     assert mine == pytest.approx(ref, abs=1e-10)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("excess", [1e-6, 1e-3, 0.5, 1e4])
+def test_iw_logpdf_matches_scipy_from_nu_near_its_floor_to_large(d, excess):
+    # nu just above D - 1, where log Gamma_D(nu/2) has a pole, and large
+    nu = d - 1 + excess
+    psi = np.diag(np.arange(1.0, d + 1)) + 0.3
+    sigma = np.eye(d) + 0.2
+    assert _multigammaln(nu / 2, d) == pytest.approx(special.multigammaln(nu / 2, d),
+                                                     rel=1e-14)
+    ref = stats.invwishart(df=nu, scale=psi).logpdf(sigma)
+    assert inverse_wishart_logpdf(sigma, psi, nu) == pytest.approx(ref, rel=1e-12)
+
+
 def test_iw_invalid_nu_rejected():
     with pytest.raises(ValidationError):
         inverse_wishart_sample(np.eye(2), 0.5, np.random.default_rng(0))
+    with pytest.raises(ValidationError):
+        inverse_wishart_logpdf(np.eye(2), np.eye(2), 0.5)
 
 
 # -- Dirichlet / categorical ---------------------------------------------------
@@ -334,10 +350,20 @@ def test_candidates_rotations_orthogonal_within_cap():
 
 
 def test_candidates_priors_normalized():
-    hyper = diag_hyper(3)
-    cands = make_transform_candidates(3, hyper)
-    assert np.exp(cands.rotation_log_prior).sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.exp(cands.translation_log_prior).sum() == pytest.approx(1.0, abs=1e-12)
+    # at kappa 800 an unshifted exp of the rotation weights overflows
+    for dim, kappa in [(3, 4.0), (2, 800.0), (3, 800.0)]:
+        hyper = diag_hyper(dim, kappa=kappa)
+        cands = make_transform_candidates(dim, hyper)
+        assert np.exp(cands.rotation_log_prior).sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.exp(cands.translation_log_prior).sum() == pytest.approx(1.0, abs=1e-12)
+        rot_w = kappa * np.cos([rotation_angle(R) for R in cands.rotations])
+        trans_w = -0.5 * (cands.translations ** 2).sum(axis=1) / hyper.s2
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(rot_w).sum()) == (kappa > 709.0)
+        np.testing.assert_allclose(cands.rotation_log_prior,
+                                   rot_w - special.logsumexp(rot_w), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(cands.translation_log_prior,
+                                   trans_w - special.logsumexp(trans_w), rtol=0, atol=1e-12)
 
 
 def test_rotation_helpers():

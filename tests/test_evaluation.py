@@ -1,8 +1,10 @@
 """Metric oracles: adjusted Rand, matter-weighted Jaccard, probe-point scores."""
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from mattertrack.evaluation import (
+    _label,
     adjusted_rand_index,
     matter_weighted_jaccard,
     point_cluster_labels,
@@ -145,6 +147,55 @@ def test_probe_segments_are_connected_components():
     acc, jac, prob = probe_point_eval(pred, gt, n_probes=40, seed=4)
     assert jac == pytest.approx(1.0)
     np.testing.assert_allclose(prob[:, 12:], 0.0)
+
+
+def spiral_mask(n):
+    """A one-cell-wide square spiral walked clockwise from the top-left corner,
+    one cell apart from its own earlier arms: one component, and so is its gap."""
+    mask = np.zeros((n, n), dtype=bool)
+    r, c, dr, dc = 0, 0, 0, 1
+    mask[r, c] = True
+
+    def on(i, j):
+        return 0 <= i < n and 0 <= j < n and mask[i, j]
+
+    while True:
+        for _ in range(2):   # go on, or turn right once
+            if 0 <= r + dr < n and 0 <= c + dc < n and not on(r + dr, c + dc) \
+                    and not on(r + 2 * dr, c + 2 * dc):
+                r, c = r + dr, c + dc
+                mask[r, c] = True
+                break
+            dr, dc = dc, -dr
+        else:
+            return mask
+
+
+_LABEL_MASKS = {
+    "random": [np.random.default_rng(s).random(shape) < p for s, (shape, p) in enumerate(
+        [((1, 1), 0.5), ((1, 30), 0.6), ((30, 1), 0.6), ((17, 23), 0.3), ((17, 23), 0.55),
+         ((40, 40), 0.6), ((64, 48), 0.75)])],
+    "spiral": [spiral_mask(n) for n in (5, 11, 31)],
+    # cells that touch only at corners stay apart under 4-connectivity
+    "diagonal": [np.indices((9, 12)).sum(axis=0) % 2 == 0, np.eye(7, dtype=bool),
+                 np.fliplr(np.eye(6, 8, dtype=bool))],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LABEL_MASKS))
+def test_segment_labels_match_scipy(kind):
+    # the probe segments' labelling against scipy's 4-connected one, on the
+    # mask and on its complement; both number components in raster order
+    for mask in _LABEL_MASKS[kind]:
+        for cells in (mask, ~mask):
+            labels, count = _label(cells)
+            ref, ref_count = ndimage.label(cells)
+            assert count == ref_count
+            np.testing.assert_array_equal(labels, ref)
+    if kind == "spiral":
+        assert ndimage.label(mask)[1] == ndimage.label(~mask)[1] == 1
+    if kind == "diagonal":
+        assert _label(_LABEL_MASKS[kind][0])[1] == 54
 
 
 def test_probe_prob_map_bounds():
