@@ -79,20 +79,28 @@ def chol_spd_stack(covs: np.ndarray) -> np.ndarray:
 
 
 def tril_inverse_stack(factors: np.ndarray) -> np.ndarray:
-    """Inverses of a (n, D, D) stack of lower-triangular matrices.
+    """Inverses of a (n, D, D) stack of lower-triangular matrices, D <= 3.
 
-    Forward substitution against the identity, one row at a time across the
-    whole stack: row i of the inverse is -L[i, :i] @ inv[:i, :i] / L[i, i]
-    left of the diagonal and 1 / L[i, i] on it.
+    Forward substitution against the identity, written out row by row across
+    the whole stack: with r_i = 1 / L_ii on the diagonal, row 1 is
+    -(L_10 r_0) / L_11, and row 2 is -(L_20 r_0 + L_21 inv_10) / L_22 and
+    -(L_21 r_1) / L_22.  That is the loop -L[i, :i] @ inv[:i, :i] / L[i, i]
+    bit for bit, up to the sign of a zero entry, which the Gram products
+    that read the inverses (``spd_inverse_stack``, ``inverse_wishart_stack``)
+    do not see.  A wider stack raises rather than return a wrong inverse.
     """
-    d = factors.shape[1]
-    out = np.zeros_like(factors)
-    for i in range(d):
-        diag = factors[:, i, i]
-        out[:, i, i] = 1.0 / diag
-        if i:
-            row = np.einsum("nk,nkj->nj", factors[:, i, :i], out[:, :i, :i])
-            out[:, i, :i] = -row / diag[:, None]
+    n, d = factors.shape[:2]
+    if d > 3:
+        raise ValidationError(f"tril_inverse_stack is written out for D <= 3, got D={d}")
+    out = np.zeros((n, d, d))
+    recip = 1.0 / factors.diagonal(axis1=1, axis2=2)
+    out.reshape(n, d * d)[:, ::d + 1] = recip
+    if d > 1:
+        out[:, 1, 0] = -(factors[:, 1, 0] * recip[:, 0]) / factors[:, 1, 1]
+    if d > 2:
+        out[:, 2, 0] = -(factors[:, 2, 0] * recip[:, 0]
+                         + factors[:, 2, 1] * out[:, 1, 0]) / factors[:, 2, 2]
+        out[:, 2, 1] = -(factors[:, 2, 1] * recip[:, 1]) / factors[:, 2, 2]
     return out
 
 
@@ -102,9 +110,11 @@ def spd_inverse_stack(covs: np.ndarray) -> np.ndarray:
 
 
 def _spd_inverse_from_tril(inv_l: np.ndarray) -> np.ndarray:
-    """``spd_inverse_stack`` given ``tril_inverse_stack`` of the Cholesky factors."""
-    inv = np.einsum("nki,nkj->nij", inv_l, inv_l)
-    return 0.5 * (inv + np.swapaxes(inv, 1, 2))
+    """``spd_inverse_stack`` given ``tril_inverse_stack`` of the Cholesky factors.
+
+    The Gram product is exactly symmetric: entries (i, j) and (j, i) sum the
+    same products over k in the same order."""
+    return np.einsum("nki,nkj->nij", inv_l, inv_l)
 
 
 def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -268,9 +278,7 @@ def inverse_wishart_stack(psi: np.ndarray, nu: np.ndarray,
     bartlett.reshape(n, d * d)[:, ::d + 1] = np.sqrt(chi2)
     for i in range(1, d):
         bartlett[:, i, :i] = normals[:, i * (i - 1) // 2:i * (i + 1) // 2]
-    c_inv = tril_inverse_stack(scale @ bartlett)
-    out = np.einsum("nki,nkj->nij", c_inv, c_inv)
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
+    return _spd_inverse_from_tril(tril_inverse_stack(scale @ bartlett))
 
 
 def inverse_wishart_mean(Psi: np.ndarray, nu: float) -> np.ndarray:
@@ -374,15 +382,19 @@ def categorical_sample_rows(log_weights: np.ndarray, rng: np.random.Generator) -
     The label is the first column whose cumulative weight reaches
     u = U * total, with U one ``rng.random()`` per row.  Weights are shifted
     by the row maximum, so each row's total is at least 1, and since U is a
-    multiple of 2**-53, u is 0 or above 1e-16.  A term whose shifted log
-    weight is below -707 (a term below 9.0e-308) is set to exactly 0, and
-    ``exp`` never sees its value: below about -707.7, just above the
-    subnormal range, ``exp`` leaves its vector path and runs 10-100x slower
-    per element.  The flushed terms change only cumulative weights below
-    about 1e-292, far below any nonzero u, so a label can move only when a
-    rounding tie in a later cumulative sum meets u, an event of measure
-    below 2**-50.  Columns of weight -inf are never drawn.  The draw runs on
-    a transposed copy (``_categorical_sample_columns``), not on the input.
+    multiple of 2**-53, u is 0 or at least 1.1e-16.  A shifted log weight
+    below -707 (-inf included) is raised to -707 before ``exp``, so it weighs
+    exp(-707) = 9.0e-308 rather than its own value, and ``exp`` never sees
+    it: below about -707.7, just above the subnormal range, ``exp`` leaves
+    its vector path and runs 10-100x slower per element.  The flushed mass
+    of a row of W columns is at most W * 9.0e-308.  It moves only cumulative
+    weights below about 1e-291, which a nonzero u never meets, and is
+    absorbed whole by any larger sum, so no label moves unless a rounding tie
+    in a later cumulative sum meets u, an event of measure below 2**-50.
+    The same argument compares the draw with one on the unflushed weights.
+    A column of weight -inf is drawn
+    only by a zero U, and then only as the first column.  The draw runs on a
+    transposed copy (``_categorical_sample_columns``), not on the input.
     """
     columns = np.asarray(log_weights, dtype=np.float64).T.copy()
     return _categorical_sample_columns(columns, rng, np.empty(columns.shape, dtype=bool))
@@ -397,17 +409,16 @@ def _categorical_sample_columns(block: np.ndarray, rng: np.random.Generator,
                                 keep: np.ndarray) -> np.ndarray:
     """``categorical_sample_rows`` of ``block.T`` in place, ``keep`` a bool scratch of
     its shape.  Rows add up one at a time, as a row ``cumsum`` does; the sums are
-    monotone, so a label is the count below u, summed in int32 (~2.5x int64's speed)."""
+    monotone, so a label is the count below u, summed in int32 (~2.5x int64's speed).
+    Four passes over the block before the sums: max, subtract, clamp and ``exp``."""
     m = block.max(axis=0)
     if not np.isfinite(m).all():
         raise ValidationError("no admissible component: a row has all -inf weights")
     block -= m
-    np.greater_equal(block, _EXP_FLOOR, out=keep)
     # clamp the flushed entries, -inf included, to the floor, so exp only sees
-    # values in its fast range, then zero them: exp(-707) * 0 is exactly 0
+    # values in its fast range; each then weighs exp(-707), below any nonzero u
     np.maximum(block, _EXP_FLOOR, out=block)
     np.exp(block, out=block)
-    block *= keep
     for i in range(1, len(block)):
         np.add(block[i - 1], block[i], out=block[i])
     np.less(block, rng.random((block.shape[1], 1))[:, 0] * block[-1], out=keep)
@@ -494,6 +505,25 @@ class TransformCandidates:
     def num_translations(self) -> int:
         return self.translations.shape[0]
 
+    # the moments the rotation and translation steps score the grids with,
+    # computed on first use and kept read-only, since the grid never changes
+    @functools.cached_property
+    def rotation_offsets(self) -> np.ndarray:
+        """B_j = R_j - I per rotation candidate, (M_r, D, D)."""
+        return _readonly(self.rotations - np.eye(self.dim))
+
+    @functools.cached_property
+    def rotation_grams(self) -> np.ndarray:
+        """B_j^T B_j per rotation candidate, (M_r, D, D)."""
+        B = self.rotation_offsets
+        return _readonly(np.einsum("jca,jcb->jab", B, B))
+
+    @functools.cached_property
+    def translation_sq_norms(self) -> np.ndarray:
+        """|t_m|^2 per translation candidate, (M_t,)."""
+        T = self.translations
+        return _readonly(np.einsum("md,md->m", T, T))
+
     def rotation_index(self, R: np.ndarray, atol: float = 1e-9) -> int:
         hits = np.where(np.all(np.abs(self.rotations - R) <= atol, axis=(1, 2)))[0]
         if hits.size == 0:
@@ -505,6 +535,11 @@ class TransformCandidates:
         if hits.size == 0:
             raise ValidationError("translation is not a member of the candidate set")
         return int(hits[0])
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _logsumexp(lw: np.ndarray) -> float:

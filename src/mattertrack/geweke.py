@@ -15,7 +15,12 @@ import numpy as np
 from . import rng as rngmod
 from .distributions import TransformCandidates, make_transform_candidates
 from .gibbs import SweepSchedule, full_sweep_schedule, sweep
-from .model import _check_forward_inputs, _sample_forward, resample_observations
+from .model import (
+    _check_forward_inputs,
+    _sample_forward,
+    _sample_latents,
+    resample_observations,
+)
 from .rng import RngState, substream
 from .types import HyperParams, ModelState, ValidationError
 
@@ -108,8 +113,10 @@ def run_geweke(hyper: HyperParams, K: int, L: int, N: int, iterations: int,
 
     n_stats = 2 * L * dim + L
     forward = np.empty((iterations, n_stats))
+    # the collected statistics are latents, drawn before the points, so the
+    # forward half stops there
     for i in range(iterations):
-        state, _ = _sample_forward(hyper, K, L, N, substream(seed, rngmod.FORWARD, i),
+        state, _ = _sample_latents(hyper, K, L, N, substream(seed, rngmod.FORWARD, i),
                                    candidates=candidates)
         forward[i] = _collect(state)
 

@@ -7,15 +7,19 @@ independent and read the pre-step state; blocks compose sequentially.
 Every conditional is one kernel over the stacked component arrays, (L, D, D)
 for particles and (K, D, D) for clusters, with no per-component Python loop.
 The kernels read sufficient statistics gathered in one ``np.bincount`` pass
-keyed by ``z_B`` or ``z_H``: counts, sums and scatter entries.  Covariances
-are factored and inverted as stacks, and within a sweep each of ``Sigma_B``,
+keyed by ``z_B`` or ``z_H``: counts, sums and scatter entries, of which a
+symmetric scatter sums only the entries i <= j.  Covariances are factored
+and inverted as stacks (``tril_inverse_stack`` writes the D <= 3 triangular
+inverses out row by row), and within a sweep each of ``Sigma_B``,
 ``Sigma_V`` and ``Sigma_H`` is factored once per value and shared by the
 steps that read it (``_CovFactors``).  Assignment scores are one matrix
 product per block: ``expand_gaussians`` expands each Gaussian term as
 -x'^T P x'/2 + (P m')^T x' - m'^T P m'/2 - log-normalizer, x' and m' centred
 at the mean of the term's component means, which keeps rounding near
 eps cond(Sigma) |x - c|^2 / sigma^2.  The rotation and translation grids are
-scored from per-cluster moments rather than candidate by candidate.
+scored from per-cluster moments rather than candidate by candidate, and
+from the grid's own moments (R_j - I, (R_j - I)^T (R_j - I) and |t_m|^2),
+which ``TransformCandidates`` computes once per grid.
 
 Draw-order contract: a sweep draws from one stream, keyed by the state's rng
 cursor alone (``state.rng.stream(SWEEP)``).  The steps take their variates
@@ -53,6 +57,7 @@ from . import rng as rngmod
 from .distributions import (
     TransformCandidates,
     _categorical_sample_columns,
+    _readonly,
     _spd_inverse_from_tril,
     categorical_sample_rows,
     categorical_sample_wide_rows,
@@ -71,14 +76,8 @@ from .types import Assignments, HyperParams, ModelState, Observations, Validatio
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _readonly_eye(d: int) -> np.ndarray:
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
-
-
 # the identity of each state dimension, built once for every step
-_EYE = {d: _readonly_eye(d) for d in (2, 3)}
+_EYE = {d: _readonly(np.eye(d)) for d in (2, 3)}
 
 # Step identifiers, in canonical full-sweep order.
 ASSIGN_POINTS = "assign_points"
@@ -278,13 +277,20 @@ def _group_sums(z: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
 
 
 def _group_outer(z: np.ndarray, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-group sums of the outer products a_i b_i^T, shape (n, D, D)."""
-    d = a.shape[1]
-    a_cols, b_cols = a.T.copy(), b.T.copy()
+    """Per-group sums of the outer products a_i b_i^T, shape (n, D, D).
+
+    Given the same array twice it sums only the entries i <= j and mirrors
+    them: a_i a_j and a_j a_i are equal products, so their sums are too."""
+    d, symmetric = a.shape[1], b is a
+    a_cols = a.T.copy()
+    b_cols = a_cols if symmetric else b.T.copy()
     out = np.empty((n, d, d))
     for i in range(d):
         for j in range(d):
-            out[:, i, j] = np.bincount(z, weights=a_cols[i] * b_cols[j], minlength=n)[:n]
+            if symmetric and j < i:
+                out[:, i, j] = out[:, j, i]
+            else:
+                out[:, i, j] = np.bincount(z, weights=a_cols[i] * b_cols[j], minlength=n)[:n]
     return out
 
 
@@ -638,16 +644,17 @@ def _rotation_log_probs(state: ModelState, hyper: HyperParams,
 
     Over a cluster's particles, with offsets o = mu_B - mu_H, residuals
     u = vel - t and B_j = R_j - I, the squared velocity misfit of candidate j
-    is sum |u|^2 - 2 <B_j, sum u o^T> + <B_j^T B_j, sum o o^T>.
+    is sum |u|^2 - 2 <B_j, sum u o^T> + <B_j^T B_j, sum o o^T>.  B_j and
+    B_j^T B_j are the grid's own, computed once per grid.
     """
     K, z_h = state.K, state.z_H
     offsets = state.mu_B - state.mu_H[z_h]
     resid = state.vel - state.trans[z_h]
-    B = candidates.rotations - _EYE[state.dim]
-    gram = np.einsum("jca,jcb->jab", B, B)
     sq = (_group_sums(z_h, K, np.einsum("ld,ld->l", resid, resid)[:, None])
-          - 2.0 * np.einsum("jab,kab->kj", B, _group_outer(z_h, K, resid, offsets))
-          + np.einsum("jab,kab->kj", gram, _group_outer(z_h, K, offsets, offsets)))
+          - 2.0 * np.einsum("jab,kab->kj", candidates.rotation_offsets,
+                            _group_outer(z_h, K, resid, offsets))
+          + np.einsum("jab,kab->kj", candidates.rotation_grams,
+                      _group_outer(z_h, K, offsets, offsets)))
     loglik = _isotropic_sum_loglik(_group_counts(z_h, K), sq, state.dim, hyper.sigma2_V)
     return candidates.rotation_log_prior + loglik
 
@@ -670,16 +677,16 @@ def _translation_log_probs(state: ModelState, hyper: HyperParams,
     """(K, M_t) translation scores from per-cluster moments.
 
     With r = vel - (R - I)(mu_B - mu_H) over a cluster's particles, the
-    squared misfit of candidate t_m is sum |r|^2 - 2 t_m . sum r + n |t_m|^2.
+    squared misfit of candidate t_m is sum |r|^2 - 2 t_m . sum r + n |t_m|^2,
+    with |t_m|^2 computed once per grid.
     """
     K, z_h = state.K, state.z_H
     offsets = state.mu_B - state.mu_H[z_h]
     resid = state.vel - np.einsum("lij,lj->li", (state.rot - _EYE[state.dim])[z_h], offsets)
     counts = _group_counts(z_h, K)
-    T = candidates.translations
     sq = (_group_sums(z_h, K, np.einsum("ld,ld->l", resid, resid)[:, None])
-          - 2.0 * _group_sums(z_h, K, resid) @ T.T
-          + counts[:, None] * np.einsum("md,md->m", T, T))
+          - 2.0 * _group_sums(z_h, K, resid) @ candidates.translations.T
+          + counts[:, None] * candidates.translation_sq_norms)
     loglik = _isotropic_sum_loglik(counts, sq, state.dim, hyper.sigma2_V)
     return candidates.translation_log_prior + loglik
 

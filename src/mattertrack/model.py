@@ -21,10 +21,13 @@ then, particle by particle in index order, one ``standard_normal((n, D))``
 block for the positions of its n points and one for their velocities.  The
 isotropic means and velocities are scaled by sqrt(sigma2), which is
 ``mvn_sample_stack`` bit for bit: the Cholesky factor of sigma2 I is
-sqrt(sigma2) I.  ``resample_observations`` takes only
-those last blocks.  A loop over the generative process that takes the same
-variates in the same order gives the same labels and, within rounding, the
-same arrays (pinned by the reference loops in the tests).
+sqrt(sigma2) I.  ``resample_observations`` takes only those last blocks.
+The forward half of ``geweke.run_geweke`` collects latents alone, so it
+stops before the points (``_sample_latents``); every latent it collects is
+the one ``sample_forward`` draws on the same stream.  A loop over the
+generative process that takes the same variates in the same order gives
+the same labels and, within rounding, the same arrays (pinned by the
+reference loops in the tests).
 """
 from __future__ import annotations
 
@@ -106,6 +109,17 @@ def _sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
                     ) -> tuple[ModelState, Observations]:
     """``sample_forward`` on inputs already checked by ``_check_forward_inputs``,
     for callers that draw many times from one ``hyper``."""
+    state, rng = _sample_latents(hyper, K, L, N, seed, candidates)
+    positions, velocities = _draw_points(state.z_B, state.mu_B, state.Sigma_B, state.vel,
+                                         state.Sigma_V, rng)
+    return state, Observations(positions, velocities)
+
+
+def _sample_latents(hyper: HyperParams, K: int, L: int, N: int, seed,
+                    candidates: TransformCandidates | None = None,
+                    ) -> tuple[ModelState, np.random.Generator]:
+    """The latent half of ``_sample_forward``: every draw before the points,
+    and the generator positioned where the points' draws begin."""
     dim = int(np.asarray(hyper.mu_H_prior).shape[0])
     if candidates is None:
         candidates = make_transform_candidates(dim, hyper)
@@ -134,7 +148,6 @@ def _sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
     offsets = (mu_B - mu_H[z_H])[:, None, :]
     vbar = trans[z_H] + (offsets @ np.swapaxes((rot - eye)[z_H], 1, 2))[:, 0]
     vel = vbar + math.sqrt(hyper.sigma2_V) * rng.standard_normal((L, dim))
-    positions, velocities = _draw_points(z_B, mu_B, Sigma_B, vel, Sigma_V, rng)
 
     base_seed = int(seed) if not isinstance(seed, np.random.Generator) else 0
     state = ModelState(
@@ -142,7 +155,7 @@ def _sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
         mu_H=mu_H, Sigma_H=Sigma_H, rot=rot, trans=trans, pi_H=pi_H,
         assignments=Assignments(z_B, z_H), rng=RngState(base_seed),
     )
-    return state, Observations(positions, velocities)
+    return state, rng
 
 
 def _draw_points(z: np.ndarray, mu_B: np.ndarray, Sigma_B: np.ndarray, vel: np.ndarray,

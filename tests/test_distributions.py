@@ -20,6 +20,7 @@ from mattertrack.distributions import (
     inverse_wishart_logpdf,
     inverse_wishart_mean,
     inverse_wishart_sample,
+    inverse_wishart_stack,
     isotropic_logpdf_rows,
     log_normalize,
     make_transform_candidates,
@@ -32,6 +33,7 @@ from mattertrack.distributions import (
     rotation_from_axis_angle,
     spd_inverse,
     spd_inverse_stack,
+    tril_inverse_stack,
 )
 from mattertrack.types import NumericalDomainError, ValidationError
 
@@ -111,6 +113,64 @@ def test_stacked_factorizations_match_single_matrix(d):
     np.testing.assert_array_equal(chol_spd_stack(covs), [chol_spd(c) for c in covs])
     np.testing.assert_allclose(spd_inverse_stack(covs), [spd_inverse(c) for c in covs],
                                rtol=1e-12, atol=1e-12)
+
+
+def ref_tril_inverse_stack(factors):
+    """Forward substitution against the identity, one row at a time across the
+    stack: row i is -L[i, :i] @ inv[:i, :i] / L[i, i] left of the diagonal."""
+    d = factors.shape[1]
+    out = np.zeros_like(factors)
+    for i in range(d):
+        diag = factors[:, i, i]
+        out[:, i, i] = 1.0 / diag
+        if i:
+            row = np.einsum("nk,nkj->nj", factors[:, i, :i], out[:, :i, :i])
+            out[:, i, :i] = -row / diag[:, None]
+    return out
+
+
+def conditioned_spd_stack(rng, n, d):
+    """SPD matrices at scales 1e-6 to 1e6 with condition numbers up to 1e12."""
+    q = np.linalg.qr(rng.standard_normal((n, d, d)))[0]
+    eigs = 10.0 ** (rng.uniform(-6.0, 6.0, (n, 1))
+                    + rng.uniform(0.0, 1.0, (n, d)) * rng.uniform(0.0, 12.0, (n, 1)))
+    covs = (q * eigs[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return 0.5 * (covs + np.swapaxes(covs, 1, 2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tril_inverse_stack_equals_row_by_row_substitution(d):
+    # bit for bit, compared as integers: the written-out rows take the
+    # reciprocal of L_00 where a division by L_00 would round apart
+    rng = np.random.default_rng(50 + d)
+    covs = conditioned_spd_stack(rng, 20_000, d)
+    factors = np.stack([np.linalg.cholesky(c) for c in covs])
+    # loose factors too, lower-triangular with any signs and spread diagonals
+    loose = np.tril(rng.standard_normal((20_000, d, d))
+                    * 10.0 ** rng.uniform(-6.0, 6.0, (20_000, d, d)))
+    np.einsum("nii->ni", loose)[:] = 10.0 ** rng.uniform(-6.0, 6.0, (20_000, d))
+    for stack in (factors, loose):
+        got = tril_inverse_stack(stack)
+        want = ref_tril_inverse_stack(stack)
+        assert np.count_nonzero(np.tril(stack)) == stack.size // d * (d + 1) // 2
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_tril_inverse_stack_rejects_more_than_three_dimensions():
+    with pytest.raises(ValidationError, match="D=4"):
+        tril_inverse_stack(np.eye(4)[None])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spd_inverses_and_iw_draws_are_exactly_symmetric(d):
+    # the Gram products sum the same products in the same order for (i, j)
+    # and (j, i), so no symmetrization pass is needed
+    rng = np.random.default_rng(60 + d)
+    covs = conditioned_spd_stack(rng, 2_000, d)
+    inv = spd_inverse_stack(covs)
+    np.testing.assert_array_equal(inv, inv.swapaxes(1, 2))
+    draws = inverse_wishart_stack(covs, rng.uniform(d - 0.5, d + 30.0, 2_000), rng)
+    np.testing.assert_array_equal(draws, draws.swapaxes(1, 2))
 
 
 def test_chol_spd_stack_keeps_per_matrix_jitter_and_error():

@@ -3,7 +3,11 @@ acceptance suite)."""
 import numpy as np
 import pytest
 
-from mattertrack.geweke import default_check_hyper, run_geweke
+from mattertrack import rng as rngmod
+from mattertrack.distributions import make_transform_candidates
+from mattertrack.geweke import _collect, default_check_hyper, run_geweke
+from mattertrack.model import sample_forward
+from mattertrack.rng import substream
 from mattertrack.types import ValidationError
 
 
@@ -73,3 +77,19 @@ def test_geweke_rejects_bad_sizes():
         run_geweke(hyper, K=0, L=2, N=8, iterations=100, seed=0)
     with pytest.raises(ValidationError, match="L >= K"):
         run_geweke(hyper, K=3, L=2, N=8, iterations=100, seed=0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_forward_half_collects_what_sample_forward_draws(dim):
+    # the forward half draws latents only and stops before the points; its
+    # means equal, bit for bit, those of whole draws on the same substreams
+    hyper = default_check_hyper(dim)
+    K, L, N, iterations, seed = 2, 4, 16, 100, 7
+    report = run_geweke(hyper, K=K, L=L, N=N, iterations=iterations, seed=seed)
+    cands = make_transform_candidates(dim, hyper)
+    forward = np.array([
+        _collect(sample_forward(hyper, K, L, N, substream(seed, rngmod.FORWARD, i), cands)[0])
+        for i in range(iterations)])
+    # column by column, as the report takes them (a mean over axis 0 sums in
+    # another order)
+    assert [s.forward_mean for s in report.stats] == [float(c.mean()) for c in forward.T]

@@ -584,6 +584,51 @@ def test_column_draw_rejects_a_row_without_admissible_column_like_row_draw():
         categorical_sample_rows(lw, np.random.default_rng(0))
 
 
+def masked_categorical_sample_columns(block, rng, keep):
+    """The column draw that sets every flushed term to exactly 0: a mask of the
+    shifted scores at or above -707, clamp, ``exp``, then the mask applied."""
+    m = block.max(axis=0)
+    if not np.isfinite(m).all():
+        raise ValidationError("no admissible component: a row has all -inf weights")
+    block -= m
+    np.greater_equal(block, -707.0, out=keep)
+    np.maximum(block, -707.0, out=block)
+    np.exp(block, out=block)
+    block *= keep
+    for i in range(1, len(block)):
+        np.add(block[i - 1], block[i], out=block[i])
+    np.less(block, rng.random((block.shape[1], 1))[:, 0] * block[-1], out=keep)
+    return keep.sum(axis=0, dtype=np.int32).astype(np.int64)
+
+
+def test_unmasked_column_draw_matches_masked_draw():
+    # flushed terms weigh exp(-707) = 9.0e-308 each instead of 0; the target
+    # u * total is 0 or at least 1.1e-16, so no label moves.  Scores are at
+    # most 0 with a 0 in every column, so the edge values are the shifted ones
+    rng = np.random.default_rng(70)
+    edge = np.array([-707.0, np.nextafter(-707.0, 0.0), np.nextafter(-707.0, -np.inf),
+                     -706.5, -707.7, -708.0, -745.0, -746.0, -np.inf])
+    n = 257
+    for width in range(1, 130):
+        scores = -np.abs(rng.normal(0.0, 10.0 ** rng.uniform(-1, 3), (width, n)))
+        straddle = rng.random(scores.shape) < 0.4
+        scores[straddle] = rng.choice(edge, np.count_nonzero(straddle))
+        scores[rng.random(scores.shape) < 0.2] = -np.inf
+        scores[:, :32] = np.where(rng.random((width, 32)) < 0.7, -np.inf, scores[:, :32])
+        scores[rng.integers(0, width, n), np.arange(n)] = 0.0
+        uniforms = rng.random(n)
+        uniforms[::5] = 0.0
+        uniforms[1::7] = 1.0 - 2.0 ** -53
+        got = _categorical_sample_columns(scores.copy(), FixedUniforms(uniforms),
+                                          np.empty(scores.shape, dtype=bool))
+        want = masked_categorical_sample_columns(
+            scores.copy(), FixedUniforms(uniforms), np.empty(scores.shape, dtype=bool))
+        np.testing.assert_array_equal(got, want, err_msg=f"width {width}")
+        # a -inf column is drawn only by a zero uniform, as the first column
+        finite = np.isfinite(scores[np.minimum(got, width - 1), np.arange(n)])
+        assert np.all(finite | ((uniforms == 0.0) & (got == 0)))
+
+
 def rank_one_scene(dim, N):
     """``wide_scene`` with particle 2's covariance rank one.  ``validate()``
     rejects it and ``init_state`` never stores one, but ``chol_spd``'s jitter
@@ -649,7 +694,8 @@ class FixedUniforms:
     def random(self, size=None):
         if size is None:
             return self.values.pop(0)
-        out, self.values = np.array(self.values[:size]), self.values[size:]
+        count = int(np.prod(size))
+        out, self.values = np.array(self.values[:count]).reshape(size), self.values[count:]
         return out
 
 
@@ -717,6 +763,41 @@ def test_transform_steps_match_loop_with_excluded_candidates(dim, name):
         want = ref_apply_step(name, state, obs, hyper, cands, rng_r)
         assert_states_match(got, want)
         assert rng_b.bit_generator.state == rng_r.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_grid_moments_are_computed_once_and_equal_the_direct_forms(dim):
+    cands = make_transform_candidates(dim, diag_hyper(dim))
+    B = cands.rotations - np.eye(dim)
+    T = cands.translations
+    for name, want in (("rotation_offsets", B),
+                       ("rotation_grams", np.einsum("jca,jcb->jab", B, B)),
+                       ("translation_sq_norms", np.einsum("md,md->m", T, T))):
+        got = getattr(cands, name)
+        np.testing.assert_array_equal(got, want, strict=True)
+        assert getattr(cands, name) is got and not got.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_symmetric_group_outer_equals_the_full_path(dim):
+    # one array passed twice sums the i <= j entries and mirrors them; a copy
+    # as the second argument takes the path that sums all D x D entries
+    rng = np.random.default_rng(80 + dim)
+    for n, rows in ((1, 5), (4, 40), (30, 3000)):
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), (rows, dim))
+        z = rng.integers(0, n + 1, rows)          # label n is the outlier sentinel
+        got = gibbs._group_outer(z, n, a, a)
+        np.testing.assert_array_equal(got, gibbs._group_outer(z, n, a, a.copy()), strict=True)
+        np.testing.assert_array_equal(got, got.swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_shared_covariance_inverses_are_exactly_symmetric(dim):
+    state = scene(dim)[0]
+    factors = gibbs._CovFactors(state)
+    for field in ("Sigma_B", "Sigma_V", "Sigma_H"):
+        inv = factors.inverse(field)
+        np.testing.assert_array_equal(inv, inv.swapaxes(1, 2), err_msg=field)
 
 
 def sweep_with_own_factors(state, obs, hyper, schedule, cands):
