@@ -58,6 +58,7 @@ def chol_spd(cov: np.ndarray) -> np.ndarray:
 
 
 def spd_inverse(cov: np.ndarray) -> np.ndarray:
+    """Symmetric inverse of one SPD matrix of dimension D <= 3."""
     cov = np.asarray(cov, dtype=np.float64)
     if not np.all(np.isfinite(cov)):  # np.linalg.cholesky factors them silently
         raise ValueError("array must not contain infs or NaNs")
@@ -91,7 +92,7 @@ def tril_inverse_stack(factors: np.ndarray) -> np.ndarray:
     """
     n, d = factors.shape[:2]
     if d > 3:
-        raise ValidationError(f"tril_inverse_stack is written out for D <= 3, got D={d}")
+        raise ValidationError(f"matrices of dimension D <= 3 only, got D={d}")
     out = np.zeros((n, d, d))
     recip = 1.0 / factors.diagonal(axis1=1, axis2=2)
     out.reshape(n, d * d)[:, ::d + 1] = recip
@@ -105,7 +106,7 @@ def tril_inverse_stack(factors: np.ndarray) -> np.ndarray:
 
 
 def spd_inverse_stack(covs: np.ndarray) -> np.ndarray:
-    """Symmetric inverses of a (n, D, D) stack of SPD matrices."""
+    """Symmetric inverses of a (n, D, D) stack of SPD matrices, D <= 3."""
     return _spd_inverse_from_tril(tril_inverse_stack(chol_spd_stack(covs)))
 
 
@@ -245,7 +246,8 @@ def moments_from_precision(m_vec: np.ndarray, precision: np.ndarray):
 
 def inverse_wishart_sample(Psi: np.ndarray, nu: float, rng: np.random.Generator,
                            size: int | None = None) -> np.ndarray:
-    """Draw from IW(Psi, nu): one ``inverse_wishart_stack`` draw, or ``size`` of them."""
+    """Draw from IW(Psi, nu) for a D x D ``Psi``, D <= 3: one
+    ``inverse_wishart_stack`` draw, or ``size`` of them."""
     Psi = np.asarray(Psi, dtype=np.float64)
     d = Psi.shape[0]
     if not nu > d - 1:
@@ -261,7 +263,8 @@ def inverse_wishart_stack(psi: np.ndarray, nu: np.ndarray,
     """One IW(psi_l, nu_l) draw per entry of ``nu`` (n,), from two stacked
     Bartlett draws.
 
-    ``psi`` is (n, D, D), or one (1, D, D) scale for every draw.  With A the
+    ``psi`` is (n, D, D), or one (1, D, D) scale for every draw, D <= 3 (a
+    larger D raises before any draw, in ``spd_inverse_stack``).  With A the
     Bartlett factor and Ls the Cholesky factor of psi^-1, a draw is
     (C C^T)^-1 for C = Ls A.  ``rng.chisquare`` of shape (n, D) gives A's
     diagonal, row i of draw l with nu_l - i degrees of freedom;

@@ -157,8 +157,12 @@ def test_tril_inverse_stack_equals_row_by_row_substitution(d):
 
 
 def test_tril_inverse_stack_rejects_more_than_three_dimensions():
-    with pytest.raises(ValidationError, match="D=4"):
+    with pytest.raises(ValidationError, match="D <= 3 only, got D=4"):
         tril_inverse_stack(np.eye(4)[None])
+    with pytest.raises(ValidationError, match="D <= 3 only, got D=4"):
+        spd_inverse(np.eye(4))
+    with pytest.raises(ValidationError, match="D <= 3 only, got D=4"):
+        inverse_wishart_sample(np.eye(4), 6.0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
