@@ -383,6 +383,9 @@ def geweke_cmd(dim, num_clusters, num_particles, num_points, iters, sweeps_per_i
         }
         with open(out_path, "w") as fh:
             json.dump(payload, fh, indent=2)
+    if report.nonfinite:
+        click.echo(f"FAIL: non-finite z for {', '.join(report.nonfinite)}", err=True)
+        sys.exit(1)
     if not report.passed(threshold):
         click.echo(f"FAIL: max |z| {report.max_abs_z:.2f} >= {threshold}", err=True)
         sys.exit(1)

@@ -65,16 +65,30 @@ def spd_inverse(cov: np.ndarray) -> np.ndarray:
     return spd_inverse_stack(cov[None])[0]
 
 
+# The gufunc behind ``np.linalg.cholesky``, resolved once.  The public
+# wrapper's type and shape checks cost more than the factorization of a
+# Geweke-size stack, and the float64 stacks here need none of them.
+_cholesky_lo = np.linalg._umath_linalg.cholesky_lo
+
+
+def _raise_not_positive_definite(err, flag):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
 def chol_spd_stack(covs: np.ndarray) -> np.ndarray:
     """Cholesky factors of a (n, D, D) stack of SPD matrices.
 
-    One LAPACK call over the stack; if any matrix fails, every matrix goes
-    through ``chol_spd``, so the jitter retry and its error stay per matrix
-    and every factor equals ``chol_spd`` of its matrix.
+    One LAPACK call over the stack, the one ``np.linalg.cholesky`` makes,
+    under the same error state, so a failure raises ``LinAlgError`` as it
+    does.  If any matrix fails, every matrix goes through ``chol_spd``, so
+    the jitter retry and its error stay per matrix and every factor equals
+    ``chol_spd`` of its matrix.
     """
     covs = np.asarray(covs, dtype=np.float64)
     try:
-        return np.linalg.cholesky(covs)
+        with np.errstate(call=_raise_not_positive_definite, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            return _cholesky_lo(covs, signature="d->d")
     except np.linalg.LinAlgError:
         return np.stack([chol_spd(c) for c in covs])
 
@@ -231,7 +245,12 @@ def mvn_sample_stack(means: np.ndarray, covs: np.ndarray,
     """One draw per row of ``means`` (n, D) from the (n, D, D) ``covs``, equal
     to ``mvn_sample`` called row by row: one ``standard_normal((n, D))`` call."""
     noise = rng.standard_normal(means.shape)
-    return means + np.einsum("nij,nj->ni", chol_spd_stack(covs), noise)
+    return means + _correlate_rows(chol_spd_stack(covs), noise)
+
+
+def _correlate_rows(factors: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Row n of ``noise`` (n, D) times the (n, D, D) ``factors``[n]."""
+    return np.einsum("nij,nj->ni", factors, noise)
 
 
 def moments_from_precision(m_vec: np.ndarray, precision: np.ndarray):
@@ -273,10 +292,25 @@ def inverse_wishart_stack(psi: np.ndarray, nu: np.ndarray,
     filled with basic slices, which at Geweke size (n = 2-4) cost less than
     fancy indexing.  Every nu_l must exceed D - 1.
     """
-    n, d = len(nu), psi.shape[-1]
     scale = chol_spd_stack(spd_inverse_stack(psi))
+    return _bartlett_inverse_wishart(scale, *_bartlett_variates(nu, psi.shape[-1], rng))
+
+
+def _bartlett_variates(nu: np.ndarray, d: int,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The two generator calls of ``inverse_wishart_stack``: the Bartlett
+    diagonal's chi-square variates (n, D), then the lower triangles'
+    normals (n, D(D-1)/2)."""
     chi2 = rng.chisquare(nu[:, None] - np.arange(d))
-    normals = rng.standard_normal((n, d * (d - 1) // 2))
+    return chi2, rng.standard_normal((len(nu), d * (d - 1) // 2))
+
+
+def _bartlett_inverse_wishart(scale: np.ndarray, chi2: np.ndarray,
+                              normals: np.ndarray) -> np.ndarray:
+    """The IW draws of ``_bartlett_variates`` under the (n, D, D) or (1, D, D)
+    Cholesky factors ``scale`` of the inverse scales; matrix l depends only
+    on row l of each input, so a stack of draws equals its draws one by one."""
+    n, d = chi2.shape
     bartlett = np.zeros((n, d, d))
     bartlett.reshape(n, d * d)[:, ::d + 1] = np.sqrt(chi2)
     for i in range(1, d):
@@ -368,14 +402,27 @@ def categorical_sample_wide_rows(log_weights: np.ndarray,
     the kernel for few rows of many columns, such as the transform grids,
     where ``categorical_sample_rows`` would loop once per column.
     """
+    cdf = _categorical_cdf_rows(log_weights)
+    return _categorical_labels_wide(cdf, rng.random(len(cdf)))
+
+
+def _categorical_cdf_rows(log_weights: np.ndarray) -> np.ndarray:
+    """Normalized cumulative weights of each row of a (n, M) log-weight
+    matrix, as ``categorical_sample_wide_rows`` builds them; each row's
+    depend on that row alone."""
     lw = np.asarray(log_weights, dtype=np.float64)
     m = lw.max(axis=1, keepdims=True)
     if not np.isfinite(m).all():
         raise ValidationError("no admissible component: all log weights are -inf")
     cdf = np.exp(lw - m)
     cdf /= cdf.sum(axis=1, keepdims=True)
-    cdf = cdf.cumsum(axis=1)
-    target = rng.random(len(cdf)) * cdf[:, -1]
+    return cdf.cumsum(axis=1)
+
+
+def _categorical_labels_wide(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``categorical_sample_wide_rows``' labels given its uniforms (n,), and
+    the (n, M) rows of ``_categorical_cdf_rows``, or one (1, M) row for all."""
+    target = uniforms * cdf[:, -1]
     return np.minimum((cdf <= target[:, None]).sum(axis=1), cdf.shape[1] - 1)
 
 
@@ -411,9 +458,17 @@ _EXP_FLOOR = -707.0
 def _categorical_sample_columns(block: np.ndarray, rng: np.random.Generator,
                                 keep: np.ndarray) -> np.ndarray:
     """``categorical_sample_rows`` of ``block.T`` in place, ``keep`` a bool scratch of
-    its shape.  Rows add up one at a time, as a row ``cumsum`` does; the sums are
-    monotone, so a label is the count below u, summed in int32 (~2.5x int64's speed).
-    Four passes over the block before the sums: max, subtract, clamp and ``exp``."""
+    its shape, with one ``rng.random((n, 1))`` call for the n columns."""
+    return _categorical_columns(block, rng.random((block.shape[1], 1))[:, 0], keep)
+
+
+def _categorical_columns(block: np.ndarray, uniforms: np.ndarray,
+                         keep: np.ndarray) -> np.ndarray:
+    """``_categorical_sample_columns`` given its uniforms (n,).  Rows add up one at a
+    time, as a row ``cumsum`` does; the sums are monotone, so a label is the count
+    below u, summed in int32 (~2.5x int64's speed).  Four passes over the block
+    before the sums: max, subtract, clamp and ``exp``.  Each column's label
+    depends on that column and its uniform alone."""
     m = block.max(axis=0)
     if not np.isfinite(m).all():
         raise ValidationError("no admissible component: a row has all -inf weights")
@@ -424,7 +479,7 @@ def _categorical_sample_columns(block: np.ndarray, rng: np.random.Generator,
     np.exp(block, out=block)
     for i in range(1, len(block)):
         np.add(block[i - 1], block[i], out=block[i])
-    np.less(block, rng.random((block.shape[1], 1))[:, 0] * block[-1], out=keep)
+    np.less(block, uniforms * block[-1], out=keep)
     return keep.sum(axis=0, dtype=np.int32).astype(np.int64)
 
 
@@ -526,6 +581,17 @@ class TransformCandidates:
         """|t_m|^2 per translation candidate, (M_t,)."""
         T = self.translations
         return _readonly(np.einsum("md,md->m", T, T))
+
+    @functools.cached_property
+    def rotation_prior_cdf(self) -> np.ndarray:
+        """The rotation prior's cumulative weights, (1, M_r), as
+        ``categorical_sample_wide_rows`` builds them for each row."""
+        return _readonly(_categorical_cdf_rows(self.rotation_log_prior[None]))
+
+    @functools.cached_property
+    def translation_prior_cdf(self) -> np.ndarray:
+        """The translation prior's cumulative weights, (1, M_t)."""
+        return _readonly(_categorical_cdf_rows(self.translation_log_prior[None]))
 
     def rotation_index(self, R: np.ndarray, atol: float = 1e-9) -> int:
         hits = np.where(np.all(np.abs(self.rotations - R) <= atol, axis=(1, 2)))[0]

@@ -5,6 +5,14 @@ Compares latent-variable statistics under (a) independent forward samples and
 resampling of the observations given the latents.  If every conditional is
 correct, both sides target the same prior marginals and all z-scores stay at
 Monte Carlo noise level.
+
+The statistics are latents, so the forward half draws no points: it draws
+its iterations as stacks of independent latent draws (``model.LatentStack``),
+draw i from substream (seed, FORWARD, i), in chunks of at most
+``_FORWARD_CHUNK_ENTRIES`` label scores, which keeps memory bounded on long
+runs.  Each draw is, bit for bit, the latent half of ``sample_forward`` on
+its substream.  A report passes when every |z| is below the threshold; a
+NaN or infinite z fails it, and ``summary()`` names the statistic.
 """
 from __future__ import annotations
 
@@ -16,13 +24,18 @@ from . import rng as rngmod
 from .distributions import TransformCandidates, make_transform_candidates
 from .gibbs import SweepSchedule, full_sweep_schedule, sweep
 from .model import (
+    LatentStack,
     _check_forward_inputs,
     _sample_forward,
-    _sample_latents,
     resample_observations,
 )
 from .rng import RngState, substream
 from .types import HyperParams, ModelState, ValidationError
+
+
+# A chunk of the forward half's draws holds at most this many label scores
+# (L x max(K, N) per draw): 1,024 draws at criterion-2 size (K=2, L=4, N=16)
+_FORWARD_CHUNK_ENTRIES = 65_536
 
 
 def default_check_hyper(dim: int) -> HyperParams:
@@ -55,9 +68,16 @@ class GewekeReport:
 
     @property
     def max_abs_z(self) -> float:
-        return max(abs(s.z) for s in self.stats)
+        """The largest |z|, or NaN if any z is NaN."""
+        return float(np.max(np.abs([s.z for s in self.stats])))
+
+    @property
+    def nonfinite(self) -> tuple[str, ...]:
+        """The names of the statistics whose z is NaN or infinite."""
+        return tuple(s.name for s in self.stats if not np.isfinite(s.z))
 
     def passed(self, threshold: float = 4.0) -> bool:
+        """Every |z| below ``threshold``; a NaN z fails, as ``max_abs_z`` is NaN."""
         return self.max_abs_z < threshold
 
     def summary(self) -> str:
@@ -65,11 +85,17 @@ class GewekeReport:
         for s in self.stats:
             lines.append(f"{s.name:<18} {s.forward_mean:>12.5f} {s.chain_mean:>12.5f} {s.z:>8.2f}")
         lines.append(f"max |z| = {self.max_abs_z:.2f} over {len(self.stats)} statistics")
+        if self.nonfinite:
+            lines.append(f"non-finite z: {', '.join(self.nonfinite)}")
         return "\n".join(lines)
 
 
-def _collect(state: ModelState) -> np.ndarray:
-    return np.concatenate([state.mu_B.ravel(), state.vel.ravel(), state.pi_B])
+def _collect(latents: ModelState | LatentStack) -> np.ndarray:
+    """The statistics of one state (n_stats,), or of every draw of a stack
+    (R, n_stats)."""
+    lead = latents.pi_B.shape[:-1]
+    return np.concatenate([latents.mu_B.reshape(*lead, -1), latents.vel.reshape(*lead, -1),
+                           latents.pi_B], axis=-1)
 
 
 def _stat_names(L: int, dim: int) -> list[str]:
@@ -114,11 +140,12 @@ def run_geweke(hyper: HyperParams, K: int, L: int, N: int, iterations: int,
     n_stats = 2 * L * dim + L
     forward = np.empty((iterations, n_stats))
     # the collected statistics are latents, drawn before the points, so the
-    # forward half stops there
-    for i in range(iterations):
-        state, _ = _sample_latents(hyper, K, L, N, substream(seed, rngmod.FORWARD, i),
-                                   candidates=candidates)
-        forward[i] = _collect(state)
+    # forward half stops there, and draws them as stacks
+    chunk = max(1, _FORWARD_CHUNK_ENTRIES // (L * max(K, N)))
+    for start in range(0, iterations, chunk):
+        stop = min(start + chunk, iterations)
+        rngs = [substream(seed, rngmod.FORWARD, i) for i in range(start, stop)]
+        forward[start:stop] = _collect(LatentStack.sample(hyper, K, L, N, rngs, candidates))
 
     chain = np.empty((iterations, n_stats))
     state, obs = _sample_forward(hyper, K, L, N, substream(seed, rngmod.FORWARD, iterations),

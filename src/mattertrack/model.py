@@ -9,48 +9,63 @@ by term and serves as the independent oracle for the Gibbs conditionals.
 
 Draw-order contract: ``sample_forward`` draws through the stacked kernels
 of ``distributions`` that ``gibbs.sweep`` also uses, so a seeded draw is
-fixed by these calls, in this order: the Dirichlet weights of clusters, then
-of particles; one ``inverse_wishart_stack`` call for all K + 2L covariances,
-``Sigma_H``, then ``Sigma_B``, then ``Sigma_V``; one ``standard_normal((K, D))``
-call for the K cluster means; one ``categorical_sample_wide_rows`` call for
-the K translations, then one for the K rotations; one
-``categorical_sample_rows`` call for the L particle clusters, then one for
-the N point particles; one ``mvn_sample_stack`` call for the L particle
-means; one ``standard_normal((L, D))`` call for the L particle velocities;
-then, particle by particle in index order, one ``standard_normal((n, D))``
-block for the positions of its n points and one for their velocities.  The
-isotropic means and velocities are scaled by sqrt(sigma2), which is
-``mvn_sample_stack`` bit for bit: the Cholesky factor of sigma2 I is
-sqrt(sigma2) I.  ``resample_observations`` takes only those last blocks.
-The forward half of ``geweke.run_geweke`` collects latents alone, so it
-stops before the points (``_sample_latents``); every latent it collects is
-the one ``sample_forward`` draws on the same stream.  A loop over the
-generative process that takes the same variates in the same order gives
-the same labels and, within rounding, the same arrays (pinned by the
+fixed by these generator calls, in this order: ``dirichlet`` for the
+cluster weights, then for the particle weights; ``inverse_wishart_stack``'s
+two Bartlett calls for all K + 2L covariances, ``chisquare`` of shape
+(K + 2L, D) and ``standard_normal`` of shape (K + 2L, D(D-1)/2), in the
+order ``Sigma_H``, ``Sigma_B``, ``Sigma_V``; ``standard_normal((K, D))`` for
+the cluster means; ``random(K)`` for the translations, then ``random(K)``
+for the rotations (``categorical_sample_wide_rows``); ``random((L, 1))``
+for the particle clusters and ``random((N, 1))`` for the point particles
+(``categorical_sample_rows``); ``standard_normal((L, D))`` for the particle
+means (``mvn_sample_stack``), then ``standard_normal((L, D))`` for the
+particle velocities; then, particle by particle in index order, one
+``standard_normal((n, D))`` block for the positions of its n points and
+one for their velocities.  The isotropic means and velocities are scaled by
+sqrt(sigma2), which is ``mvn_sample_stack`` bit for bit: the Cholesky
+factor of sigma2 I is sqrt(sigma2) I.  ``resample_observations`` takes
+only those last blocks.
+
+The latents are drawn in two passes (``LatentStack.sample``): a variate
+pass that makes each draw's generator calls above, up to the points, and
+a transform pass that turns the variates of R independent draws, each
+from its own generator, into latents at once: one Bartlett transform over
+R(K + 2L) matrices under the three scale factors, factored once; the
+transform priors' cumulative weights, built once per grid; the labels of
+``z_H`` and ``z_B`` as (K, RL) and (L, RN) column blocks; and ``mu_B`` and
+``vel`` over RL rows.  Every transform acts row by row, matrix by matrix or
+column by column, so R stacked draws equal R single draws bit for bit, and
+each generator is left where its draw's points begin.  ``sample_forward``
+is the R = 1 stack; the forward half of ``geweke.run_geweke`` collects
+latents alone, so it draws them as stacks and never draws points.  A loop
+over the generative process that takes the same variates in the same order
+gives the same labels and, within rounding, the same arrays (pinned by the
 reference loops in the tests).
 """
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng as rngmod
 from .distributions import (
     TransformCandidates,
-    categorical_sample_rows,
-    categorical_sample_wide_rows,
+    _bartlett_inverse_wishart,
+    _bartlett_variates,
+    _categorical_columns,
+    _categorical_labels_wide,
+    _correlate_rows,
     chol_spd_stack,
     dirichlet_logpdf,
-    dirichlet_sample,
     gamma_logpdf,
     inverse_wishart_logpdf,
-    inverse_wishart_stack,
     isotropic_logpdf_rows,
     make_transform_candidates,
     mvn_logpdf,
     mvn_logpdf_rows,
-    mvn_sample_stack,
+    spd_inverse_stack,
 )
 from .rng import RngState, substream
 from .types import (
@@ -120,42 +135,100 @@ def _sample_latents(hyper: HyperParams, K: int, L: int, N: int, seed,
                     ) -> tuple[ModelState, np.random.Generator]:
     """The latent half of ``_sample_forward``: every draw before the points,
     and the generator positioned where the points' draws begin."""
-    dim = int(np.asarray(hyper.mu_H_prior).shape[0])
     if candidates is None:
-        candidates = make_transform_candidates(dim, hyper)
+        candidates = make_transform_candidates(int(np.asarray(hyper.mu_H_prior).shape[0]), hyper)
     rng = _as_generator(seed)
-    eye = np.eye(dim)
-
-    pi_H = dirichlet_sample(hyper.alpha_vec(K), rng)
-    pi_B = dirichlet_sample(hyper.beta_vec(L), rng)
-    # one call for the three stacks: at small K and L the per-call cost dominates
-    counts = (K, L, L)
-    Sigma_H, Sigma_B, Sigma_V = np.split(inverse_wishart_stack(
-        np.repeat(np.stack([hyper.Psi_H, hyper.Psi_B, hyper.Psi_V]), counts, axis=0),
-        np.repeat([hyper.nu_H, hyper.nu_B, hyper.nu_V], counts), rng), [K, K + L])
-    mu_H = hyper.mu_H_prior + math.sqrt(hyper.sigma2_mu_H) * rng.standard_normal((K, dim))
-    trans = candidates.translations[categorical_sample_wide_rows(
-        np.broadcast_to(candidates.translation_log_prior, (K, candidates.num_translations)),
-        rng)]
-    rot = candidates.rotations[categorical_sample_wide_rows(
-        np.broadcast_to(candidates.rotation_log_prior, (K, candidates.num_rotations)), rng)]
-    with np.errstate(divide="ignore"):
-        z_H = categorical_sample_rows(np.broadcast_to(np.log(pi_H), (L, K)), rng)
-        z_B = categorical_sample_rows(np.broadcast_to(np.log(pi_B), (N, L)), rng)
-    mu_B = mvn_sample_stack(mu_H[z_H], Sigma_H[z_H], rng)
-    # the rigid-motion velocity each particle's cluster induces at its mean,
-    # as induced_velocities computes it for one row
-    offsets = (mu_B - mu_H[z_H])[:, None, :]
-    vbar = trans[z_H] + (offsets @ np.swapaxes((rot - eye)[z_H], 1, 2))[:, 0]
-    vel = vbar + math.sqrt(hyper.sigma2_V) * rng.standard_normal((L, dim))
-
+    draw = {name: stack[0] for name, stack in
+            LatentStack.sample(hyper, K, L, N, [rng], candidates)._asdict().items()}
     base_seed = int(seed) if not isinstance(seed, np.random.Generator) else 0
-    state = ModelState(
-        dim=dim, mu_B=mu_B, Sigma_B=Sigma_B, vel=vel, Sigma_V=Sigma_V, pi_B=pi_B,
-        mu_H=mu_H, Sigma_H=Sigma_H, rot=rot, trans=trans, pi_H=pi_H,
-        assignments=Assignments(z_B, z_H), rng=RngState(base_seed),
-    )
+    labels = Assignments(draw.pop("z_B"), draw.pop("z_H"))
+    state = ModelState(dim=draw["mu_B"].shape[1], **draw, assignments=labels,
+                       rng=RngState(base_seed))
     return state, rng
+
+
+class LatentStack(NamedTuple):
+    """The latents of R independent forward draws, one leading axis of R on
+    every field: ``pi_H`` (R, K), ``Sigma_H`` (R, K, D, D), ``z_B`` (R, N) and
+    so on, named as on ``ModelState``."""
+
+    pi_H: np.ndarray
+    pi_B: np.ndarray
+    Sigma_H: np.ndarray
+    Sigma_B: np.ndarray
+    Sigma_V: np.ndarray
+    mu_H: np.ndarray
+    trans: np.ndarray
+    rot: np.ndarray
+    z_H: np.ndarray
+    z_B: np.ndarray
+    mu_B: np.ndarray
+    vel: np.ndarray
+
+    @classmethod
+    def sample(cls, hyper: HyperParams, K: int, L: int, N: int,
+               rngs: list[np.random.Generator],
+               candidates: TransformCandidates) -> "LatentStack":
+        """Draw r of the stack from ``rngs[r]``, each generator left where
+        that draw's points would begin.
+
+        The variate pass takes every draw's variates from its generator, in
+        the draw-order contract's order and shapes; the transform pass then
+        turns all R draws' variates into latents at once.  Every transform
+        acts row by row, matrix by matrix or column by column, so draw r is
+        the same, bit for bit, as a stack of draw r alone.
+        """
+        dim = int(np.asarray(hyper.mu_H_prior).shape[0])
+        R, counts = len(rngs), (K, L, L)
+        alpha, beta = hyper.alpha_vec(K), hyper.beta_vec(L)
+        nu = np.repeat([hyper.nu_H, hyper.nu_B, hyper.nu_V], counts)
+        # one factor per scale, computed before any draw as inverse_wishart_stack does
+        scales = np.repeat(chol_spd_stack(spd_inverse_stack(
+            np.stack([hyper.Psi_H, hyper.Psi_B, hyper.Psi_V]))), counts, axis=0)
+
+        variates = [(rng.dirichlet(alpha), rng.dirichlet(beta),
+                     *_bartlett_variates(nu, dim, rng), rng.standard_normal((K, dim)),
+                     rng.random(K), rng.random(K), rng.random((L, 1)), rng.random((N, 1)),
+                     rng.standard_normal((L, dim)), rng.standard_normal((L, dim)))
+                    for rng in rngs]
+        (pi_H, pi_B, chi2, normals, mu_noise, u_trans, u_rot, u_H, u_B, mu_B_noise,
+         vel_noise) = (np.array(v) for v in zip(*variates))
+
+        n = K + 2 * L
+        covs = _bartlett_inverse_wishart(np.tile(scales, (R, 1, 1)), chi2.reshape(R * n, dim),
+                                         normals.reshape(R * n, -1)).reshape(R, n, dim, dim)
+        mu_H = hyper.mu_H_prior + math.sqrt(hyper.sigma2_mu_H) * mu_noise
+        trans = candidates.translations[_categorical_labels_wide(
+            candidates.translation_prior_cdf, u_trans.ravel())]
+        rot = candidates.rotations[_categorical_labels_wide(
+            candidates.rotation_prior_cdf, u_rot.ravel())]
+        z_H = _categorical_draws(pi_H, L, u_H)
+        # row r * L + l of the flat stacks is draw r's particle l, and its
+        # cluster is row r * K + z_H[r, l] of the flat cluster stacks
+        cluster = (z_H + K * np.arange(R)[:, None]).ravel()
+        mu_H_c = mu_H.reshape(R * K, dim)[cluster]
+        mu_B = mu_H_c + _correlate_rows(
+            chol_spd_stack(covs[:, :K].reshape(R * K, dim, dim)[cluster]),
+            mu_B_noise.reshape(R * L, dim))
+        # the rigid-motion velocity each particle's cluster induces at its mean,
+        # as induced_velocities computes it for one row
+        offsets = (mu_B - mu_H_c)[:, None, :]
+        vbar = trans[cluster] + (offsets @ np.swapaxes((rot - np.eye(dim))[cluster], 1, 2))[:, 0]
+        vel = vbar + math.sqrt(hyper.sigma2_V) * vel_noise.reshape(R * L, dim)
+        return cls(pi_H=pi_H, pi_B=pi_B, Sigma_H=covs[:, :K], Sigma_B=covs[:, K:K + L],
+                   Sigma_V=covs[:, K + L:], mu_H=mu_H, trans=trans.reshape(R, K, dim),
+                   rot=rot.reshape(R, K, dim, dim), z_H=z_H, z_B=_categorical_draws(pi_B, N, u_B),
+                   mu_B=mu_B.reshape(R, L, dim), vel=vel.reshape(R, L, dim))
+
+
+def _categorical_draws(weights: np.ndarray, n: int, uniforms: np.ndarray) -> np.ndarray:
+    """(R, n) labels, n per row of the (R, M) ``weights``, as
+    ``categorical_sample_rows`` draws them from ``uniforms`` (R, n, 1)."""
+    R, M = weights.shape
+    with np.errstate(divide="ignore"):
+        block = np.repeat(np.log(weights).T, n, axis=1)
+    return _categorical_columns(block, uniforms.ravel(),
+                                np.empty((M, R * n), dtype=bool)).reshape(R, n)
 
 
 def _draw_points(z: np.ndarray, mu_B: np.ndarray, Sigma_B: np.ndarray, vel: np.ndarray,

@@ -261,6 +261,20 @@ def test_geweke_command_smoke(tmp_path):
     assert rep["iterations"] == 300
 
 
+def test_geweke_command_fails_on_a_nan_z(monkeypatch):
+    # a NaN z after the first statistic used to pass the check and exit 0
+    import mattertrack.cli as cli
+    from mattertrack.geweke import GewekeReport, GewekeStat
+
+    report = GewekeReport((GewekeStat("mu_B[0][0]", 0.0, 0.0, 1.0),
+                           GewekeStat("v[0][0]", 0.0, float("nan"), float("nan"))), 100)
+    monkeypatch.setattr(cli, "run_geweke", lambda *args, **kwargs: report)
+    result = CliRunner().invoke(main, ["geweke", "--iters", "100", "--threshold", "8"])
+    assert result.exit_code == 1
+    assert "non-finite z: v[0][0]" in result.output
+    assert "FAIL: non-finite z for v[0][0]" in result.output
+
+
 def test_track_resume_cli_matches_full(tmp_path):
     spec = scene_spec_file(tmp_path)
     obs = tmp_path / "rdk.jsonl"

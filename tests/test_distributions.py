@@ -187,6 +187,18 @@ def test_chol_spd_stack_keeps_per_matrix_jitter_and_error():
 
 
 @pytest.mark.parametrize("d", [2, 3])
+def test_chol_spd_stack_equals_numpy_cholesky(d):
+    # the gufunc is called without numpy's wrapper; the factors are its own
+    rng = np.random.default_rng(70 + d)
+    for n in (0, 1, 4, 37):
+        for covs in (random_spd_stack(rng, n, d), conditioned_spd_stack(rng, n, d)):
+            got = chol_spd_stack(covs)
+            want = np.linalg.cholesky(covs)
+            assert got.shape == want.shape == (n, d, d)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", [2, 3])
 def test_chol_spd_stack_mixed_stack_matches_per_matrix(d):
     """Stacks mixing well-conditioned, rank-one and barely definite matrices
     at scales 1e-6 to 1e6 factor exactly as chol_spd does matrix by matrix."""

@@ -3,9 +3,16 @@ acceptance suite)."""
 import numpy as np
 import pytest
 
+from mattertrack import geweke
 from mattertrack import rng as rngmod
 from mattertrack.distributions import make_transform_candidates
-from mattertrack.geweke import _collect, default_check_hyper, run_geweke
+from mattertrack.geweke import (
+    GewekeReport,
+    GewekeStat,
+    _collect,
+    default_check_hyper,
+    run_geweke,
+)
 from mattertrack.model import sample_forward
 from mattertrack.rng import substream
 from mattertrack.types import ValidationError
@@ -93,3 +100,46 @@ def test_forward_half_collects_what_sample_forward_draws(dim):
     # column by column, as the report takes them (a mean over axis 0 sums in
     # another order)
     assert [s.forward_mean for s in report.stats] == [float(c.mean()) for c in forward.T]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_forward_half_is_the_same_across_chunk_boundaries(dim, monkeypatch):
+    # chunks of 30 draws at L=4, N=16 (30 * 64 entries): 100 iterations cross
+    # three chunk boundaries and end on a partial chunk, and the forward means
+    # equal those of whole draws bit for bit
+    monkeypatch.setattr(geweke, "_FORWARD_CHUNK_ENTRIES", 30 * 4 * 16 + 63)
+    hyper = default_check_hyper(dim)
+    K, L, N, iterations, seed = 2, 4, 16, 100, 11
+    report = run_geweke(hyper, K=K, L=L, N=N, iterations=iterations, seed=seed)
+    cands = make_transform_candidates(dim, hyper)
+    forward = np.array([
+        _collect(sample_forward(hyper, K, L, N, substream(seed, rngmod.FORWARD, i), cands)[0])
+        for i in range(iterations)])
+    assert [s.forward_mean for s in report.stats] == [float(c.mean()) for c in forward.T]
+
+
+def report_with_z(zs):
+    return GewekeReport(tuple(GewekeStat(f"s{i}", 0.0, 0.0, z) for i, z in enumerate(zs)),
+                        iterations=100)
+
+
+@pytest.mark.parametrize("zs", [(1.0, float("nan")), (float("nan"), 1.0),
+                                (0.5, float("nan"), 1.5)])
+def test_a_nan_z_fails_wherever_it_stands(zs):
+    # Python's max skipped a NaN that was not first, so (1.0, nan) passed
+    report = report_with_z(zs)
+    assert np.isnan(report.max_abs_z)
+    assert not report.passed()
+    assert not report.passed(threshold=np.inf)
+    bad = [f"s{i}" for i, z in enumerate(zs) if np.isnan(z)]
+    assert report.nonfinite == tuple(bad)
+    assert f"non-finite z: {bad[0]}" in report.summary()
+
+
+def test_an_infinite_z_fails_and_is_named():
+    report = report_with_z((1.0, -np.inf))
+    assert report.max_abs_z == np.inf and not report.passed()
+    assert report.nonfinite == ("s1",)
+    assert "non-finite z: s1" in report.summary()
+    assert report_with_z((1.0, -2.0)).nonfinite == ()
+    assert "non-finite" not in report_with_z((1.0, -2.0)).summary()

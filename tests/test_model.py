@@ -26,14 +26,16 @@ from mattertrack.distributions import (
 )
 from mattertrack.geweke import default_check_hyper
 from mattertrack.model import (
+    LatentStack,
     _as_generator,
+    _draw_points,
     _sample_forward,
     induced_velocities,
     log_joint,
     resample_observations,
     sample_forward,
 )
-from mattertrack.rng import RngState
+from mattertrack.rng import FORWARD, RngState, substream
 from mattertrack.synth import separated_mixture_scene
 from mattertrack.types import (
     Assignments,
@@ -368,6 +370,45 @@ def test_forward_matches_loop_with_empty_particles_and_skewed_priors():
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
         empties += 10 - len(np.unique(got[0].z_B))
     assert empties > 0
+
+
+LATENT_FIELDS = ("pi_H", "pi_B", "Sigma_H", "Sigma_B", "Sigma_V", "mu_H", "rot", "trans",
+                 "z_H", "z_B", "mu_B", "vel")
+
+
+# criterion-2 size, K = 1, L = K and N = 1 (with L > N, so particles go empty)
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("K,L,N", [(2, 4, 16), (1, 3, 5), (3, 3, 20), (2, 4, 1), (1, 1, 1)])
+def test_latent_stack_equals_single_draws(dim, K, L, N):
+    # R draws in one stack equal R sample_forward draws bit for bit, field by
+    # field, and leave each generator where that draw's points begin
+    hyper = default_check_hyper(dim)
+    cands = make_transform_candidates(dim, hyper)
+    R = 9
+    rngs = [substream(5, FORWARD, r) for r in range(R)]
+    stack = LatentStack.sample(hyper, K, L, N, rngs, cands)
+    for r, rng in enumerate(rngs):
+        state, obs = sample_forward(hyper, K, L, N, substream(5, FORWARD, r), cands)
+        for name in LATENT_FIELDS:
+            np.testing.assert_array_equal(getattr(stack, name)[r], getattr(state, name),
+                                          err_msg=name, strict=True)
+        points = _draw_points(stack.z_B[r], stack.mu_B[r], stack.Sigma_B[r], stack.vel[r],
+                              stack.Sigma_V[r], rng)
+        np.testing.assert_array_equal(points[0], obs.positions, strict=True)
+        np.testing.assert_array_equal(points[1], obs.velocities, strict=True)
+
+
+def test_latent_stack_equals_single_draws_with_skewed_priors():
+    # small Dirichlet concentrations: empty particles, tiny and zero log weights
+    hyper = diag_hyper(2, alpha=0.3, beta=0.2)
+    cands = make_transform_candidates(2, hyper, M_r=9, M_t=9)
+    stack = LatentStack.sample(hyper, 3, 10, 12, [np.random.default_rng(s) for s in range(20)],
+                               cands)
+    for seed in range(20):
+        state, _ = sample_forward(hyper, 3, 10, 12, np.random.default_rng(seed), cands)
+        for name in LATENT_FIELDS:
+            np.testing.assert_array_equal(getattr(stack, name)[seed], getattr(state, name),
+                                          err_msg=name, strict=True)
 
 
 def z_scores(samples, expected, se=None):

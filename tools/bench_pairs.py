@@ -2,7 +2,7 @@
 
 Usage (from any directory):
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload geweke --pairs 10
+    python3 tools/bench_pairs.py PARENT CHANGE --workload geweke --pairs 10 [--json PATH]
 
 PARENT and CHANGE are two checkouts of this repository.  Each pair runs
 ``bench/run.py --seed 1 --seconds 20 --trace 0`` once in each checkout, one
@@ -17,6 +17,13 @@ The gate for a claimed gain: at least 10 pairs, the change winning at least
 9 in 10 of them, and the median gap wider than the parent's IQR.  The last
 column says whether each metric passes it (``gain``), fails it (``-``), or
 whether there are too few pairs to tell (``few``).
+
+``--json PATH`` also records the summary in PATH, a ``BENCH_*.json``: under
+``"workloads"``, this workload's pair count, each metric's unit, direction,
+medians and IQRs on both sides, ratio, wins and verdict, both sides' failed
+and attempted op counts, and each side's environment line from
+``bench/run.py``.  Entries of other workloads already in PATH are kept, so
+one file collects the runs of several workloads.
 
 The runs write their scratch files where ``bench/run.py`` puts them, in each
 checkout's ``.bench_work/``.  ``bench/run.py`` runs under ``python3 -B``, so
@@ -39,7 +46,8 @@ MIN_WIN_SHARE = 0.9
 
 
 def run_once(checkout: str, workload: str) -> dict:
-    """One ``bench/run.py`` run in ``checkout``; returns its last JSON line."""
+    """One ``bench/run.py`` run in ``checkout``: its last JSON line, with the
+    environment line before it under ``"env"``."""
     # -B: the run's own process writes no bytecode, so none lands in bench/;
     # the fresh interpreters it times for setup_s keep their usual caches
     cmd = [sys.executable, "-B", "bench/run.py", "--workload", workload, "--seed", "1",
@@ -47,7 +55,8 @@ def run_once(checkout: str, workload: str) -> dict:
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: bench/run.py exited {proc.returncode}\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    *_, env_line, result_line = proc.stdout.strip().splitlines()
+    return {**json.loads(result_line), "env": json.loads(env_line)["env"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -57,35 +66,67 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarise(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
-    lines = [f"{'metric':<15} {'parent':>11} {'change':>11} {'ratio':>7} "
-             f"{'parent IQR':>11} {'wins':>6} {'gate':>5}"]
+def compare(metrics: list[dict], runs: dict[str, list[dict]]) -> dict:
+    """Per workload: both sides' medians and IQRs, the wins and gate verdict
+    per metric, the failed and attempted op counts and each side's
+    environment (that of its first run)."""
     pairs = len(runs["parent"])
+    out = {"pairs": pairs, "metrics": {}, "ops": {}, "env": {}}
     for spec in metrics:
         name = spec["name"]
-        parent = [r["metrics"][name]["value"] for r in runs["parent"] if name in r["metrics"]]
-        change = [r["metrics"][name]["value"] for r in runs["change"] if name in r["metrics"]]
-        if len(parent) != pairs or len(change) != pairs:
-            lines.append(f"{name:<15} {'(not reported by every run)':>40}")
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]
+                         if name in r["metrics"]] for side in runs}
+        if any(len(v) != pairs for v in values.values()):
+            out["metrics"][name] = None
             continue
         sign = 1.0 if spec["better"] == "lower" else -1.0
-        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-        p_med, c_med = statistics.median(parent), statistics.median(change)
-        q1, q3 = quartiles(parent)
-        ratio = c_med / p_med if p_med else float("nan")
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        entry = {"unit": spec["unit"], "better": spec["better"], "wins": wins}
+        for side, v in values.items():
+            q1, q3 = quartiles(v)
+            entry[side] = {"median": statistics.median(v), "iqr": q3 - q1}
+        p_med, c_med = entry["parent"]["median"], entry["change"]["median"]
+        entry["ratio"] = c_med / p_med if p_med else float("nan")
         if pairs < MIN_PAIRS:
-            gate = "few"
-        elif wins >= MIN_WIN_SHARE * pairs and sign * (p_med - c_med) > q3 - q1:
-            gate = "gain"
+            entry["gate"] = "few"
+        elif wins >= MIN_WIN_SHARE * pairs and sign * (p_med - c_med) > entry["parent"]["iqr"]:
+            entry["gate"] = "gain"
         else:
-            gate = "-"
-        lines.append(f"{name:<15} {p_med:>11.4g} {c_med:>11.4g} {ratio:>7.3f} "
-                     f"{q3 - q1:>11.3g} {wins:>3}/{pairs} {gate:>5}")
-    for side in ("parent", "change"):
-        failed = sum(r["failed"] for r in runs[side])
-        attempted = sum(r["attempted"] for r in runs[side])
-        lines.append(f"{side}: {failed} of {attempted} ops failed")
+            entry["gate"] = "-"
+        out["metrics"][name] = entry
+    for side, side_runs in runs.items():
+        out["ops"][side] = {"failed": sum(r["failed"] for r in side_runs),
+                            "attempted": sum(r["attempted"] for r in side_runs)}
+        out["env"][side] = side_runs[0]["env"]
+    return out
+
+
+def summarise(result: dict) -> list[str]:
+    lines = [f"{'metric':<15} {'parent':>11} {'change':>11} {'ratio':>7} "
+             f"{'parent IQR':>11} {'wins':>6} {'gate':>5}"]
+    for name, m in result["metrics"].items():
+        if m is None:
+            lines.append(f"{name:<15} {'(not reported by every run)':>40}")
+            continue
+        lines.append(f"{name:<15} {m['parent']['median']:>11.4g} {m['change']['median']:>11.4g} "
+                     f"{m['ratio']:>7.3f} {m['parent']['iqr']:>11.3g} "
+                     f"{m['wins']:>3}/{result['pairs']} {m['gate']:>5}")
+    for side, ops in result["ops"].items():
+        lines.append(f"{side}: {ops['failed']} of {ops['attempted']} ops failed")
     return lines
+
+
+def write_json(path: str, workload: str, result: dict) -> None:
+    """Set ``workload``'s entry of the ``"workloads"`` map in ``path``, keeping
+    the entries earlier runs wrote there."""
+    doc = {"workloads": {}}
+    if os.path.exists(path):
+        with open(path) as fh:
+            doc = json.load(fh)
+    doc["workloads"][workload] = result
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def main(argv=None) -> int:
@@ -94,6 +135,8 @@ def main(argv=None) -> int:
     ap.add_argument("change", help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--json", metavar="PATH",
+                    help="also record the summary as this workload's entry in PATH")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -112,7 +155,10 @@ def main(argv=None) -> int:
             runs[side].append(result)
             values = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
             print(f"pair {i + 1} {side:<6} {values}", flush=True)
-    print("\n".join(summarise(metrics, runs)))
+    result = compare(metrics, runs)
+    print("\n".join(summarise(result)))
+    if args.json:
+        write_json(args.json, args.workload, result)
     return 0
 
 
