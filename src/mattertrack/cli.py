@@ -8,6 +8,7 @@ helpers name the points a run keeps of each frame.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -41,6 +42,12 @@ _SUBSAMPLE_RATE = click.FloatRange(0.0, 1.0, min_open=True)
 # component counts and iteration counts; out-of-range values are usage errors
 _AT_LEAST_ONE = click.IntRange(min=1)
 _NON_NEGATIVE = click.IntRange(min=0)
+
+
+def _json_number(x: float) -> float | None:
+    """``x``, or None (JSON null) for a NaN or infinite value, which strict
+    JSON has no literal for."""
+    return float(x) if math.isfinite(x) else None
 
 
 def _check_counts(num_clusters: int, num_particles: int) -> None:
@@ -377,9 +384,10 @@ def geweke_cmd(dim, num_clusters, num_particles, num_points, iters, sweeps_per_i
     if out_path:
         payload = {
             "iterations": report.iterations,
-            "max_abs_z": report.max_abs_z,
-            "stats": [{"name": s.name, "forward_mean": s.forward_mean,
-                       "chain_mean": s.chain_mean, "z": s.z} for s in report.stats],
+            "max_abs_z": _json_number(report.max_abs_z),
+            "stats": [{"name": s.name, "forward_mean": _json_number(s.forward_mean),
+                       "chain_mean": _json_number(s.chain_mean), "z": _json_number(s.z)}
+                      for s in report.stats],
         }
         with open(out_path, "w") as fh:
             json.dump(payload, fh, indent=2)

@@ -4,6 +4,18 @@ Hierarchical K-means (points -> particles, particle centers -> clusters),
 empirical weights / velocity means / sample covariances, rigid transforms via
 Kabsch alignment of assigned points against their observed displacements, and
 data-dependent hyperparameters from frame statistics.
+
+K-means picks its Lloyd passes by input size alone: a problem of at most
+``_PLAIN_LLOYD_ENTRIES`` (2**14) point-center entries N * K computes every
+distance in one block each pass, and a larger one keeps Yinyang group
+bounds, which skip most distances but cost a fixed amount per pass.  The
+crossover was measured between 2**14 and 2**15 entries.  Every k-means call
+of a bench ``track`` frame (N ~ 300 points, L = 40 particles, K = 3) lies
+below it, while the particle-level calls of ``recovery`` and ``scale`` lie
+above it.  Both paths give the same labels, centers and generator state.
+On the four ``track`` scenes of bench seed 1 (2-vCPU Xeon, one BLAS
+thread), plain passes took ``init_state`` from 16.6 to 9.6 ms a frame and
+the workload's ``first_state_s`` from 0.075 to 0.067 s.
 """
 from __future__ import annotations
 
@@ -29,6 +41,14 @@ from .types import (
 # 7): 1.40 s at 2**15 or 2**16 entries, 1.51-1.52 s at 2**14 or 2**17, 2.00 s
 # at 2**12, and 2.10 s with one unblocked (N, K) accumulator and scratch.
 _KMEANS_BLOCK_ENTRIES = 1 << 15
+
+# Problems of at most this many point-center entries (N * K) take plain
+# Lloyd passes, which compute every distance; larger ones keep group bounds.
+# One kmeans_pp call timed each way (clustered D=2 points, 2-vCPU Xeon):
+# N x K = 300 x 40 takes 1.0 ms plain against 1.7 ms bounded, 1600 x 10
+# 2.2 against 2.4 ms and 2000 x 8 1.4 against 1.5 ms; at about 2**15 entries
+# the bounds win (3200 x 10: 4.2 ms plain against 3.2 ms bounded).
+_PLAIN_LLOYD_ENTRIES = 1 << 14
 
 # Centers per group of the Lloyd lower bounds (see ``_kmeans_single``).
 _GROUP_SIZE = 10
@@ -120,10 +140,12 @@ def kmeans_pp(points: np.ndarray, K: int, seed, max_iter: int = 100,
 
     Every squared distance adds coordinates in ``np.einsum("nd,nd->n")``'s
     order (``_coordinate_order``).  Seeding updates each point's distance to
-    its nearest center from one column-major copy of the points, and the
-    Lloyd passes skip the distances that group bounds already settle (see
-    ``_kmeans_single``), so the labels, centers and generator state are
-    bitwise those of plain k-means++ and Lloyd on einsum distances.
+    its nearest center from one column-major copy of the points.  A problem
+    of at most ``_PLAIN_LLOYD_ENTRIES`` (2**14) point-center entries N * K
+    takes plain Lloyd passes over one distance block; a larger one skips the
+    distances that group bounds already settle (see ``_kmeans_single``).
+    Either way the labels, centers and generator state are bitwise those of
+    plain k-means++ and Lloyd on einsum distances.
     """
     points = np.asarray(points, dtype=np.float64)
     N = points.shape[0]
@@ -212,7 +234,13 @@ def _center_groups(centers: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]
 def _kmeans_single(points: np.ndarray, cols: np.ndarray, K: int,
                    rng: np.random.Generator, max_iter: int
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """One k-means++ seeding and Lloyd run with group-bounded passes.
+    """One k-means++ seeding and Lloyd run: plain passes (``_plain_lloyd``)
+    when N * K is at most ``_PLAIN_LLOYD_ENTRIES``, group-bounded ones above.
+
+    Input size alone picks the path.  Below the crossover, measured between
+    2**14 and 2**15 entries, the bounds' fixed cost per pass (half gaps,
+    (point, group) pairs, bound updates) outweighs the distances they skip;
+    above it the skipped distances pay for it.
 
     The seeded centers are split into t = ceil(K / 10) groups of nearby
     centers (``_center_groups``), fixed for the run (Ding et al. 2015,
@@ -248,6 +276,8 @@ def _kmeans_single(points: np.ndarray, cols: np.ndarray, K: int,
     N = points.shape[0]
     centers = _seed_centers(points, cols, K, rng)
     scratch = np.empty((2, min(N, max(1, _KMEANS_BLOCK_ENTRIES // K)) * K))
+    if N * K <= _PLAIN_LLOYD_ENTRIES:
+        return _plain_lloyd(points, centers, scratch, max_iter)
     members, group_of = _center_groups(centers, -(-K // _GROUP_SIZE))
     # the centers and their moves with an inf center and a zero move at
     # index K, which the padding slots of ``members`` pick
@@ -264,20 +294,8 @@ def _kmeans_single(points: np.ndarray, cols: np.ndarray, K: int,
         np.maximum(lower, gaps - (1.0 + _BOUND_MARGIN) * upper, out=lower)
     old = np.empty_like(centers)
     for _ in range(max_iter):
-        counts = np.bincount(labels, minlength=K)
-        means = _cell_means(points, labels, counts)
         old[:] = centers
-        # an empty cell is reseeded at the worst-fit point, seeing the cells
-        # before it already updated and the cells after it not yet
-        done = 0
-        for k in np.flatnonzero(counts == 0):
-            centers[done:k] = means[done:k]
-            far = np.empty(N)
-            for start, stop, dist in _sq_dist_blocks(points, centers, scratch):
-                np.min(dist, axis=1, out=far[start:stop])
-            centers[k] = points[int(np.argmax(far))]
-            done = k + 1
-        centers[done:] = means[done:]
+        _update_centers(points, labels, centers, scratch)
 
         # a center that moved by delta moves each distance to it by at most delta
         moved[:K] = np.sqrt(_sq_norms(centers - old))
@@ -309,6 +327,46 @@ def _kmeans_single(points: np.ndarray, cols: np.ndarray, K: int,
             break
         labels[rows] = new_labels
     return centers, labels
+
+
+def _plain_lloyd(points: np.ndarray, centers: np.ndarray, scratch: np.ndarray,
+                 max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd passes from the seeded ``centers`` (updated in place) that
+    compute every distance, to a label fixpoint or ``max_iter`` updates."""
+    labels = _nearest(points, centers, scratch)
+    for _ in range(max_iter):
+        _update_centers(points, labels, centers, scratch)
+        new_labels = _nearest(points, centers, scratch)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centers, labels
+
+
+def _nearest(points: np.ndarray, centers: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Each point's nearest center, the first one on a tie."""
+    labels = np.empty(points.shape[0], dtype=np.intp)
+    for start, stop, d2 in _sq_dist_blocks(points, centers, scratch):
+        np.argmin(d2, axis=1, out=labels[start:stop])
+    return labels
+
+
+def _update_centers(points: np.ndarray, labels: np.ndarray, centers: np.ndarray,
+                    scratch: np.ndarray) -> None:
+    """One Lloyd update of ``centers`` in place: each cell's mean, and an
+    empty cell reseeded at the worst-fit point, seeing the cells before it
+    already updated and the cells after it not yet."""
+    counts = np.bincount(labels, minlength=len(centers))
+    means = _cell_means(points, labels, counts)
+    done = 0
+    for k in np.flatnonzero(counts == 0):
+        centers[done:k] = means[done:k]
+        far = np.empty(points.shape[0])
+        for start, stop, dist in _sq_dist_blocks(points, centers, scratch):
+            np.min(dist, axis=1, out=far[start:stop])
+        centers[k] = points[int(np.argmax(far))]
+        done = k + 1
+    centers[done:] = means[done:]
 
 
 def _reassign(points: np.ndarray, rows: np.ndarray, need: np.ndarray,
@@ -399,7 +457,15 @@ def _nearest_two(points: np.ndarray, centers: np.ndarray, scratch: np.ndarray
         rows = np.arange(stop - start)
         near[start:stop] = d2[rows, own]
         d2[rows, own] = np.inf
-        np.min(d2, axis=1, out=second[start:stop])
+        if centers.ndim == 2:
+            np.min(d2, axis=1, out=second[start:stop])
+        else:
+            # a group's few columns: numpy reduces such short rows ~3x slower
+            # than it takes their elementwise minimum column by column
+            out = second[start:stop]
+            np.minimum(d2[:, 0], d2[:, -1], out=out)
+            for j in range(1, d2.shape[1] - 1):
+                np.minimum(out, d2[:, j], out=out)
     return labels, near, second
 
 

@@ -275,6 +275,28 @@ def test_geweke_command_fails_on_a_nan_z(monkeypatch):
     assert "FAIL: non-finite z for v[0][0]" in result.output
 
 
+def test_geweke_out_is_strict_json_with_a_non_finite_z(tmp_path, monkeypatch):
+    # a bare NaN or Infinity is not JSON; the file writes null in their place
+    import mattertrack.cli as cli
+    from mattertrack.geweke import GewekeReport, GewekeStat
+
+    report = GewekeReport((GewekeStat("mu_B[0][0]", 0.0, 0.5, 1.0),
+                           GewekeStat("v[0][0]", 0.0, float("nan"), float("nan")),
+                           GewekeStat("v[0][1]", 0.0, float("inf"), float("-inf"))), 100)
+    monkeypatch.setattr(cli, "run_geweke", lambda *args, **kwargs: report)
+    out = tmp_path / "geweke.json"
+    result = CliRunner().invoke(main, ["geweke", "--iters", "100", "--out", str(out)])
+    assert result.exit_code == 1
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rep = json.loads(out.read_text(), parse_constant=refuse)
+    assert rep["max_abs_z"] is None
+    assert [s["z"] for s in rep["stats"]] == [1.0, None, None]
+    assert [s["chain_mean"] for s in rep["stats"]] == [0.5, None, None]
+
+
 def test_track_resume_cli_matches_full(tmp_path):
     spec = scene_spec_file(tmp_path)
     obs = tmp_path / "rdk.jsonl"

@@ -31,7 +31,7 @@ from mattertrack.initialization import (
     kmeans_pp,
 )
 from mattertrack.rng import RngState, substream
-from mattertrack.synth import separated_mixture_scene
+from mattertrack.synth import Body, SceneSpec, make_rigid_scene, separated_mixture_scene
 from mattertrack.types import Assignments, ModelState, Observations, ValidationError
 
 from conftest import diag_hyper
@@ -313,6 +313,9 @@ _TIE_SETS = (
     ([7, 4, 1, 8, 4, 10], 3, 14),
     ([0, 2, 7, 10, 4, 7], 2, 81),
     ([11, 4, 11, 8, 3, 8, 6, 5, 1, 5], 2, 151),
+    # two groups of centers: the bounded passes meet ties across groups
+    ([17, 17, 10, 32, 9, 27, 4, 12, 12, 17, 11, 22, 17, 33, 37, 8, 36, 36, 34, 12, 10,
+      31, 26, 20, 36, 13, 16, 22, 18, 19, 26], 15, 202),
 )
 
 
@@ -423,6 +426,98 @@ def test_kmeans_group_bounds_skip_most_distances(monkeypatch):
     kmeans_pp(obs.positions, 100, seed=0)
     assert entries[0] == 5000 * 100 and len(passes) > 5
     assert sum(entries[1:]) < 0.05 * len(passes) * 5000 * 100
+
+
+# -- plain and bounded Lloyd passes ----------------------------------------------
+
+def _dims(test):
+    return lambda mp: [test(dim) for dim in (1, 2, 3)]
+
+
+# the reference-equality tests above, whose inputs all lie below
+# _PLAIN_LLOYD_ENTRIES, so by size alone they only take plain passes
+_REFERENCE_CASES = {
+    "reference_loop": lambda mp: [test_kmeans_matches_reference_loop(dim, n_init)
+                                  for dim in (1, 2, 3) for n_init in (1, 3)],
+    "zero_iterations": lambda mp: test_kmeans_zero_iterations_keeps_the_seeding(),
+    "empty_cell_reseed": _dims(test_kmeans_empty_cell_reseed_matches_reference),
+    "exact_ties": lambda mp: [test_kmeans_exact_ties_match_reference(dim, mp)
+                              for dim in (1, 2, 3)],
+    "duplicate_heavy": _dims(test_kmeans_duplicate_heavy_matches_reference),
+    "far_reseed": _dims(test_kmeans_far_reseed_matches_reference),
+    "one_center_and_one_per_point": _dims(
+        test_kmeans_one_center_and_one_per_point_match_reference),
+}
+
+
+@pytest.mark.parametrize("path", ["plain", "bounded"])
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_kmeans_reference_cases_through_each_path(case, path, monkeypatch):
+    # every problem, whatever its size, takes plain or bounded passes
+    limit = math.inf if path == "plain" else 0
+    monkeypatch.setattr(initialization, "_PLAIN_LLOYD_ENTRIES", limit)
+    _REFERENCE_CASES[case](monkeypatch)
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of the named ``initialization`` functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _f=getattr(initialization, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(initialization, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("extra,plain", [(0, True), (1, False)])
+def test_kmeans_size_rule_at_the_crossover(extra, plain, monkeypatch):
+    # N * K equal to the crossover takes plain passes, one point more the bounds
+    K = 16
+    N = initialization._PLAIN_LLOYD_ENTRIES // K + extra
+    rng = np.random.default_rng(7)
+    points = 4.0 * rng.standard_normal((8, 2))[rng.integers(0, 8, N)] + rng.standard_normal((N, 2))
+    calls = _count_calls(monkeypatch, "_plain_lloyd", "_half_gaps")
+    assert_kmeans_matches_reference(points, K, lambda: np.random.default_rng(70), n_init=2)
+    assert calls["_plain_lloyd"] == (2 if plain else 0)
+    assert (calls["_half_gaps"] > 0) != plain
+
+
+def _track_frame():
+    # frame 0 of a scene like the bench track workload's: a disk of 70 dots
+    # over 330 background dots, of which the disk hides some
+    spec = SceneSpec(
+        bodies=(Body(kind="disk", center=(0.7, 0.7), size=0.4, num_dots=70,
+                     velocity=(0.06, 0.08), omega=0.0),),
+        extent=((0.0, 2.0), (0.0, 1.4)), background_dots=330, flicker_prob=0.1,
+        frames=1, velocity_noise=0.004, occlude_background=True)
+    obs = make_rigid_scene(spec, 5)[0][0]
+    assert 250 <= len(obs) <= 400
+    return obs
+
+
+def test_init_state_matches_reference_at_track_size():
+    obs, hyper = _track_frame(), diag_hyper(2, sigma2_V=0.002)
+    new, ref = init_state(obs, 3, 40, hyper, seed=5), ref_init_state(obs, 3, 40, hyper, seed=5)
+    for field in ("mu_B", "Sigma_B", "vel", "Sigma_V", "pi_B", "mu_H", "Sigma_H",
+                  "rot", "trans", "pi_H", "z_B", "z_H"):
+        np.testing.assert_array_equal(getattr(new, field), getattr(ref, field), err_msg=field)
+    assert new.rng == ref.rng
+
+
+def test_flow_split_kmeans_matches_reference_at_track_size():
+    # the speed groups, called as flow_split_proposal calls them
+    state = init_state(_track_frame(), 3, 40, diag_hyper(2, sigma2_V=0.002), seed=5)
+    speeds = np.linalg.norm(state.vel, axis=1)
+    assert_kmeans_matches_reference(speeds[:, None], 2, lambda: substream(0, rngmod.INIT),
+                                    n_init=4)
+
+
+def test_kmeans_one_block_problems_skip_the_bounds(monkeypatch):
+    # particles (n_init 4) and clusters (n_init 8) of a track-size frame
+    calls = _count_calls(monkeypatch, "_plain_lloyd", "_reassign", "_half_gaps")
+    init_state(_track_frame(), 3, 40, diag_hyper(2, sigma2_V=0.002), seed=5)
+    assert calls == {"_plain_lloyd": 12, "_reassign": 0, "_half_gaps": 0}
 
 
 # -- kabsch_align -------------------------------------------------------------

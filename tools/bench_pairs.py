@@ -2,10 +2,11 @@
 
 Usage (from any directory):
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload geweke --pairs 10 [--json PATH]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload geweke --pairs 10 \
+        [--seed N] [--json PATH]
 
 PARENT and CHANGE are two checkouts of this repository.  Each pair runs
-``bench/run.py --seed 1 --seconds 20 --trace 0`` once in each checkout, one
+``bench/run.py --seed N --seconds 20 --trace 0`` once in each checkout, one
 after the other, and the side that goes first alternates from pair to pair,
 so a slow stretch of a shared machine falls on both sides alike.  Each run prints its metrics as
 it finishes; the summary then gives, for every end-to-end metric that
@@ -18,12 +19,17 @@ The gate for a claimed gain: at least 10 pairs, the change winning at least
 column says whether each metric passes it (``gain``), fails it (``-``), or
 whether there are too few pairs to tell (``few``).
 
+``--seed`` (default 1) sets the workload seed of every run; the run length
+and the gate stay as above.  A claim written against seed 1 can so be
+checked on a seed the change was not written against.
+
 ``--json PATH`` also records the summary in PATH, a ``BENCH_*.json``: under
-``"workloads"``, this workload's pair count, each metric's unit, direction,
+``"workloads"``, this workload's pair count, seed, each metric's unit, direction,
 medians and IQRs on both sides, ratio, wins and verdict, both sides' failed
 and attempted op counts, and each side's environment line from
 ``bench/run.py``.  Entries of other workloads already in PATH are kept, so
-one file collects the runs of several workloads.
+one file collects the runs of several workloads.  A seed other than 1 is
+recorded under its own key, ``WORKLOAD@SEED``, beside the seed-1 entry.
 
 The runs write their scratch files where ``bench/run.py`` puts them, in each
 checkout's ``.bench_work/``.  ``bench/run.py`` runs under ``python3 -B``, so
@@ -45,12 +51,12 @@ MIN_PAIRS = 10
 MIN_WIN_SHARE = 0.9
 
 
-def run_once(checkout: str, workload: str) -> dict:
+def run_once(checkout: str, workload: str, seed: int) -> dict:
     """One ``bench/run.py`` run in ``checkout``: its last JSON line, with the
     environment line before it under ``"env"``."""
     # -B: the run's own process writes no bytecode, so none lands in bench/;
     # the fresh interpreters it times for setup_s keep their usual caches
-    cmd = [sys.executable, "-B", "bench/run.py", "--workload", workload, "--seed", "1",
+    cmd = [sys.executable, "-B", "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", "20", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -116,14 +122,14 @@ def summarise(result: dict) -> list[str]:
     return lines
 
 
-def write_json(path: str, workload: str, result: dict) -> None:
-    """Set ``workload``'s entry of the ``"workloads"`` map in ``path``, keeping
+def write_json(path: str, key: str, result: dict) -> None:
+    """Set ``key``'s entry of the ``"workloads"`` map in ``path``, keeping
     the entries earlier runs wrote there."""
     doc = {"workloads": {}}
     if os.path.exists(path):
         with open(path) as fh:
             doc = json.load(fh)
-    doc["workloads"][workload] = result
+    doc["workloads"][key] = result
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -135,6 +141,7 @@ def main(argv=None) -> int:
     ap.add_argument("change", help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seed", type=int, default=1, help="workload seed of every run")
     ap.add_argument("--json", metavar="PATH",
                     help="also record the summary as this workload's entry in PATH")
     args = ap.parse_args(argv)
@@ -151,14 +158,15 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(checkouts[side], args.workload)
+            result = run_once(checkouts[side], args.workload, args.seed)
             runs[side].append(result)
             values = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
             print(f"pair {i + 1} {side:<6} {values}", flush=True)
-    result = compare(metrics, runs)
+    result = {**compare(metrics, runs), "seed": args.seed}
     print("\n".join(summarise(result)))
     if args.json:
-        write_json(args.json, args.workload, result)
+        key = args.workload if args.seed == 1 else f"{args.workload}@{args.seed}"
+        write_json(args.json, key, result)
     return 0
 
 
