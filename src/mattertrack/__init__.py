@@ -1,7 +1,6 @@
 """Hierarchical generative clustering and tracking of moving point matter."""
 
 from .types import (
-    Assignments,
     HyperParams,
     ModelState,
     NumericalDomainError,
@@ -10,7 +9,7 @@ from .types import (
 )
 from .model import log_joint, sample_forward
 from .distributions import TransformCandidates, make_transform_candidates
-from .gibbs import SweepSchedule, Step, Block, full_sweep_schedule, sweep, tracking_frame_schedule
+from .gibbs import SweepSchedule, full_sweep_schedule, sweep, tracking_frame_schedule
 from .initialization import data_dependent_hyperparams, init_state, kabsch_align, kmeans_pp
 from .sva import sva_cluster, sva_loss
 from .tracker import TrackConfig, propagate, track
@@ -28,15 +27,12 @@ from .geweke import default_check_hyper, run_geweke
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignments",
-    "Block",
     "Body",
     "HyperParams",
     "ModelState",
     "NumericalDomainError",
     "Observations",
     "SceneSpec",
-    "Step",
     "SweepSchedule",
     "TrackConfig",
     "TransformCandidates",

@@ -30,10 +30,18 @@ from .render import render_frame_svg
 from .sva import sva_cluster
 from .synth import flow_split_proposal, make_rigid_scene, scene_spec_from_dict
 from .tracker import TrackConfig, start, subsample_frame, subsample_indices, track
+from .types import ValidationError
 
 
 def _load_config(path: str | None) -> mio.Config:
-    return mio.load_config(path) if path else mio.Config()
+    """The ``--config`` file parsed; a one-line error naming the file if it is
+    not JSON or not a valid config."""
+    if not path:
+        return mio.Config()
+    try:
+        return mio.load_config(path)
+    except (ValidationError, json.JSONDecodeError) as exc:
+        raise click.ClickException(f"config file {path}: {exc}") from None
 
 
 # the share of each frame's points kept; checked once here for every command

@@ -2,7 +2,9 @@
 
 Each update resamples one block of variables from its exact conditional given
 the rest of the state.  Within a block all components are conditionally
-independent and read the pre-step state; blocks compose sequentially.
+independent and read the pre-step state; blocks compose sequentially.  A
+``SweepSchedule`` is the tuple of step names a sweep runs, in order: a step
+or group of steps repeated is written out name by name.
 
 Every conditional is one kernel over the stacked component arrays, (L, D, D)
 for particles and (K, D, D) for clusters, with no per-component Python loop.
@@ -71,7 +73,7 @@ from .distributions import (
     spd_inverse_stack,
     tril_inverse_stack,
 )
-from .types import Assignments, HyperParams, ModelState, Observations, ValidationError
+from .types import HyperParams, ModelState, Observations, ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -79,7 +81,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # the identity of each state dimension, built once for every step
 _EYE = {d: _readonly(np.eye(d)) for d in (2, 3)}
 
-# Step identifiers, in canonical full-sweep order.
+# The step names, in canonical full-sweep order.
 ASSIGN_POINTS = "assign_points"
 ASSIGN_POINTS_SPATIAL = "assign_points_spatial"
 PARTICLE_WEIGHTS = "particle_weights"
@@ -118,57 +120,21 @@ STEP_IDS = (
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Step:
-    name: str
-    repeat: int = 1
-
-
-@dataclass(frozen=True)
-class Block:
-    """A group of schedule items repeated as a unit."""
-
-    items: tuple
-    repeat: int = 1
-
-
-@dataclass(frozen=True)
 class SweepSchedule:
-    """Ordered Gibbs steps with repeat counts; ``sweep`` runs every one."""
+    """Gibbs step names in the order ``sweep`` runs them.
 
-    steps: tuple
+    A step repeated, or a group of steps repeated as a unit, is written out
+    name by name, as tuple multiplication builds it.
+    """
+
+    steps: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        self._validate_items(self.steps)
-
-    @classmethod
-    def _validate_items(cls, items) -> None:
-        for item in items:
-            if isinstance(item, Step):
-                if item.name not in STEP_IDS:
-                    raise ValidationError(f"unknown schedule step {item.name!r}")
-                if item.repeat < 1:
-                    raise ValidationError("step repeat counts must be >= 1")
-            elif isinstance(item, Block):
-                if item.repeat < 1:
-                    raise ValidationError("block repeat counts must be >= 1")
-                cls._validate_items(item.items)
-            else:
-                raise ValidationError(f"schedule items must be Step or Block, got {item!r}")
-
-    def flatten(self) -> tuple[str, ...]:
-        out: list[str] = []
-
-        def walk(items):
-            for item in items:
-                if isinstance(item, Step):
-                    out.extend([item.name] * item.repeat)
-                else:
-                    for _ in range(item.repeat):
-                        walk(item.items)
-
-        walk(self.steps)
-        return tuple(out)
+        steps = tuple(self.steps)
+        for name in steps:
+            if name not in STEP_IDS:
+                raise ValidationError(f"unknown schedule step {name!r}")
+        object.__setattr__(self, "steps", steps)
 
 
 def full_sweep_schedule() -> SweepSchedule:
@@ -187,7 +153,7 @@ def full_sweep_schedule() -> SweepSchedule:
         CLUSTER_ROTATIONS,
         CLUSTER_TRANSLATIONS,
     )
-    return SweepSchedule(steps=tuple(Step(n) for n in names))
+    return SweepSchedule(names)
 
 
 def tracking_frame_schedule() -> SweepSchedule:
@@ -213,7 +179,7 @@ def tracking_frame_schedule() -> SweepSchedule:
         CLUSTER_ROTATIONS,
         CLUSTER_TRANSLATIONS,
     )
-    return SweepSchedule(steps=tuple(Step(n) for n in names))
+    return SweepSchedule(names)
 
 
 # --------------------------------------------------------------------------
@@ -713,10 +679,11 @@ def update_cluster_translations(state: ModelState, hyper: HyperParams,
 # look their kernel up in the module globals when called, so a kernel rebound
 # after import (as the benchmark tracer does) is the one that runs.
 _STEP_UPDATES = {
-    ASSIGN_POINTS: ("assignments", lambda s, o, h, c, r, f: Assignments(
-        assign_points_to_particles(s, o, h, r, factors=f), s.z_H)),
-    ASSIGN_POINTS_SPATIAL: ("assignments", lambda s, o, h, c, r, f: Assignments(
-        assign_points_to_particles(s, o, h, r, position_only=True, factors=f), s.z_H)),
+    ASSIGN_POINTS: ("z_B", lambda s, o, h, c, r, f:
+                    assign_points_to_particles(s, o, h, r, factors=f)),
+    ASSIGN_POINTS_SPATIAL: ("z_B", lambda s, o, h, c, r, f:
+                            assign_points_to_particles(s, o, h, r, position_only=True,
+                                                       factors=f)),
     PARTICLE_WEIGHTS: ("pi_B", lambda s, o, h, c, r, f: update_particle_weights(s, h, r)),
     PARTICLE_MEANS: ("mu_B", lambda s, o, h, c, r, f:
                      update_particle_means(s, o, h, r, factors=f)),
@@ -727,8 +694,8 @@ _STEP_UPDATES = {
     PARTICLE_VELOCITY_COVS: ("Sigma_V", lambda s, o, h, c, r, f:
                              update_particle_velocity_covariances(s, o, h, r)),
     PARTICLE_FEATURES: ("feat", lambda s, o, h, c, r, f: update_particle_features(s, o)),
-    ASSIGN_PARTICLES: ("assignments", lambda s, o, h, c, r, f: Assignments(
-        s.z_B, assign_particles_to_clusters(s, h, r, factors=f))),
+    ASSIGN_PARTICLES: ("z_H", lambda s, o, h, c, r, f:
+                       assign_particles_to_clusters(s, h, r, factors=f)),
     CLUSTER_WEIGHTS: ("pi_H", lambda s, o, h, c, r, f: update_cluster_weights(s, h, r)),
     CLUSTER_MEANS: ("mu_H", lambda s, o, h, c, r, f:
                     update_cluster_means(s, h, r, factors=f)),
@@ -763,7 +730,7 @@ def sweep(state: ModelState, obs: Observations, hyper: HyperParams,
           schedule: SweepSchedule, candidates: TransformCandidates) -> ModelState:
     """Execute the schedule once, each step reading the latest state.
 
-    Every step of ``schedule.flatten()`` runs; a quantity left out of the
+    Every step of ``schedule.steps`` runs; a quantity left out of the
     schedule passes through bitwise unchanged and draws nothing.  The sweep
     builds one Generator, the stream keyed by the state's rng cursor alone,
     and every step takes its variates from it in schedule order; the cursor
@@ -777,6 +744,6 @@ def sweep(state: ModelState, obs: Observations, hyper: HyperParams,
     rng = state.rng.stream(rngmod.SWEEP)
     # the log of a zero mixture weight is -inf, never drawn
     with np.errstate(divide="ignore"):
-        for name in schedule.flatten():
+        for name in schedule.steps:
             _apply_step(name, work, obs, hyper, candidates, rng, factors)
     return work.replace(rng=state.rng.tick())

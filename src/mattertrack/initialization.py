@@ -27,7 +27,6 @@ from . import rng as rngmod
 from .distributions import inverse_wishart_mean
 from .rng import RngState, substream
 from .types import (
-    Assignments,
     HyperParams,
     ModelState,
     Observations,
@@ -619,7 +618,7 @@ def init_state(obs: Observations, K: int, L: int, hyper: HyperParams, seed: int
     return ModelState(
         dim=d, mu_B=mu_B, Sigma_B=Sigma_B, vel=vel, Sigma_V=Sigma_V, pi_B=pi_B,
         mu_H=mu_H, Sigma_H=Sigma_H, rot=rot, trans=trans, pi_H=pi_H,
-        assignments=Assignments(z_B, z_H), rng=RngState(seed), feat=feat,
+        z_B=z_B, z_H=z_H, rng=RngState(seed), feat=feat,
     )
 
 

@@ -3,7 +3,8 @@
 Observations and labels are newline-delimited JSON, one record per frame.
 State dumps are newline-delimited JSON too, one self-contained record per
 frame (format_version 1) carrying the hyperparameters and rng cursor so a
-dump can resume tracking bit-identically.
+dump can resume tracking bit-identically.  A config's schedule repeats and
+blocks expand to plain step names at load time.
 """
 from __future__ import annotations
 
@@ -14,10 +15,9 @@ from typing import Any
 
 import numpy as np
 
-from .gibbs import Block, Step
 from .rng import RngState
 from .tracker import TrackConfig
-from .types import Assignments, HyperParams, ModelState, Observations, ValidationError
+from .types import HyperParams, ModelState, Observations, ValidationError
 
 FORMAT_VERSION = 1
 
@@ -178,24 +178,39 @@ def hyper_from_dict(d: dict, dim: int | None = None,
 # Schedules and track configuration
 # --------------------------------------------------------------------------
 
-def schedule_items_from_json(raw) -> tuple:
-    items = []
+def _repeat_count(entry, count) -> int:
+    """A config repeat count: a JSON integer >= 1, never a bool."""
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValidationError(f"schedule repeat counts must be integers >= 1, got {entry!r}")
+    return count
+
+
+def schedule_items_from_json(raw) -> tuple[str, ...]:
+    """The step names of a config schedule, its repeats and blocks written out.
+
+    An entry is a step name, a ``[name, n]`` pair (the step n times) or a
+    ``{"repeat": n, "steps": [...]}`` block (its steps n times over); every
+    n is an integer >= 1.
+    """
+    if not isinstance(raw, list):
+        raise ValidationError(f"schedule steps must be a list, got {raw!r}")
+    names: list[str] = []
     for entry in raw:
         if isinstance(entry, str):
-            items.append(Step(entry))
+            names.append(entry)
         elif isinstance(entry, list):
             if len(entry) != 2 or not isinstance(entry[0], str):
                 raise ValidationError(f"schedule step list must be [name, repeat], got {entry!r}")
-            items.append(Step(entry[0], int(entry[1])))
+            names.extend([entry[0]] * _repeat_count(entry, entry[1]))
         elif isinstance(entry, dict):
             unknown = set(entry) - {"repeat", "steps"}
             if unknown:
                 raise ValidationError(f"unknown schedule block keys: {sorted(unknown)}")
-            items.append(Block(items=schedule_items_from_json(entry.get("steps", [])),
-                               repeat=int(entry.get("repeat", 1))))
+            names.extend(schedule_items_from_json(entry.get("steps", []))
+                         * _repeat_count(entry, entry.get("repeat", 1)))
         else:
             raise ValidationError(f"bad schedule entry: {entry!r}")
-    return tuple(items)
+    return tuple(names)
 
 
 _TRACK_FIELDS = {f.name for f in dataclasses.fields(TrackConfig)}
@@ -302,8 +317,8 @@ def state_from_dict(d: dict) -> ModelState:
         **_stacked(d["clusters"], _CLUSTER_KEYS),
         pi_B=np.asarray(d["pi_B"], dtype=np.float64),
         pi_H=np.asarray(d["pi_H"], dtype=np.float64),
-        assignments=Assignments(np.asarray(d["z_B"], dtype=np.int64),
-                                np.asarray(d["z_H"], dtype=np.int64)),
+        z_B=np.asarray(d["z_B"], dtype=np.int64),
+        z_H=np.asarray(d["z_H"], dtype=np.int64),
         rng=RngState.from_dict(d["rng"]),
     )
 

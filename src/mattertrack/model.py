@@ -69,7 +69,6 @@ from .distributions import (
 )
 from .rng import RngState, substream
 from .types import (
-    Assignments,
     HyperParams,
     ModelState,
     Observations,
@@ -141,9 +140,7 @@ def _sample_latents(hyper: HyperParams, K: int, L: int, N: int, seed,
     draw = {name: stack[0] for name, stack in
             LatentStack.sample(hyper, K, L, N, [rng], candidates)._asdict().items()}
     base_seed = int(seed) if not isinstance(seed, np.random.Generator) else 0
-    labels = Assignments(draw.pop("z_B"), draw.pop("z_H"))
-    state = ModelState(dim=draw["mu_B"].shape[1], **draw, assignments=labels,
-                       rng=RngState(base_seed))
+    state = ModelState(dim=draw["mu_B"].shape[1], **draw, rng=RngState(base_seed))
     return state, rng
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .rng import RngState, substream
-from .types import Assignments, ModelState, Observations, ValidationError
+from .types import ModelState, Observations, ValidationError
 
 NOISE_LABEL = -1
 
@@ -233,8 +233,7 @@ def separated_mixture_scene(K: int, L: int, N: int, dim: int, seed: int,
         vel=vel, Sigma_V=np.stack([sigma_v * eye] * L), pi_B=pi_B,
         mu_H=centers, Sigma_H=np.stack([sigma_h * eye] * K),
         rot=rot, trans=trans, pi_H=np.full(K, 1.0 / K),
-        assignments=Assignments(z_B, z_H),
-        rng=RngState(seed),
+        z_B=z_B, z_H=z_H, rng=RngState(seed),
     )
     return state, Observations(positions, velocities), z_H[z_B]
 
@@ -285,7 +284,6 @@ def flow_split_proposal(state: ModelState, obs: Observations, hyper,
         CLUSTER_ROTATIONS,
         CLUSTER_TRANSLATIONS,
         CLUSTER_WEIGHTS,
-        Step,
         SweepSchedule,
         sweep,
     )
@@ -300,10 +298,9 @@ def flow_split_proposal(state: ModelState, obs: Observations, hyper,
         z_h = np.where(fast, state.K - 1, slow_home).astype(np.int64)
     else:
         z_h = state.z_H
-    proposed = state.replace(assignments=Assignments(state.z_B, z_h))
-    refit = SweepSchedule(steps=tuple(
-        Step(n) for n in (CLUSTER_WEIGHTS, CLUSTER_MEANS, CLUSTER_COVS,
-                          CLUSTER_ROTATIONS, CLUSTER_TRANSLATIONS)))
+    proposed = state.replace(z_H=z_h)
+    refit = SweepSchedule((CLUSTER_WEIGHTS, CLUSTER_MEANS, CLUSTER_COVS,
+                           CLUSTER_ROTATIONS, CLUSTER_TRANSLATIONS))
     return sweep(proposed, obs, hyper, refit, candidates)
 
 

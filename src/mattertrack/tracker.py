@@ -3,8 +3,9 @@
 Frame 0 is initialized by ``start``: hierarchical K-means plus full Gibbs
 sweeps.  Every later frame propagates particle means by their velocities,
 re-anchors the unordered point cloud to particles by position alone, then
-refines particle and cluster variables bottom-up.  Frozen quantities pass
-through bitwise unchanged.  ``subsample_indices`` alone keys the subsample
+refines particle and cluster variables bottom-up.  Schedules are tuples of
+step names; a frozen quantity's step is left out, so it passes through
+bitwise unchanged.  ``subsample_indices`` alone keys the subsample
 stream, so callers reproduce the points a run kept from its seed.
 """
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .gibbs import (
     PARTICLE_VELOCITIES,
     PARTICLE_VELOCITY_COVS,
     PARTICLE_WEIGHTS,
-    Block,
-    Step,
     SweepSchedule,
     full_sweep_schedule,
     sweep,
@@ -39,27 +38,20 @@ from .gibbs import (
 )
 from .initialization import data_dependent_hyperparams, init_state
 from .rng import SUBSAMPLE, substream
-from .types import Assignments, HyperParams, ModelState, Observations, ValidationError
-
-
-def _drop_steps(items: tuple, names: set[str]) -> tuple:
-    """Schedule items less every ``Step`` named in ``names``, inside blocks too."""
-    return tuple(Block(_drop_steps(item.items, names), item.repeat)
-                 if isinstance(item, Block) else item
-                 for item in items if isinstance(item, Block) or item.name not in names)
+from .types import HyperParams, ModelState, Observations, ValidationError
 
 
 @dataclass(frozen=True)
 class TrackConfig:
     """Knobs of the sequential tracking procedure.
 
-    ``per_frame_schedule`` holds only schedule items (``Step``/``Block``).  A
-    frozen quantity's step is left out: ``freeze_Sigma_B`` drops ``particle_covs``
+    ``per_frame_schedule`` holds step names in run order.  A frozen
+    quantity's step is left out: ``freeze_Sigma_B`` drops ``particle_covs``
     from frame 0 on, ``freeze_z_H`` drops ``assign_particles`` after frame 0.
     """
 
     init_sweeps: int = 50
-    per_frame_schedule: tuple | None = None
+    per_frame_schedule: tuple[str, ...] | None = None
     freeze_z_H: bool = False
     freeze_Sigma_B: bool = True
     subsample_rate: float = 1.0
@@ -70,12 +62,13 @@ class TrackConfig:
         if not 0 < self.subsample_rate <= 1:
             raise ValidationError(f"subsample_rate must be in (0, 1], got {self.subsample_rate}")
         if self.per_frame_schedule is not None:
-            SweepSchedule(self.per_frame_schedule)  # rejects unknown steps and bad repeats
+            object.__setattr__(self, "per_frame_schedule",
+                               SweepSchedule(self.per_frame_schedule).steps)
 
     def init_schedule(self) -> SweepSchedule:
         """The frame-0 sweep, z_H live: these sweeps establish the segmentation."""
         frozen = {PARTICLE_COVS} if self.freeze_Sigma_B else set()
-        return SweepSchedule(_drop_steps(full_sweep_schedule().steps, frozen))
+        return SweepSchedule(n for n in full_sweep_schedule().steps if n not in frozen)
 
     def frame_schedule(self) -> SweepSchedule:
         """A later frame's sweep: the per-frame steps less the frozen ones."""
@@ -84,7 +77,7 @@ class TrackConfig:
             steps = tracking_frame_schedule().steps
         frozen = {name for name, freeze in ((PARTICLE_COVS, self.freeze_Sigma_B),
                                             (ASSIGN_PARTICLES, self.freeze_z_H)) if freeze}
-        return SweepSchedule(_drop_steps(steps, frozen))
+        return SweepSchedule(n for n in steps if n not in frozen)
 
 
 def propagate(state: ModelState) -> ModelState:
@@ -176,7 +169,7 @@ def track(frames: list[Observations], K: int, L: int, hyper: HyperParams,
         if len(obs_t):
             state = sweep(state, obs_t, hyper, sched, candidates)
         else:
-            state = state.replace(assignments=Assignments(np.empty(0, np.int64), state.z_H))
+            state = state.replace(z_B=np.empty(0, np.int64))
         states.append(state)
     return states
 
@@ -189,25 +182,11 @@ def gestalt_track_config(init_sweeps: int = 50, velocity_iters: int = 20,
     sweeps; particle spatial covariances and particle-to-cluster assignments
     stay fixed after frame 0.
     """
-    velocity_block = Block(
-        items=(
-            Step(ASSIGN_POINTS),
-            Step(PARTICLE_WEIGHTS),
-            Step(PARTICLE_VELOCITIES),
-            Step(PARTICLE_VELOCITY_COVS),
-            Step(CLUSTER_ROTATIONS),
-            Step(CLUSTER_TRANSLATIONS),
-        ),
-        repeat=velocity_iters,
-    )
-    full_block = Block(items=tracking_frame_schedule().steps, repeat=full_sweeps)
-    steps = (
-        Step(ASSIGN_POINTS_SPATIAL),
-        Step(PARTICLE_WEIGHTS),
-        Step(PARTICLE_MEANS),
-        velocity_block,
-        full_block,
-    )
+    velocity_block = (ASSIGN_POINTS, PARTICLE_WEIGHTS, PARTICLE_VELOCITIES,
+                      PARTICLE_VELOCITY_COVS, CLUSTER_ROTATIONS, CLUSTER_TRANSLATIONS)
+    steps = ((ASSIGN_POINTS_SPATIAL, PARTICLE_WEIGHTS, PARTICLE_MEANS)
+             + velocity_block * velocity_iters
+             + tracking_frame_schedule().steps * full_sweeps)
     return TrackConfig(init_sweeps=init_sweeps, per_frame_schedule=steps,
                        freeze_z_H=True, freeze_Sigma_B=True)
 
@@ -221,26 +200,10 @@ def rgb_track_config(init_sweeps: int = 30, refine_iters: int = 3) -> TrackConfi
     hyperparameters ``sigma2_F`` and a positive ``p_outlier`` (0.1 is the
     reference weight), so every full assignment, frame 0's too, scores both.
     """
-    refine_block = Block(
-        items=(
-            Step(PARTICLE_MEANS),
-            Step(PARTICLE_VELOCITIES),
-            Step(PARTICLE_VELOCITY_COVS),
-        ),
-        repeat=refine_iters,
-    )
-    steps = (
-        Step(CLUSTER_ROTATIONS),
-        Step(CLUSTER_TRANSLATIONS),
-        Step(ASSIGN_POINTS_SPATIAL),
-        Step(PARTICLE_WEIGHTS),
-        Step(ASSIGN_POINTS),
-        Step(PARTICLE_WEIGHTS),
-        refine_block,
-        Step(PARTICLE_FEATURES),
-        Step(CLUSTER_WEIGHTS),
-        Step(CLUSTER_MEANS),
-        Step(CLUSTER_COVS),
-    )
+    refine_block = (PARTICLE_MEANS, PARTICLE_VELOCITIES, PARTICLE_VELOCITY_COVS)
+    steps = ((CLUSTER_ROTATIONS, CLUSTER_TRANSLATIONS, ASSIGN_POINTS_SPATIAL, PARTICLE_WEIGHTS,
+              ASSIGN_POINTS, PARTICLE_WEIGHTS)
+             + refine_block * refine_iters
+             + (PARTICLE_FEATURES, CLUSTER_WEIGHTS, CLUSTER_MEANS, CLUSTER_COVS))
     return TrackConfig(init_sweeps=init_sweeps, per_frame_schedule=steps,
                        freeze_z_H=True, freeze_Sigma_B=True)

@@ -3,7 +3,9 @@
 A scene is modeled as K *clusters* (independently moving entities, each with a
 spatial Gaussian and a rigid transform), L *particles* (small Gaussians of
 local matter assigned to clusters), and N observed points (position-velocity
-pairs, optionally feature-tagged) assigned to particles.
+pairs, optionally feature-tagged) assigned to particles.  A ``ModelState``
+holds both label vectors itself: ``z_B`` (point to particle) and ``z_H``
+(particle to cluster).
 """
 from __future__ import annotations
 
@@ -207,41 +209,13 @@ class HyperParams:
 
 
 @dataclass(frozen=True)
-class Assignments:
-    """Point-to-particle and particle-to-cluster assignment vectors.
-
-    ``point_to_particle`` entries equal to L (one past the last particle)
-    denote the outlier component.
-    """
-
-    point_to_particle: np.ndarray
-    particle_to_cluster: np.ndarray
-
-    def __post_init__(self):
-        z_b = np.asarray(self.point_to_particle, dtype=np.int64)
-        z_h = np.asarray(self.particle_to_cluster, dtype=np.int64)
-        object.__setattr__(self, "point_to_particle", z_b)
-        object.__setattr__(self, "particle_to_cluster", z_h)
-
-    def validate(self, N: int, L: int, K: int) -> None:
-        z_b, z_h = self.point_to_particle, self.particle_to_cluster
-        if z_b.shape != (N,):
-            raise ValidationError(f"point_to_particle must have shape ({N},)")
-        if z_h.shape != (L,):
-            raise ValidationError(f"particle_to_cluster must have shape ({L},)")
-        if z_b.size and (z_b.min() < 0 or z_b.max() > L):
-            raise ValidationError("point_to_particle entries must lie in [0, L]")
-        if z_h.size and (z_h.min() < 0 or z_h.max() >= K):
-            raise ValidationError("particle_to_cluster entries must lie in [0, K)")
-
-
-@dataclass(frozen=True)
 class ModelState:
     """Full latent state of the model.
 
     Value semantics: arrays are never mutated in place; every update builds a
-    new state.  ``rng`` is the deterministic stream cursor, so a dumped state
-    resumes bit-identically.
+    new state.  ``z_B`` entries equal to L (one past the last particle) denote
+    the outlier component.  ``rng`` is the deterministic stream cursor, so a
+    dumped state resumes bit-identically.
     """
 
     dim: int
@@ -255,7 +229,8 @@ class ModelState:
     rot: np.ndarray        # (K, D, D) cluster rotations
     trans: np.ndarray      # (K, D) cluster translations
     pi_H: np.ndarray       # (K,) cluster mixture weights
-    assignments: Assignments
+    z_B: np.ndarray        # (N,) point-to-particle labels, int64
+    z_H: np.ndarray        # (L,) particle-to-cluster labels, int64
     rng: RngState
     feat: np.ndarray | None = None   # (L, F) particle feature means
 
@@ -282,7 +257,18 @@ class ModelState:
             if feat.ndim != 2 or feat.shape[0] != L:
                 raise ValidationError(f"feat must be (L, F), got {feat.shape}")
             object.__setattr__(self, "feat", feat)
-        self.assignments.validate(self.assignments.point_to_particle.shape[0], L, K)
+        z_b = np.asarray(self.z_B, dtype=np.int64)
+        z_h = np.asarray(self.z_H, dtype=np.int64)
+        if z_b.ndim != 1:
+            raise ValidationError(f"z_B must have shape (N,), got {z_b.shape}")
+        if z_h.shape != (L,):
+            raise ValidationError(f"z_H must have shape ({L},), got {z_h.shape}")
+        if z_b.size and (z_b.min() < 0 or z_b.max() > L):
+            raise ValidationError("z_B entries must lie in [0, L]")
+        if z_h.size and (z_h.min() < 0 or z_h.max() >= K):
+            raise ValidationError("z_H entries must lie in [0, K)")
+        object.__setattr__(self, "z_B", z_b)
+        object.__setattr__(self, "z_H", z_h)
 
     # -- convenience accessors -------------------------------------------------
 
@@ -296,15 +282,7 @@ class ModelState:
 
     @property
     def N(self) -> int:
-        return self.assignments.point_to_particle.shape[0]
-
-    @property
-    def z_B(self) -> np.ndarray:
-        return self.assignments.point_to_particle
-
-    @property
-    def z_H(self) -> np.ndarray:
-        return self.assignments.particle_to_cluster
+        return len(self.z_B)
 
     @property
     def outlier_index(self) -> int:

@@ -12,7 +12,7 @@ import pytest
 
 from mattertrack.distributions import chol_spd, spd_inverse
 from mattertrack.rng import RngState
-from mattertrack.types import Assignments, HyperParams, ModelState, Observations
+from mattertrack.types import HyperParams, ModelState, Observations
 
 HELDOUT_TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                             "tools", "rdk_heldout.py")
@@ -60,8 +60,8 @@ def make_state(mu_B, Sigma_B, vel, Sigma_V, pi_B, mu_H, Sigma_H, rot, trans,
         rot=np.asarray(rot, dtype=float),
         trans=np.atleast_2d(np.asarray(trans, dtype=float)),
         pi_H=np.asarray(pi_H, dtype=float),
-        assignments=Assignments(np.asarray(z_B, dtype=np.int64),
-                                np.asarray(z_H, dtype=np.int64)),
+        z_B=np.asarray(z_B, dtype=np.int64),
+        z_H=np.asarray(z_H, dtype=np.int64),
         rng=RngState(seed),
         feat=feat,
     )

@@ -98,8 +98,7 @@ def test_criterion_01_conjugacy_oracles():
         failures.append("point assignment")
 
     # Dirichlet posterior concentrations are exact at both levels
-    state2 = state.replace(assignments=type(state.assignments)(
-        np.array([0, 0, 0, 1]), state.z_H))
+    state2 = state.replace(z_B=np.array([0, 0, 0, 1]))
     rng = np.random.default_rng(0)
     draws = np.stack([update_particle_weights(state2, hyper, rng) for _ in range(20000)])
     if np.max(np.abs(draws.mean(axis=0) - [4 / 6, 2 / 6])) > 0.01:

@@ -218,6 +218,23 @@ def test_empty_observation_file_is_a_one_line_error(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"track": {"per_frame_schedule": {"steps": [["assign_points", 0]]}}}',
+     "schedule repeat counts must be integers >= 1, got ['assign_points', 0]"),
+    ('{"track": ', "Expecting value: line 1 column 11 (char 10)"),
+], ids=["zero-repeat", "malformed-json"])
+def test_bad_config_file_is_a_one_line_error(tmp_path, text, message):
+    obs, conf, out = tmp_path / "obs.jsonl", tmp_path / "conf.json", tmp_path / "o"
+    run_cli(["simulate", "-N", "40", "-L", "4", "--seed", "1", "--out", str(obs)])
+    conf.write_text(text)
+    result = CliRunner().invoke(main, ["track", "--obs", str(obs), "-K", "2", "-L", "4",
+                                       "--config", str(conf), "--out", str(out)],
+                                catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == [f"Error: config file {conf}: {message}"]
+    assert not out.exists()
+
+
 def test_eval_on_empty_state_dump_is_a_one_line_error(tmp_path):
     obs, labels, states = tmp_path / "obs.jsonl", tmp_path / "gt.jsonl", tmp_path / "s.jsonl"
     run_cli(["simulate", "-N", "40", "-L", "4", "--seed", "1", "--out", str(obs),
@@ -593,7 +610,7 @@ def test_fit_samples_particle_covariances_at_frame_zero(tmp_path, monkeypatch):
 
     schedules, sweep = [], tracker.sweep
     monkeypatch.setattr(tracker, "sweep", lambda state, obs, hyper, schedule, cands: (
-        schedules.append(schedule.flatten()) or sweep(state, obs, hyper, schedule, cands)))
+        schedules.append(schedule.steps) or sweep(state, obs, hyper, schedule, cands)))
     run_cli(["fit", "--obs", str(feature_file(tmp_path)), "-K", "2", "-L", "4",
              "--sweeps", "3", "--out", str(tmp_path / "fit.jsonl")])
     assert len(schedules) == 3

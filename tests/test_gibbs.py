@@ -49,7 +49,7 @@ from mattertrack.gibbs import (
 from mattertrack.model import log_joint, sample_forward
 from mattertrack.rng import RngState
 from mattertrack.synth import separated_mixture_scene
-from mattertrack.types import Assignments, ModelState, Observations, ValidationError
+from mattertrack.types import ModelState, Observations, ValidationError
 
 from conftest import diag_hyper, make_state, single_particle_state
 
@@ -695,7 +695,7 @@ def test_sweep_label_permutation_equivariance_distributional():
         pst = base.replace(
             mu_B=base.mu_B[perm], Sigma_B=base.Sigma_B[perm], vel=base.vel[perm],
             Sigma_V=base.Sigma_V[perm], pi_B=base.pi_B[perm],
-            assignments=Assignments(inv[base.z_B], base.z_H[perm]),
+            z_B=inv[base.z_B], z_H=base.z_H[perm],
             rng=RngState(5000 + s))
         pout = sweep(pst, obs, hyper, sched, cands)
         permuted.append(pout.mu_B[inv[0], 0])

@@ -42,7 +42,7 @@ from mattertrack.distributions import (
 from mattertrack.model import induced_velocities, sample_forward
 from mattertrack.rng import SWEEP
 from mattertrack.tracker import TrackConfig
-from mattertrack.types import Assignments, Observations, ValidationError
+from mattertrack.types import Observations, ValidationError
 
 from conftest import diag_hyper, ref_iw_draws
 
@@ -239,11 +239,9 @@ def ref_transform_indices(log_probs, state, hyper, candidates, rng):
 def ref_apply_step(name, state, obs, hyper, candidates, rng):
     L, K = state.L, state.K
     if name == gibbs.ASSIGN_POINTS:
-        z = ref_assign_points(state, obs, hyper, rng)
-        return state.replace(assignments=Assignments(z, state.z_H))
+        return state.replace(z_B=ref_assign_points(state, obs, hyper, rng))
     if name == gibbs.ASSIGN_POINTS_SPATIAL:
-        z = ref_assign_points(state, obs, hyper, rng, position_only=True)
-        return state.replace(assignments=Assignments(z, state.z_H))
+        return state.replace(z_B=ref_assign_points(state, obs, hyper, rng, position_only=True))
     if name == gibbs.PARTICLE_WEIGHTS:
         return state.replace(pi_B=ref_particle_weights(state, hyper, rng))
     if name == gibbs.PARTICLE_MEANS:
@@ -261,8 +259,7 @@ def ref_apply_step(name, state, obs, hyper, candidates, rng):
     if name == gibbs.PARTICLE_FEATURES:
         return state.replace(feat=ref_particle_features(state, obs))
     if name == gibbs.ASSIGN_PARTICLES:
-        z_h = categorical_sample_rows(ref_cluster_log_probs(state, hyper), rng)
-        return state.replace(assignments=Assignments(state.z_B, z_h))
+        return state.replace(z_H=categorical_sample_rows(ref_cluster_log_probs(state, hyper), rng))
     if name == gibbs.CLUSTER_WEIGHTS:
         return state.replace(pi_H=ref_cluster_weights(state, hyper, rng))
     if name == gibbs.CLUSTER_MEANS:
@@ -306,7 +303,7 @@ def scene(dim, seed=0):
     F = 3
     feat = rng.standard_normal((state.L, F))
     features = feat[np.minimum(z_B, state.L - 1)] + 0.5 * rng.standard_normal((len(obs), F))
-    state = state.replace(assignments=Assignments(z_B, z_H), feat=feat)
+    state = state.replace(z_B=z_B, z_H=z_H, feat=feat)
     obs = Observations(obs.positions, obs.velocities, features)
     return state, obs, hyper, cands
 
@@ -399,8 +396,8 @@ def test_component_oracles_match_loop(dim):
 def test_batched_sweeps_match_loop(dim):
     # the tracking order runs every step but features; features are appended
     state, obs, hyper, cands = scene(dim, seed=30 + dim)
-    names = gibbs.tracking_frame_schedule().flatten() + (gibbs.PARTICLE_FEATURES,)
-    schedule = gibbs.SweepSchedule(steps=tuple(gibbs.Step(n) for n in names))
+    names = gibbs.tracking_frame_schedule().steps + (gibbs.PARTICLE_FEATURES,)
+    schedule = gibbs.SweepSchedule(names)
     got = want = state
     for _ in range(3):
         got = gibbs.sweep(got, obs, hyper, schedule, cands)
@@ -805,7 +802,7 @@ def sweep_with_own_factors(state, obs, hyper, schedule, cands):
     the steps draw from one stream in schedule order."""
     work = copy.copy(state)
     rng = state.rng.stream(SWEEP)
-    for name in schedule.flatten():
+    for name in schedule.steps:
         with np.errstate(divide="ignore"):
             gibbs._apply_step(name, work, obs, hyper, cands, rng)
     return work.replace(rng=state.rng.tick())
@@ -814,8 +811,7 @@ def sweep_with_own_factors(state, obs, hyper, schedule, cands):
 SHARED_FACTOR_SCHEDULES = {
     # two passes, so that later steps read covariances swapped earlier
     "full_twice": gibbs.SweepSchedule(
-        steps=(gibbs.Block(gibbs.full_sweep_schedule().steps
-                           + (gibbs.Step(gibbs.PARTICLE_FEATURES),), repeat=2),)),
+        (gibbs.full_sweep_schedule().steps + (gibbs.PARTICLE_FEATURES,)) * 2),
     "tracking_frozen": TrackConfig(freeze_Sigma_B=True).frame_schedule(),
 }
 

@@ -32,7 +32,7 @@ from mattertrack.initialization import (
 )
 from mattertrack.rng import RngState, substream
 from mattertrack.synth import Body, SceneSpec, make_rigid_scene, separated_mixture_scene
-from mattertrack.types import Assignments, ModelState, Observations, ValidationError
+from mattertrack.types import ModelState, Observations, ValidationError
 
 from conftest import diag_hyper
 
@@ -141,7 +141,7 @@ def ref_init_state(obs, K, L, hyper, seed):
     return ModelState(
         dim=d, mu_B=mu_B, Sigma_B=Sigma_B, vel=vel, Sigma_V=Sigma_V, pi_B=pi_B,
         mu_H=mu_H, Sigma_H=Sigma_H, rot=rot, trans=trans, pi_H=pi_H,
-        assignments=Assignments(z_B, z_H), rng=RngState(seed), feat=feat,
+        z_B=z_B, z_H=z_H, rng=RngState(seed), feat=feat,
     )
 
 

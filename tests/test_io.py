@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mattertrack import io as mio
-from mattertrack.gibbs import Block, Step, tracking_frame_schedule
+from mattertrack.gibbs import tracking_frame_schedule
 from mattertrack.synth import Body, SceneSpec, make_rigid_scene
 from mattertrack.tracker import TrackConfig, track
 from mattertrack.types import HyperParams, Observations, ValidationError
@@ -163,10 +163,35 @@ def test_schedule_dict_roundtrip():
     raw = {"steps": ["assign_points",
                      {"repeat": 3, "steps": [["particle_means", 2]]}]}
     cfg = mio.track_config_from_dict({"per_frame_schedule": raw})
-    assert cfg.per_frame_schedule == (
-        Step("assign_points"), Block(items=(Step("particle_means", 2),), repeat=3))
+    assert cfg.per_frame_schedule == ("assign_points",) + ("particle_means",) * 6
     with pytest.raises(ValidationError, match="no_such_step"):
         mio.track_config_from_dict({"per_frame_schedule": {"steps": ["no_such_step"]}})
+
+
+@pytest.mark.parametrize("entry", [
+    ["particle_means", 2.7], ["particle_means", 2.0], ["particle_means", "x"],
+    ["particle_means", 0], ["particle_means", -1], ["particle_means", True],
+    ["particle_means", None],
+    {"repeat": 2.5, "steps": ["particle_means"]}, {"repeat": 0, "steps": ["particle_means"]},
+    {"repeat": True, "steps": ["particle_means"]}, {"repeat": "2", "steps": ["particle_means"]},
+], ids=["pair-2.7", "pair-2.0", "pair-str", "pair-0", "pair-neg", "pair-bool", "pair-null",
+        "block-2.5", "block-0", "block-bool", "block-str"])
+def test_schedule_repeat_counts_are_integers_of_at_least_one(tmp_path, entry):
+    raw = {"steps": ["assign_points", {"repeat": 2, "steps": [entry]}]}
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"track": {"per_frame_schedule": raw}}))
+    # the error names the offending entry, also when it sits inside a block
+    with pytest.raises(ValidationError, match="integers >= 1") as err:
+        mio.load_config(path)
+    assert repr(entry) in str(err.value)
+
+
+@pytest.mark.parametrize("steps", [
+    "assign_points", ["assign_points", {"repeat": 2, "steps": "particle_means"}]],
+    ids=["top-level", "in-block"])
+def test_schedule_steps_must_be_a_list(steps):
+    with pytest.raises(ValidationError, match="schedule steps must be a list"):
+        mio.track_config_from_dict({"per_frame_schedule": {"steps": steps}})
 
 
 def test_track_config_schedule_roundtrip():
@@ -181,8 +206,8 @@ def test_track_config_schedule_roundtrip():
             "cluster_means", "cluster_covs", "cluster_rotations", "cluster_translations"]}})
     assert back == cfg
     # frozen z_H and Sigma_B leave their steps out
-    assert back.frame_schedule().flatten() == tuple(
-        n for n in tracking_frame_schedule().flatten()
+    assert back.frame_schedule().steps == tuple(
+        n for n in tracking_frame_schedule().steps
         if n not in ("particle_covs", "assign_particles"))
 
 
@@ -228,7 +253,8 @@ def test_readme_config_example_loads(tmp_path):
     cfg = mio.load_config(path)
     hyper = cfg.resolve_hyper(2)
     hyper.validate(2)
-    assert isinstance(cfg.resolve_track(), TrackConfig)
+    assert cfg.resolve_track().per_frame_schedule == (
+        "assign_points_spatial", "particle_weights", "particle_means", "particle_means")
 
 
 # -- state dumps ------------------------------------------------------------------

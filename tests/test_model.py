@@ -38,7 +38,6 @@ from mattertrack.model import (
 from mattertrack.rng import FORWARD, RngState, substream
 from mattertrack.synth import separated_mixture_scene
 from mattertrack.types import (
-    Assignments,
     HyperParams,
     ModelState,
     NumericalDomainError,
@@ -241,7 +240,7 @@ def test_log_joint_invariant_under_particle_relabeling():
     permuted = state.replace(
         mu_B=state.mu_B[perm], Sigma_B=state.Sigma_B[perm], vel=state.vel[perm],
         Sigma_V=state.Sigma_V[perm], pi_B=state.pi_B[perm],
-        assignments=type(state.assignments)(inv[state.z_B], state.z_H[perm]))
+        z_B=inv[state.z_B], z_H=state.z_H[perm])
     a = log_joint(state, obs, hyper)
     b = log_joint(permuted, obs, hyper)
     assert a == pytest.approx(b, abs=1e-10)
@@ -294,7 +293,7 @@ def ref_sample_forward(hyper, K, L, N, seed, candidates):
     state = ModelState(
         dim=dim, mu_B=mu_B, Sigma_B=Sigma_B, vel=vel, Sigma_V=Sigma_V, pi_B=pi_B,
         mu_H=mu_H, Sigma_H=Sigma_H, rot=rot, trans=trans, pi_H=pi_H,
-        assignments=Assignments(z_B, z_H), rng=RngState(base_seed))
+        z_B=z_B, z_H=z_H, rng=RngState(base_seed))
     return state, Observations(positions, velocities)
 
 
@@ -494,3 +493,34 @@ def test_spd_inverse_and_iw_draw_raise_on_singular_or_nonfinite_factor():
     for draw in (spd_inverse, lambda m: inverse_wishart_sample(m, 5.0, rng)):
         with pytest.raises(NumericalDomainError):
             draw(np.zeros((2, 2)))
+
+
+# -- state labels and the package namespace -----------------------------------------
+
+@pytest.mark.parametrize("labels,message", [
+    ({"z_B": [0, 4, 1]}, r"z_B entries must lie in \[0, L\]"),       # L = 3
+    ({"z_B": [0, -1, 1]}, r"z_B entries must lie in \[0, L\]"),
+    ({"z_H": [0, 2, 1]}, r"z_H entries must lie in \[0, K\)"),       # K = 2
+    ({"z_H": [0, -1, 1]}, r"z_H entries must lie in \[0, K\)"),
+    ({"z_B": [[0, 1], [2, 3]]}, r"z_B must have shape \(N,\)"),
+    ({"z_H": [0, 1]}, r"z_H must have shape \(3,\)"),
+], ids=["z_B-above-L", "z_B-negative", "z_H-at-K", "z_H-negative", "z_B-2d", "z_H-short"])
+def test_model_state_rejects_bad_labels(labels, message):
+    state, _ = sample_forward(diag_hyper(2), K=2, L=3, N=6, seed=0)
+    with pytest.raises(ValidationError, match=message):
+        state.replace(**labels)
+
+
+def test_model_state_labels_are_int64_and_L_marks_an_outlier():
+    state, _ = sample_forward(diag_hyper(2), K=2, L=3, N=6, seed=0)
+    got = state.replace(z_B=[0, 3, 3], z_H=np.array([1, 0, 1], dtype=np.int32))
+    assert got.z_B.dtype == got.z_H.dtype == np.int64
+    assert got.N == 3 and got.outlier_index == 3
+
+
+def test_star_import_resolves_every_public_name():
+    import mattertrack
+
+    namespace: dict = {}
+    exec("from mattertrack import *", namespace)
+    assert set(mattertrack.__all__) <= set(namespace)

@@ -210,14 +210,14 @@ def test_frozen_quantities_are_steps_left_out_of_the_schedules():
     from mattertrack.tracker import gestalt_track_config
 
     cfg = gestalt_track_config()
-    names = cfg.frame_schedule().flatten()
+    names = cfg.frame_schedule().steps
     assert "particle_covs" not in names and "assign_particles" not in names
-    # the other steps stay, inside the nested 500x block too
+    # the other steps stay, in all 500 repeats of the frame steps too
     assert names.count("assign_points") == 20 + 500
     assert names.count("cluster_covs") == 500
-    init = cfg.init_schedule().flatten()
+    init = cfg.init_schedule().steps
     assert "particle_covs" not in init and "assign_particles" in init
-    assert "particle_covs" in TrackConfig(freeze_Sigma_B=False).init_schedule().flatten()
+    assert "particle_covs" in TrackConfig(freeze_Sigma_B=False).init_schedule().steps
 
 
 def test_track_rgb_preset_features_and_outliers():
@@ -277,7 +277,7 @@ def test_track_runs_an_empty_later_frame_as_a_propagate_only_step(tmp_path):
     # the particles move on; nothing else changes and the stream is not touched
     before, gap = states[1], states[2]
     assert gap.z_B.shape == (0,)
-    assert_states_equal(gap, propagate(before).replace(assignments=gap.assignments))
+    assert_states_equal(gap, propagate(before).replace(z_B=gap.z_B))
     assert len(states[3].z_B) == math.ceil(0.5 * len(frames[3]))
     # a run resumed from the empty frame's dump, or from the frame before it,
     # continues bit for bit

@@ -33,7 +33,8 @@ every Generator it drew from:
                benchmark sizes, three seeds each: N=5000, L=100 in D=2 with and
                without outliers and features, and N=3000, L=30 in D=3 with them;
   gestalt      ``track`` with ``gestalt_track_config(4, 2, 2)`` (frozen
-               ``Sigma_B`` and ``z_H``, a nested 2x block) on 3-frame static
+               ``Sigma_B`` and ``z_H``; per frame, the anchoring steps, the
+               velocity steps twice, then the frame steps twice) on 3-frame static
                and moving scenes, two seeds each;
   rgb          ``track`` with ``rgb_track_config(5, 2)`` on 3-frame scenes with
                features, outlier velocities and ``p_outlier`` = 0.1, three
@@ -211,10 +212,33 @@ def _taken(func, **flags) -> dict:
     return {k: v for k, v in flags.items() if k in params}
 
 
+def _with_z_B(state, z_B):
+    """``state`` with point labels ``z_B``, whether the labels are fields of the
+    state or of an ``assignments`` object on it."""
+    if hasattr(state, "assignments"):
+        return state.replace(assignments=type(state.assignments)(z_B, state.z_H))
+    return state.replace(z_B=z_B)
+
+
+def _schedule_of(gibbs, names):
+    """A ``SweepSchedule`` that runs ``names`` in order, in either schedule API:
+    plain step names, or one schedule item per name, made as the full sweep
+    makes its items."""
+    item = type(gibbs.full_sweep_schedule().steps[0])
+    return gibbs.SweepSchedule(
+        tuple(map(item, names)),
+        **_taken(gibbs.SweepSchedule, enable_outliers=True, enable_features=True))
+
+
+def _names_of(schedule) -> tuple:
+    """The step names of a schedule of single steps, in either schedule API."""
+    return tuple(getattr(item, "name", item) for item in schedule.steps)
+
+
 def piece_features(d: Digest) -> None:
     from mattertrack import gibbs, model
     from mattertrack.distributions import make_transform_candidates
-    from mattertrack.types import Assignments, Observations
+    from mattertrack.types import Observations
 
     for dim in (2, 3):
         hyper = _extras_hyper(dim)
@@ -227,12 +251,10 @@ def piece_features(d: Digest) -> None:
         feat = rng.standard_normal((state.L, 3))
         features = (feat[np.minimum(z_B, state.L - 1)]
                     + 0.5 * rng.standard_normal((len(obs), 3)))
-        state = state.replace(assignments=Assignments(z_B, state.z_H), feat=feat)
+        state = _with_z_B(state, z_B).replace(feat=feat)
         obs = Observations(obs.positions, obs.velocities, features)
-        names = gibbs.full_sweep_schedule().flatten() + (gibbs.PARTICLE_FEATURES,)
-        schedule = gibbs.SweepSchedule(
-            steps=tuple(gibbs.Step(n) for n in names),
-            **_taken(gibbs.SweepSchedule, enable_outliers=True, enable_features=True))
+        schedule = _schedule_of(
+            gibbs, _names_of(gibbs.full_sweep_schedule()) + (gibbs.PARTICLE_FEATURES,))
         for _ in range(20):
             state = gibbs.sweep(state, obs, hyper, schedule, cands)
             d.state(state)
