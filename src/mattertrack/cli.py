@@ -30,16 +30,17 @@ from .render import render_frame_svg
 from .sva import sva_cluster
 from .synth import flow_split_proposal, make_rigid_scene, scene_spec_from_dict
 from .tracker import TrackConfig, start, subsample_frame, subsample_indices, track
-from .types import ValidationError
+from .types import HyperParams, ValidationError
 
 
-def _load_config(path: str | None) -> mio.Config:
-    """The ``--config`` file parsed; a one-line error naming the file if it is
-    not JSON or not a valid config."""
-    if not path:
-        return mio.Config()
+def _load_config(path: str | None, dim: int,
+                 base: HyperParams | None = None) -> tuple[mio.Config, HyperParams]:
+    """The ``--config`` file parsed, and its hyperparameters resolved over
+    ``base`` for data of dimension ``dim``; a one-line error naming the file
+    if it is not JSON or not a valid config for such data."""
     try:
-        return mio.load_config(path)
+        cfg = mio.load_config(path) if path else mio.Config()
+        return cfg, cfg.resolve_hyper(dim, base=base)
     except (ValidationError, json.JSONDecodeError) as exc:
         raise click.ClickException(f"config file {path}: {exc}") from None
 
@@ -143,8 +144,7 @@ def simulate(dim, num_clusters, num_particles, num_points, seed, config_path,
              out_path, labels_out, state_out):
     """Sample one frame from the forward model into an observation file."""
     _check_counts(num_clusters, num_particles)
-    cfg = _load_config(config_path)
-    hyper = cfg.resolve_hyper(dim)
+    cfg, hyper = _load_config(config_path, dim)
     m_r, m_t = cfg.candidate_sizes()
     candidates = make_transform_candidates(dim, hyper, m_r, m_t)
     state, obs = sample_forward(hyper, num_clusters, num_particles, num_points,
@@ -193,8 +193,7 @@ def fit(obs_path, num_clusters, num_particles, sweeps, seed, config_path,
     """Infer the latent state of the first frame of an observation file."""
     _check_counts(num_clusters, num_particles)
     obs = _first_frame(_read_frames(obs_path), subsample, seed, num_particles)
-    cfg = _load_config(config_path)
-    hyper = cfg.resolve_hyper(obs.dim)
+    cfg, hyper = _load_config(config_path, obs.dim)
     m_r, m_t = cfg.candidate_sizes()
     candidates = make_transform_candidates(obs.dim, hyper, m_r, m_t)
     tcfg = TrackConfig(init_sweeps=sweeps, freeze_Sigma_B=False)
@@ -230,13 +229,12 @@ def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsampl
     """Track a full observation sequence."""
     _check_counts(num_clusters, num_particles)
     frames = _read_frames(obs_path)
-    cfg = _load_config(config_path)
+    cfg, hyper = _load_config(config_path, frames[0].dim)
     tcfg = cfg.resolve_track()
     if subsample is not None:
         import dataclasses
 
         tcfg = dataclasses.replace(tcfg, subsample_rate=subsample)
-    hyper = cfg.resolve_hyper(frames[0].dim)
     m_r, m_t = cfg.candidate_sizes()
     candidates = make_transform_candidates(frames[0].dim, hyper, m_r, m_t)
     if resume_from:
@@ -382,8 +380,7 @@ def geweke_cmd(dim, num_clusters, num_particles, num_points, iters, sweeps_per_i
                seed, config_path, threshold, out_path):
     """Forward vs Gibbs marginal consistency report (exit 1 on failure)."""
     _check_counts(num_clusters, num_particles)
-    cfg = _load_config(config_path)
-    hyper = cfg.resolve_hyper(dim, base=default_check_hyper(dim))
+    cfg, hyper = _load_config(config_path, dim, base=default_check_hyper(dim))
     m_r, m_t = cfg.candidate_sizes()
     candidates = make_transform_candidates(dim, hyper, m_r, m_t)
     report = run_geweke(hyper, num_clusters, num_particles, num_points, iters,

@@ -70,6 +70,12 @@ def spd_inverse(cov: np.ndarray) -> np.ndarray:
 # Geweke-size stack, and the float64 stacks here need none of them.
 _cholesky_lo = np.linalg._umath_linalg.cholesky_lo
 
+# numpy's compiled einsum kernel, resolved once.  With its default
+# ``optimize=False``, ``np.einsum`` only passes its arguments on to this
+# kernel, after an ``__array_function__`` dispatch that takes about as long
+# as the contraction of a Geweke-size stack; the kernel returns the same bits.
+_einsum = np._core.multiarray.c_einsum
+
 
 def _raise_not_positive_definite(err, flag):
     raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -129,7 +135,7 @@ def _spd_inverse_from_tril(inv_l: np.ndarray) -> np.ndarray:
 
     The Gram product is exactly symmetric: entries (i, j) and (j, i) sum the
     same products over k in the same order."""
-    return np.einsum("nki,nkj->nij", inv_l, inv_l)
+    return _einsum("nki,nkj->nij", inv_l, inv_l)
 
 
 def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,7 +160,7 @@ def mvn_logpdf_rows(X: np.ndarray, mean, cov) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     L = chol_spd(np.asarray(cov, dtype=np.float64))
     Z = _solve_lower(L, (X - mean).T)
-    quad = np.einsum("dn,dn->n", Z, Z)
+    quad = _einsum("dn,dn->n", Z, Z)
     return -0.5 * (X.shape[1] * _LOG_2PI + quad) - np.log(np.diag(L)).sum()
 
 
@@ -214,7 +220,7 @@ def expand_gaussians(stacks, const: np.ndarray,
     np.subtract(const, 0.5 * dims * _LOG_2PI, out=coefs[0])
     if isotropic is not None:
         var, f_c = isotropic[2], x_c[t * d:]
-        np.einsum("dn,dn->n", f_c, f_c, out=features[lin - 1])
+        _einsum("dn,dn->n", f_c, f_c, out=features[lin - 1])
         coefs[lin - 1] = -0.5 / var
         np.divide(parts[t * d:dims], var, out=coefs[lin + t * d:])
         coefs[0] -= 0.5 * len(f_c) * math.log(var)
@@ -227,7 +233,7 @@ def expand_gaussians(stacks, const: np.ndarray,
 def isotropic_logpdf_rows(X: np.ndarray, mean, var: float) -> np.ndarray:
     """Row-wise Gaussian log density with covariance var * I."""
     diff = np.asarray(X, dtype=np.float64) - mean
-    sq = np.einsum("nd,nd->n", diff, diff)
+    sq = _einsum("nd,nd->n", diff, diff)
     d = diff.shape[1]
     return -0.5 * (d * (_LOG_2PI + math.log(var)) + sq / var)
 
@@ -250,7 +256,7 @@ def mvn_sample_stack(means: np.ndarray, covs: np.ndarray,
 
 def _correlate_rows(factors: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Row n of ``noise`` (n, D) times the (n, D, D) ``factors``[n]."""
-    return np.einsum("nij,nj->ni", factors, noise)
+    return _einsum("nij,nj->ni", factors, noise)
 
 
 def moments_from_precision(m_vec: np.ndarray, precision: np.ndarray):
@@ -574,13 +580,13 @@ class TransformCandidates:
     def rotation_grams(self) -> np.ndarray:
         """B_j^T B_j per rotation candidate, (M_r, D, D)."""
         B = self.rotation_offsets
-        return _readonly(np.einsum("jca,jcb->jab", B, B))
+        return _readonly(_einsum("jca,jcb->jab", B, B))
 
     @functools.cached_property
     def translation_sq_norms(self) -> np.ndarray:
         """|t_m|^2 per translation candidate, (M_t,)."""
         T = self.translations
-        return _readonly(np.einsum("md,md->m", T, T))
+        return _readonly(_einsum("md,md->m", T, T))
 
     @functools.cached_property
     def rotation_prior_cdf(self) -> np.ndarray:
@@ -673,6 +679,6 @@ def make_transform_candidates(dim: int, hyper: "HyperParams",
     pts = np.linspace(-3.0 * s, 3.0 * s, per_axis) if per_axis > 1 else np.array([0.0])
     grids = np.meshgrid(*([pts] * dim), indexing="ij")
     translations = np.column_stack([g.ravel() for g in grids])
-    trans_logw = -0.5 * np.einsum("md,md->m", translations, translations) / float(hyper.s2)
+    trans_logw = -0.5 * _einsum("md,md->m", translations, translations) / float(hyper.s2)
 
     return TransformCandidates(rotations, rot_logw, translations, trans_logw)

@@ -59,6 +59,7 @@ from . import rng as rngmod
 from .distributions import (
     TransformCandidates,
     _categorical_sample_columns,
+    _einsum,
     _readonly,
     _spd_inverse_from_tril,
     categorical_sample_rows,
@@ -272,7 +273,7 @@ def _gaussians_from_precision(m_vec: np.ndarray,
                               precision: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (mean, covariance) of N(P^{-1} m, P^{-1})."""
     cov = spd_inverse_stack(precision)
-    return np.einsum("nij,nj->ni", cov, m_vec), cov
+    return _einsum("nij,nj->ni", cov, m_vec), cov
 
 
 def _isotropic_sum_loglik(counts: np.ndarray, sq: np.ndarray, d: int,
@@ -401,16 +402,16 @@ def _particle_mean_conditionals(state: ModelState, obs: Observations, hyper: Hyp
     factors = _own_factors(state, factors)
     z_h = state.z_H
     A = state.rot - _EYE[state.dim]
-    b = state.trans - np.einsum("kij,kj->ki", A, state.mu_H)
+    b = state.trans - _einsum("kij,kj->ki", A, state.mu_H)
     inv_sh = factors.inverse("Sigma_H")
     inv_sb = factors.inverse("Sigma_B")
     counts = _group_counts(state.z_B, state.L)
     sum_x = _group_sums(state.z_B, state.L, obs.positions)
-    AtA = np.einsum("kji,kjl->kil", A, A) / hyper.sigma2_V
+    AtA = _einsum("kji,kjl->kil", A, A) / hyper.sigma2_V
     precision = inv_sh[z_h] + counts[:, None, None] * inv_sb + AtA[z_h]
-    m_vec = (np.einsum("kij,kj->ki", inv_sh, state.mu_H)[z_h]
-             + np.einsum("lij,lj->li", inv_sb, sum_x)
-             + np.einsum("lji,lj->li", A[z_h], state.vel - b[z_h]) / hyper.sigma2_V)
+    m_vec = (_einsum("kij,kj->ki", inv_sh, state.mu_H)[z_h]
+             + _einsum("lij,lj->li", inv_sb, sum_x)
+             + _einsum("lji,lj->li", A[z_h], state.vel - b[z_h]) / hyper.sigma2_V)
     return _gaussians_from_precision(m_vec, precision)
 
 
@@ -454,13 +455,13 @@ def _velocity_mean_conditionals(state: ModelState, obs: Observations, hyper: Hyp
                                 factors: _CovFactors | None = None,
                                 ) -> tuple[np.ndarray, np.ndarray]:
     eye, z_h = _EYE[state.dim], state.z_H
-    vbar = state.trans[z_h] + np.einsum(
+    vbar = state.trans[z_h] + _einsum(
         "lij,lj->li", (state.rot - eye)[z_h], state.mu_B - state.mu_H[z_h])
     inv_sv = _own_factors(state, factors).inverse("Sigma_V")
     counts = _group_counts(state.z_B, state.L)
     sum_v = _group_sums(state.z_B, state.L, obs.velocities)
     precision = eye / hyper.sigma2_V + counts[:, None, None] * inv_sv
-    m_vec = vbar / hyper.sigma2_V + np.einsum("lij,lj->li", inv_sv, sum_v)
+    m_vec = vbar / hyper.sigma2_V + _einsum("lij,lj->li", inv_sv, sum_v)
     return _gaussians_from_precision(m_vec, precision)
 
 
@@ -527,7 +528,7 @@ def _cluster_scores(state: ModelState, hyper: HyperParams, factors: _CovFactors)
         [(state.mu_B, state.mu_H, *factors.expansion("Sigma_H"))], np.log(state.pi_H)))
     # velocity each cluster's rigid transform induces at each particle, (L, K, D)
     offsets = state.mu_B[:, None, :] - state.mu_H[None, :, :]
-    vbar = state.trans + np.einsum("kij,lkj->lki", state.rot - _EYE[d], offsets)
+    vbar = state.trans + _einsum("kij,lkj->lki", state.rot - _EYE[d], offsets)
     resid = (state.vel[:, None, :] - vbar).reshape(-1, d)
     scores += isotropic_logpdf_rows(resid, 0.0, hyper.sigma2_V).reshape(state.L, state.K)
     return scores
@@ -555,13 +556,13 @@ def _cluster_mean_conditionals(state: ModelState, hyper: HyperParams,
     inv_sh = _own_factors(state, factors).inverse("Sigma_H")
     sum_mu = _group_sums(z_h, K, state.mu_B)
     # velocity residuals of the rigid-motion model, linear in mu_H through A
-    b = state.trans[z_h] - np.einsum("lij,lj->li", A[z_h], state.mu_B)
+    b = state.trans[z_h] - _einsum("lij,lj->li", A[z_h], state.mu_B)
     resid_sum = _group_sums(z_h, K, state.vel - b)
-    AtA = np.einsum("kji,kjl->kil", A, A) / hyper.sigma2_V
+    AtA = _einsum("kji,kjl->kil", A, A) / hyper.sigma2_V
     precision = eye / hyper.sigma2_mu_H + counts[:, None, None] * (inv_sh + AtA)
     m_vec = (hyper.mu_H_prior / hyper.sigma2_mu_H
-             + np.einsum("kij,kj->ki", inv_sh, sum_mu)
-             + np.einsum("kji,kj->ki", A, resid_sum) / hyper.sigma2_V)
+             + _einsum("kij,kj->ki", inv_sh, sum_mu)
+             + _einsum("kji,kj->ki", A, resid_sum) / hyper.sigma2_V)
     return _gaussians_from_precision(m_vec, precision)
 
 
@@ -616,10 +617,10 @@ def _rotation_log_probs(state: ModelState, hyper: HyperParams,
     K, z_h = state.K, state.z_H
     offsets = state.mu_B - state.mu_H[z_h]
     resid = state.vel - state.trans[z_h]
-    sq = (_group_sums(z_h, K, np.einsum("ld,ld->l", resid, resid)[:, None])
-          - 2.0 * np.einsum("jab,kab->kj", candidates.rotation_offsets,
+    sq = (_group_sums(z_h, K, _einsum("ld,ld->l", resid, resid)[:, None])
+          - 2.0 * _einsum("jab,kab->kj", candidates.rotation_offsets,
                             _group_outer(z_h, K, resid, offsets))
-          + np.einsum("jab,kab->kj", candidates.rotation_grams,
+          + _einsum("jab,kab->kj", candidates.rotation_grams,
                       _group_outer(z_h, K, offsets, offsets)))
     loglik = _isotropic_sum_loglik(_group_counts(z_h, K), sq, state.dim, hyper.sigma2_V)
     return candidates.rotation_log_prior + loglik
@@ -648,9 +649,9 @@ def _translation_log_probs(state: ModelState, hyper: HyperParams,
     """
     K, z_h = state.K, state.z_H
     offsets = state.mu_B - state.mu_H[z_h]
-    resid = state.vel - np.einsum("lij,lj->li", (state.rot - _EYE[state.dim])[z_h], offsets)
+    resid = state.vel - _einsum("lij,lj->li", (state.rot - _EYE[state.dim])[z_h], offsets)
     counts = _group_counts(z_h, K)
-    sq = (_group_sums(z_h, K, np.einsum("ld,ld->l", resid, resid)[:, None])
+    sq = (_group_sums(z_h, K, _einsum("ld,ld->l", resid, resid)[:, None])
           - 2.0 * _group_sums(z_h, K, resid) @ candidates.translations.T
           + counts[:, None] * candidates.translation_sq_norms)
     loglik = _isotropic_sum_loglik(counts, sq, state.dim, hyper.sigma2_V)

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from . import rng as rngmod
-from .distributions import inverse_wishart_mean
+from .distributions import _einsum, inverse_wishart_mean
 from .rng import RngState, substream
 from .types import (
     HyperParams,
@@ -58,7 +58,7 @@ _BOUND_FLOOR = 1e-150
 
 
 def _coordinate_order(d: int) -> tuple[int, ...]:
-    """The order in which ``np.einsum("nd,nd->n")`` adds squared coordinates.
+    """The order in which einsum's ``"nd,nd->n"`` contraction adds squared coordinates.
 
     einsum keeps even and odd coordinates in two running sums and adds them
     last, so D=3 sums as (0 + 2) + 1.  Adding squares one at a time in this
@@ -137,7 +137,7 @@ def kmeans_pp(points: np.ndarray, K: int, seed, max_iter: int = 100,
     seeding (all remaining distances zero) falls back to sampling unused
     distinct points; fewer than K distinct points is an error.
 
-    Every squared distance adds coordinates in ``np.einsum("nd,nd->n")``'s
+    Every squared distance adds coordinates in einsum's ``"nd,nd->n"``
     order (``_coordinate_order``).  Seeding updates each point's distance to
     its nearest center from one column-major copy of the points.  A problem
     of at most ``_PLAIN_LLOYD_ENTRIES`` (2**14) point-center entries N * K
@@ -492,7 +492,7 @@ def _cell_means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> n
 
 def kmeans_objective(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
     diff = points - centers[labels]
-    return float(np.einsum("nd,nd->", diff, diff))
+    return float(_einsum("nd,nd->", diff, diff))
 
 
 def kabsch_align(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -178,9 +178,14 @@ def hyper_from_dict(d: dict, dim: int | None = None,
 # Schedules and track configuration
 # --------------------------------------------------------------------------
 
+def _is_int(val) -> bool:
+    """A JSON integer, which a bool is not."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _repeat_count(entry, count) -> int:
     """A config repeat count: a JSON integer >= 1, never a bool."""
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+    if not _is_int(count) or count < 1:
         raise ValidationError(f"schedule repeat counts must be integers >= 1, got {entry!r}")
     return count
 
@@ -215,11 +220,23 @@ def schedule_items_from_json(raw) -> tuple[str, ...]:
 
 _TRACK_FIELDS = {f.name for f in dataclasses.fields(TrackConfig)}
 
+# the values a track section accepts for each scalar key: (test, description)
+_TRACK_VALUES = {
+    "init_sweeps": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "freeze_z_H": (lambda v: isinstance(v, bool), "true or false"),
+    "freeze_Sigma_B": (lambda v: isinstance(v, bool), "true or false"),
+    "subsample_rate": (lambda v: (_is_int(v) or isinstance(v, float)) and 0 < v <= 1,
+                       "a number in (0, 1]"),
+}
+
 
 def track_config_from_dict(d: dict) -> TrackConfig:
     unknown = set(d) - _TRACK_FIELDS
     if unknown:
         raise ValidationError(f"unknown track config keys: {sorted(unknown)}")
+    for key, (ok, want) in _TRACK_VALUES.items():
+        if key in d and not ok(d[key]):
+            raise ValidationError(f"track {key} must be {want}, got {d[key]!r}")
     kw = dict(d)
     raw = kw.get("per_frame_schedule")
     if raw is not None:
@@ -240,9 +257,12 @@ class Config:
     candidates: dict | None = None
 
     def resolve_hyper(self, dim: int, base: HyperParams | None = None) -> HyperParams:
+        """The config's hyperparameters over ``base``, checked against ``dim``."""
         if self.hyper is None:
             return base if base is not None else HyperParams.default(dim)
-        return hyper_from_dict(self.hyper, dim=dim, base=base)
+        hyper = hyper_from_dict(self.hyper, dim=dim, base=base)
+        hyper.validate(dim)
+        return hyper
 
     def resolve_track(self) -> TrackConfig:
         return TrackConfig() if self.track is None else track_config_from_dict(self.track)

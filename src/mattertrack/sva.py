@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
+from .distributions import _einsum
 from .initialization import kabsch_align, kmeans_pp
 from .rng import substream
 from .types import Observations, ValidationError
@@ -32,9 +33,9 @@ def sva_loss(z_B: np.ndarray, z_H: np.ndarray, rotations: np.ndarray,
     x, v = obs.positions, obs.velocities
     mu = cluster_means[k_of_n]
     rel = x - mu
-    pred = np.einsum("nij,nj->ni", rotations[k_of_n], rel) + mu + translations[k_of_n]
+    pred = _einsum("nij,nj->ni", rotations[k_of_n], rel) + mu + translations[k_of_n]
     resid = x + v - pred
-    return float(np.einsum("nd,nd->", resid, resid))
+    return float(_einsum("nd,nd->", resid, resid))
 
 
 def _per_point_cluster_losses(obs: Observations, rotations: np.ndarray,
@@ -49,7 +50,7 @@ def _per_point_cluster_losses(obs: Observations, rotations: np.ndarray,
         rel = x - cluster_means[k]
         pred = rel @ rotations[k].T + cluster_means[k] + translations[k]
         diff = target - pred
-        out[:, k] = np.einsum("nd,nd->n", diff, diff)
+        out[:, k] = _einsum("nd,nd->n", diff, diff)
     return out
 
 

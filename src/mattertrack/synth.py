@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
+from .distributions import _einsum
 from .rng import RngState, substream
 from .types import ModelState, Observations, ValidationError
 
@@ -83,7 +84,7 @@ def _covered_by_body(body: Body, points: np.ndarray, t: float) -> np.ndarray:
     center = np.asarray(body.center) + np.asarray(body.velocity) * t
     rel = points - center
     if body.kind == "disk":
-        return np.einsum("nd,nd->n", rel, rel) <= float(body.size) ** 2
+        return _einsum("nd,nd->n", rel, rel) <= float(body.size) ** 2
     angle = body.omega * t
     c, s = math.cos(angle), math.sin(angle)
     R = np.array([[c, -s], [s, c]])
@@ -328,7 +329,7 @@ def knn_same_object(states: list[ModelState], probe_a, probe_b, k: int = 5,
     k = min(k, mean_pos.shape[0])
 
     def majority(probe) -> tuple[int, float]:
-        d2 = np.einsum("ld,ld->l", mean_pos - probe, mean_pos - probe)
+        d2 = _einsum("ld,ld->l", mean_pos - probe, mean_pos - probe)
         nearest = np.argsort(d2, kind="stable")[:k]
         votes = np.bincount(z_H[nearest], minlength=K)
         best = int(np.argmax(votes))

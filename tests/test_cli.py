@@ -222,7 +222,8 @@ def test_empty_observation_file_is_a_one_line_error(tmp_path, command):
     ('{"track": {"per_frame_schedule": {"steps": [["assign_points", 0]]}}}',
      "schedule repeat counts must be integers >= 1, got ['assign_points', 0]"),
     ('{"track": ', "Expecting value: line 1 column 11 (char 10)"),
-], ids=["zero-repeat", "malformed-json"])
+    ('{"track": {"freeze_z_H": "no"}}', "track freeze_z_H must be true or false, got 'no'"),
+], ids=["zero-repeat", "malformed-json", "string-freeze-flag"])
 def test_bad_config_file_is_a_one_line_error(tmp_path, text, message):
     obs, conf, out = tmp_path / "obs.jsonl", tmp_path / "conf.json", tmp_path / "o"
     run_cli(["simulate", "-N", "40", "-L", "4", "--seed", "1", "--out", str(obs)])
@@ -232,6 +233,21 @@ def test_bad_config_file_is_a_one_line_error(tmp_path, text, message):
                                 catch_exceptions=False)
     assert result.exit_code == 1, result.output
     assert result.output.splitlines() == [f"Error: config file {conf}: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "track", "geweke"])
+def test_config_hyperparameter_of_the_wrong_dimension_is_a_one_line_error(tmp_path, command):
+    obs, conf, out = tmp_path / "obs.jsonl", tmp_path / "conf.json", tmp_path / "o"
+    run_cli(["simulate", "-N", "40", "-L", "4", "--seed", "1", "--out", str(obs)])
+    conf.write_text(json.dumps({"hyper": {"Psi_B": np.eye(3).tolist()}}))
+    data = ["--dim", "2"] if command == "geweke" else ["--obs", str(obs)]
+    result = CliRunner().invoke(main, [command, *data, "-K", "2", "-L", "4",
+                                       "--config", str(conf), "--out", str(out)],
+                                catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == [
+        f"Error: config file {conf}: Psi_B must have shape (2, 2)"]
     assert not out.exists()
 
 

@@ -1,12 +1,16 @@
 """Primitive-distribution oracles: closed forms, explicit-inverse checks,
 moment identities, and candidate-set geometry."""
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+import mattertrack
 from mattertrack.distributions import (
+    _einsum,
     _multigammaln,
     categorical_sample,
     categorical_sample_rows,
@@ -196,6 +200,43 @@ def test_chol_spd_stack_equals_numpy_cholesky(d):
             want = np.linalg.cholesky(covs)
             assert got.shape == want.shape == (n, d, d)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def package_einsum_subscripts():
+    """Every subscript string the package hands ``_einsum``, read from its source."""
+    sources = pathlib.Path(mattertrack.__file__).parent.glob("*.py")
+    return sorted({m for path in sources
+                   for m in re.findall(r'_einsum\(\s*"([^"]+)"', path.read_text())})
+
+
+def test_the_package_calls_einsum_only_through_the_resolved_kernel():
+    # the kernel is resolved once; nothing calls numpy's dispatching wrapper
+    sources = {path.name: path.read_text()
+               for path in pathlib.Path(mattertrack.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if "np.einsum(" in text] == []
+    assert [name for name, text in sources.items() if "c_einsum" in text] == ["distributions.py"]
+    assert len(package_einsum_subscripts()) >= 12
+
+
+@pytest.mark.parametrize("subscripts", package_einsum_subscripts())
+def test_einsum_kernel_equals_numpy_einsum(subscripts):
+    rng = np.random.default_rng(sum(map(ord, subscripts)))
+    inputs, output = subscripts.split("->")
+    for trial in range(20):
+        size = dict(zip("abcdijklmn", rng.integers(1, 6, size=10)))
+        operands = [rng.standard_normal([size[c] for c in term]) * 10.0 ** rng.integers(-6, 7)
+                    for term in inputs.split(",")]
+        if trial % 2:   # strided views, as the package passes gathers and slices
+            operands = [np.asfortranarray(op)[..., ::-1] for op in operands]
+        want = np.einsum(subscripts, *operands)
+        got = _einsum(subscripts, *operands)
+        assert got.shape == want.shape == tuple(size[c] for c in output)
+        np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                      np.asarray(want).view(np.uint64))
+        out_want, out_got = np.empty_like(want), np.empty_like(want)
+        np.einsum(subscripts, *operands, out=out_want)
+        assert _einsum(subscripts, *operands, out=out_got) is out_got
+        np.testing.assert_array_equal(out_got.view(np.uint64), out_want.view(np.uint64))
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -118,6 +118,19 @@ def test_forward_half_is_the_same_across_chunk_boundaries(dim, monkeypatch):
     assert [s.forward_mean for s in report.stats] == [float(c.mean()) for c in forward.T]
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_run_geweke_makes_no_numpy_einsum_call(dim, monkeypatch):
+    hyper = default_check_hyper(dim)
+
+    def refuse(*operands, **kwargs):
+        raise AssertionError("numpy.einsum called; the package calls distributions._einsum")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", refuse)
+        report = run_geweke(hyper, K=2, L=4, N=16, iterations=100, seed=3)
+    assert report.iterations == 100
+
+
 def report_with_z(zs):
     return GewekeReport(tuple(GewekeStat(f"s{i}", 0.0, 0.0, z) for i, z in enumerate(zs)),
                         iterations=100)

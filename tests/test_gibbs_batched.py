@@ -865,3 +865,21 @@ def test_apply_step_drops_the_swapped_field_from_the_factors():
                                   np.linalg.cholesky(work.Sigma_B))
     assert factors.chol("Sigma_V")[0] is before["Sigma_V"]
     assert factors.chol("Sigma_H")[0] is before["Sigma_H"]
+
+
+def refuse_numpy_einsum(*operands, **kwargs):
+    raise AssertionError("numpy.einsum called; the package calls distributions._einsum")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sweeps_and_forward_draws_make_no_numpy_einsum_call(dim, monkeypatch):
+    # every contraction goes to the compiled kernel, past numpy's dispatcher
+    state, obs, hyper, cands = scene(dim, seed=60 + dim)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", refuse_numpy_einsum)
+        with pytest.raises(AssertionError, match="numpy.einsum called"):
+            np.einsum("i->", np.ones(2))
+        for sched in SHARED_FACTOR_SCHEDULES.values():
+            gibbs.sweep(state, obs, hyper, sched, cands)
+        sample_forward(hyper.replace(p_outlier=0.0), K=3, L=8, N=150, seed=dim,
+                       candidates=cands)

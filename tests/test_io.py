@@ -194,6 +194,42 @@ def test_schedule_steps_must_be_a_list(steps):
         mio.track_config_from_dict({"per_frame_schedule": {"steps": steps}})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("init_sweeps", 2.5), ("init_sweeps", 2.0), ("init_sweeps", "x"), ("init_sweeps", -1),
+    ("init_sweeps", True), ("init_sweeps", None),
+    ("freeze_z_H", "no"), ("freeze_z_H", 0), ("freeze_z_H", None),
+    ("freeze_Sigma_B", "true"), ("freeze_Sigma_B", 1),
+    ("subsample_rate", "0.5"), ("subsample_rate", 0), ("subsample_rate", 1.5),
+    ("subsample_rate", True), ("subsample_rate", float("nan")), ("subsample_rate", None),
+], ids=["sweeps-2.5", "sweeps-2.0", "sweeps-str", "sweeps-neg", "sweeps-bool", "sweeps-null",
+        "freeze_z_H-str", "freeze_z_H-int", "freeze_z_H-null", "freeze_Sigma_B-str",
+        "freeze_Sigma_B-int", "rate-str", "rate-0", "rate-1.5", "rate-bool", "rate-nan",
+        "rate-null"])
+def test_track_values_of_the_wrong_type_are_rejected_by_name(tmp_path, key, value):
+    with pytest.raises(ValidationError, match=f"track {key} must be") as err:
+        mio.track_config_from_dict({key: value})
+    assert repr(value) in str(err.value)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"track": {key: value}}))
+    with pytest.raises(ValidationError, match=f"track {key} must be"):
+        mio.load_config(path)
+
+
+def test_track_values_of_the_right_type_load():
+    cfg = mio.track_config_from_dict({"init_sweeps": 0, "freeze_z_H": True,
+                                      "freeze_Sigma_B": False, "subsample_rate": 1})
+    assert (cfg.init_sweeps, cfg.freeze_z_H, cfg.freeze_Sigma_B, cfg.subsample_rate) == (
+        0, True, False, 1)
+    assert mio.track_config_from_dict({"subsample_rate": 0.25}).subsample_rate == 0.25
+
+
+def test_hyperparameters_are_checked_against_the_dimension():
+    cfg = mio.Config(hyper={"Psi_B": np.eye(3).tolist()})
+    assert cfg.resolve_hyper(3).Psi_B.shape == (3, 3)
+    with pytest.raises(ValidationError, match=r"Psi_B must have shape \(2, 2\)"):
+        cfg.resolve_hyper(2)
+
+
 def test_track_config_schedule_roundtrip():
     cfg = TrackConfig(init_sweeps=7, per_frame_schedule=tracking_frame_schedule().steps,
                       freeze_z_H=True, subsample_rate=0.25)
