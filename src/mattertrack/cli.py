@@ -7,6 +7,7 @@ helpers name the points a run keeps of each frame.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -15,7 +16,6 @@ import click
 import numpy as np
 
 from . import io as mio
-from .distributions import make_transform_candidates
 from .evaluation import (
     adjusted_rand_index,
     matter_weighted_jaccard,
@@ -30,19 +30,7 @@ from .render import render_frame_svg
 from .sva import sva_cluster
 from .synth import flow_split_proposal, make_rigid_scene, scene_spec_from_dict
 from .tracker import TrackConfig, start, subsample_frame, subsample_indices, track
-from .types import HyperParams, ValidationError
-
-
-def _load_config(path: str | None, dim: int,
-                 base: HyperParams | None = None) -> tuple[mio.Config, HyperParams]:
-    """The ``--config`` file parsed, and its hyperparameters resolved over
-    ``base`` for data of dimension ``dim``; a one-line error naming the file
-    if it is not JSON or not a valid config for such data."""
-    try:
-        cfg = mio.load_config(path) if path else mio.Config()
-        return cfg, cfg.resolve_hyper(dim, base=base)
-    except (ValidationError, json.JSONDecodeError) as exc:
-        raise click.ClickException(f"config file {path}: {exc}") from None
+from .types import ValidationError
 
 
 # the share of each frame's points kept; checked once here for every command
@@ -120,7 +108,18 @@ def _note_unscored_features(frames: list, hyper) -> None:
                    "so the feature term is not scored", err=True)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; a ``ValidationError`` from any command is one
+    ``Error: ...`` line and exit status 1, as for click's own errors."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValidationError as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Generative clustering and tracking of moving point matter."""
 
@@ -144,9 +143,7 @@ def simulate(dim, num_clusters, num_particles, num_points, seed, config_path,
              out_path, labels_out, state_out):
     """Sample one frame from the forward model into an observation file."""
     _check_counts(num_clusters, num_particles)
-    cfg, hyper = _load_config(config_path, dim)
-    m_r, m_t = cfg.candidate_sizes()
-    candidates = make_transform_candidates(dim, hyper, m_r, m_t)
+    hyper, _, candidates = mio.load_config(config_path, dim)
     state, obs = sample_forward(hyper, num_clusters, num_particles, num_points,
                                 seed, candidates=candidates)
     mio.write_observations(out_path, [obs])
@@ -165,8 +162,11 @@ def simulate(dim, num_clusters, num_particles, num_points, seed, config_path,
 @click.option("--labels-out", type=click.Path(), default=None)
 def rdk_gen(spec_path, seed, out_path, labels_out):
     """Generate a moving-dot stimulus plus ground truth from a scene spec."""
-    with open(spec_path) as fh:
-        spec = scene_spec_from_dict(json.load(fh))
+    try:
+        with open(spec_path) as fh:
+            spec = scene_spec_from_dict(json.load(fh))
+    except (TypeError, ValueError) as exc:  # a ValidationError or JSONDecodeError too
+        raise ValidationError(f"scene spec {spec_path}: {exc}") from None
     frames, labels = make_rigid_scene(spec, seed)
     mio.write_observations(out_path, frames)
     if labels_out:
@@ -193,9 +193,7 @@ def fit(obs_path, num_clusters, num_particles, sweeps, seed, config_path,
     """Infer the latent state of the first frame of an observation file."""
     _check_counts(num_clusters, num_particles)
     obs = _first_frame(_read_frames(obs_path), subsample, seed, num_particles)
-    cfg, hyper = _load_config(config_path, obs.dim)
-    m_r, m_t = cfg.candidate_sizes()
-    candidates = make_transform_candidates(obs.dim, hyper, m_r, m_t)
+    hyper, _, candidates = mio.load_config(config_path, obs.dim)
     tcfg = TrackConfig(init_sweeps=sweeps, freeze_Sigma_B=False)
     state, hyper = start(obs, num_clusters, num_particles, hyper, tcfg, seed, candidates,
                          derive_hyper=auto_hyper,
@@ -229,14 +227,9 @@ def track_cmd(obs_path, num_clusters, num_particles, seed, config_path, subsampl
     """Track a full observation sequence."""
     _check_counts(num_clusters, num_particles)
     frames = _read_frames(obs_path)
-    cfg, hyper = _load_config(config_path, frames[0].dim)
-    tcfg = cfg.resolve_track()
+    hyper, tcfg, candidates = mio.load_config(config_path, frames[0].dim)
     if subsample is not None:
-        import dataclasses
-
         tcfg = dataclasses.replace(tcfg, subsample_rate=subsample)
-    m_r, m_t = cfg.candidate_sizes()
-    candidates = make_transform_candidates(frames[0].dim, hyper, m_r, m_t)
     if resume_from:
         last = _resume_record(resume_from, frames, tcfg.subsample_rate, num_clusters,
                               num_particles, seed)
@@ -380,9 +373,7 @@ def geweke_cmd(dim, num_clusters, num_particles, num_points, iters, sweeps_per_i
                seed, config_path, threshold, out_path):
     """Forward vs Gibbs marginal consistency report (exit 1 on failure)."""
     _check_counts(num_clusters, num_particles)
-    cfg, hyper = _load_config(config_path, dim, base=default_check_hyper(dim))
-    m_r, m_t = cfg.candidate_sizes()
-    candidates = make_transform_candidates(dim, hyper, m_r, m_t)
+    hyper, _, candidates = mio.load_config(config_path, dim, base=default_check_hyper(dim))
     report = run_geweke(hyper, num_clusters, num_particles, num_points, iters,
                         seed, candidates=candidates, sweeps_per_iter=sweeps_per_iter)
     click.echo(report.summary())

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .types import NumericalDomainError, ValidationError, check_dim
+from .types import NumericalDomainError, ValidationError, check_dim, is_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from .types import HyperParams
@@ -370,9 +370,6 @@ def _xlogy(x, y) -> np.ndarray:
 
 
 def dirichlet_sample(conc: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    conc = np.asarray(conc, dtype=np.float64)
-    if np.any(conc <= 0):
-        raise ValidationError("Dirichlet concentration entries must be positive")
     return rng.dirichlet(conc)
 
 
@@ -645,15 +642,17 @@ def make_transform_candidates(dim: int, hyper: "HyperParams",
     axes, cube-root-spaced magnitudes) with the identity always first.
     Translations live on a centered lattice covering +/- 3 sqrt(s2) per axis.
     Prior weights follow exp(kappa * cos(angle)) and the N(0, s2 I) density;
-    even grid sizes are rounded up so the identity / zero stay members.
+    even grid sizes are rounded up so the identity / zero stay members.  A
+    grid size is an integer >= 1 (never a bool); None takes the default.
     """
     check_dim(dim)
     if M_r is None:
         M_r = DEFAULT_NUM_ROTATIONS[dim]
     if M_t is None:
         M_t = default_num_translations(dim)
-    if M_r < 1 or M_t < 1:
-        raise ValidationError("candidate counts must be at least 1")
+    for name, size in (("M_r", M_r), ("M_t", M_t)):
+        if not is_int(size) or size < 1:
+            raise ValidationError(f"{name} must be an integer >= 1, got {size!r}")
     kappa = float(hyper.kappa_vmf)
     theta_max = float(hyper.theta_max)
 

@@ -712,15 +712,14 @@ _STEP_UPDATES = {
 def _apply_step(name: str, work: ModelState, obs: Observations, hyper: HyperParams,
                 candidates: TransformCandidates, rng: np.random.Generator,
                 factors: _CovFactors | None = None) -> None:
-    """Run step ``name`` and swap its field of ``work`` in place, unvalidated.
+    """Run step ``name``, which its ``SweepSchedule`` checked, and swap its
+    field of ``work`` in place, unvalidated.
 
     ``work`` is a private copy of a state; its owner builds the validated
     state once the steps are done.  ``factors`` is the owner's
     ``_CovFactors`` of ``work``: the step reads it and it drops the swapped
     field.  Without it the step factors for itself.
     """
-    if name not in _STEP_UPDATES:
-        raise ValidationError(f"unknown schedule step {name!r}")
     field, update = _STEP_UPDATES[name]
     object.__setattr__(work, field, update(work, obs, hyper, candidates, rng, factors))
     if factors is not None:

@@ -548,7 +548,10 @@ def init_state(obs: Observations, K: int, L: int, hyper: HyperParams, seed: int
     N, d = len(obs), obs.dim
     if not N >= L >= K >= 1:
         raise ValidationError(f"need N >= L >= K >= 1, got N={N}, L={L}, K={K}")
-    hyper.validate(d)
+    if hyper.dim != d:
+        raise ValidationError(f"hyperparameters are {hyper.dim}-D, the observations {d}-D")
+    hyper.alpha_vec(K)
+    hyper.beta_vec(L)
 
     part_rng = substream(seed, rngmod.INIT, 0)
     clus_rng = substream(seed, rngmod.INIT, 1)

@@ -15,9 +15,10 @@ from typing import Any
 
 import numpy as np
 
+from .distributions import TransformCandidates, make_transform_candidates
 from .rng import RngState
 from .tracker import TrackConfig
-from .types import HyperParams, ModelState, Observations, ValidationError
+from .types import HyperParams, ModelState, Observations, ValidationError, is_int, is_real
 
 FORMAT_VERSION = 1
 
@@ -39,65 +40,56 @@ def write_observations(path: str, frames: list[Observations]) -> None:
             fh.write(json.dumps({"t": t, "points": points}) + "\n")
 
 
-def read_observations(path: str) -> list[Observations]:
-    frames: list[Observations] = []
-    dim: int | None = None
-    fdim: int | None = None
+def _json_lines(path: str):
+    """(line number, parsed record) of each non-blank line of a JSONL file."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                yield lineno, json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict) or "t" not in rec or "points" not in rec:
-                raise ValidationError(f"line {lineno}: frame record needs 't' and 'points'")
-            t = rec["t"]
-            pts = rec["points"]
-            positions, velocities, features = [], [], []
-            has_f = None
-            for i, p in enumerate(pts):
-                if "x" not in p or "v" not in p:
-                    raise ValidationError(f"line {lineno}: point {i} needs 'x' and 'v'")
-                positions.append(p["x"])
-                velocities.append(p["v"])
-                here = "f" in p
-                if has_f is None:
-                    has_f = here
-                elif has_f != here:
-                    raise ValidationError(
-                        f"frame {t}: features must be present on all points or none")
-                if here:
-                    features.append(p["f"])
-            if not positions:
-                if dim is None:
-                    raise ValidationError(
-                        f"frame {t}: empty first frame leaves the dimension unknown")
-                pos = np.zeros((0, dim))
-                velocities = np.zeros((0, dim))
-            else:
-                pos = np.asarray(positions, dtype=np.float64)
-                if pos.ndim != 2:
-                    raise ValidationError(f"frame {t}: inconsistent point dimensions")
-            if dim is None:
-                dim = pos.shape[1]
-            elif pos.shape[1] != dim:
+
+
+def read_observations(path: str) -> list[Observations]:
+    frames: list[Observations] = []
+    fdim: int | None = None
+    for lineno, rec in _json_lines(path):
+        if not isinstance(rec, dict) or "t" not in rec or not isinstance(rec.get("points"), list):
+            raise ValidationError(f"line {lineno}: frame record needs 't' and a 'points' list")
+        t = rec["t"]
+        positions, velocities, features = [], [], []
+        for i, p in enumerate(rec["points"]):
+            if not isinstance(p, dict) or "x" not in p or "v" not in p:
                 raise ValidationError(
-                    f"frame {t}: dimension {pos.shape[1]} differs from first frame ({dim})")
-            feat = None
-            if has_f:
-                feat = np.asarray(features, dtype=np.float64)
-                if fdim is None:
-                    fdim = feat.shape[1]
-                elif feat.shape[1] != fdim:
-                    raise ValidationError(
-                        f"frame {t}: feature dimension {feat.shape[1]} differs from first ({fdim})")
-            try:
-                frames.append(Observations(pos, np.asarray(velocities, dtype=np.float64), feat))
-            except ValidationError as exc:
-                raise ValidationError(f"frame {t}: {exc}") from exc
+                    f"line {lineno}: point {i} must be an object with 'x' and 'v'")
+            positions.append(p["x"])
+            velocities.append(p["v"])
+            if "f" in p:
+                features.append(p["f"])
+        if features and len(features) != len(positions):
+            raise ValidationError(f"frame {t}: features must be present on all points or none")
+        if not positions:
+            if not frames:
+                raise ValidationError(
+                    f"frame {t}: empty first frame leaves the dimension unknown")
+            positions = velocities = np.zeros((0, frames[0].dim))
+        try:
+            obs = Observations(positions, velocities, features or None)
+        except ValidationError as exc:
+            raise ValidationError(f"frame {t}: {exc}") from exc
+        if frames and obs.dim != frames[0].dim:
+            raise ValidationError(
+                f"frame {t}: dimension {obs.dim} differs from first frame ({frames[0].dim})")
+        if features:
+            if fdim is None:
+                fdim = obs.features.shape[1]
+            elif obs.features.shape[1] != fdim:
+                raise ValidationError(f"frame {t}: feature dimension "
+                                      f"{obs.features.shape[1]} differs from first ({fdim})")
+        frames.append(obs)
     return frames
 
 
@@ -109,18 +101,13 @@ def write_labels(path: str, labels: list[np.ndarray]) -> None:
 
 def read_labels(path: str) -> list[np.ndarray]:
     out: list[np.ndarray] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-            if "labels" not in rec:
-                raise ValidationError(f"line {lineno}: label record needs 'labels'")
+    for lineno, rec in _json_lines(path):
+        if not isinstance(rec, dict) or "labels" not in rec:
+            raise ValidationError(f"line {lineno}: label record needs 'labels'")
+        try:
             out.append(np.asarray(rec["labels"], dtype=np.int64))
+        except (TypeError, ValueError):
+            raise ValidationError(f"line {lineno}: 'labels' must be a list of integers") from None
     return out
 
 
@@ -142,50 +129,32 @@ def hyper_to_dict(hyper: HyperParams) -> dict:
     return out
 
 
-def hyper_from_dict(d: dict, dim: int | None = None,
-                    base: HyperParams | None = None) -> HyperParams:
-    """Build hyperparameters from a config mapping.
+def hyper_from_dict(d: dict, dim: int, base: HyperParams | None = None) -> HyperParams:
+    """Hyperparameters of dimension ``dim`` from a config mapping, over
+    ``base`` (``HyperParams.default(dim)`` when None).
 
-    Scalar entries for the D-dependent fields broadcast: mu_H_prior to a
-    constant vector, Psi_* to scalar * identity (requires ``dim``).  Unknown
-    keys are a hard error.
+    A number given for ``mu_H_prior`` broadcasts to a constant vector, and
+    one for a ``Psi_*`` to that number times the identity.  Unknown keys are a
+    hard error; ``HyperParams`` checks the values.
     """
     unknown = set(d) - _HYPER_FIELDS
     if unknown:
         raise ValidationError(f"unknown hyperparameter keys: {sorted(unknown)}")
-    kw: dict[str, Any] = {}
-    for key, val in d.items():
-        if key in ("mu_H_prior",) and np.isscalar(val):
-            if dim is None:
-                raise ValidationError("scalar mu_H_prior needs a known dimension")
-            kw[key] = np.full(dim, float(val))
-        elif key in ("Psi_H", "Psi_B", "Psi_V") and np.isscalar(val):
-            if dim is None:
-                raise ValidationError(f"scalar {key} needs a known dimension")
-            kw[key] = float(val) * np.eye(dim)
-        elif isinstance(val, list):
-            kw[key] = np.asarray(val, dtype=np.float64)
-        else:
-            kw[key] = val
-    if base is None:
-        if dim is None:
-            raise ValidationError("hyperparameters need a dimension or a base to fill defaults")
-        base = HyperParams.default(dim)
-    return base.replace(**kw)
+    kw = dict(d)
+    for key in ("mu_H_prior", "Psi_H", "Psi_B", "Psi_V"):
+        val = kw.get(key)
+        if is_real(val):
+            kw[key] = np.full(dim, float(val)) if key == "mu_H_prior" else float(val) * np.eye(dim)
+    return (base if base is not None else HyperParams.default(dim)).replace(**kw)
 
 
 # --------------------------------------------------------------------------
 # Schedules and track configuration
 # --------------------------------------------------------------------------
 
-def _is_int(val) -> bool:
-    """A JSON integer, which a bool is not."""
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
 def _repeat_count(entry, count) -> int:
     """A config repeat count: a JSON integer >= 1, never a bool."""
-    if not _is_int(count) or count < 1:
+    if not is_int(count) or count < 1:
         raise ValidationError(f"schedule repeat counts must be integers >= 1, got {entry!r}")
     return count
 
@@ -220,23 +189,11 @@ def schedule_items_from_json(raw) -> tuple[str, ...]:
 
 _TRACK_FIELDS = {f.name for f in dataclasses.fields(TrackConfig)}
 
-# the values a track section accepts for each scalar key: (test, description)
-_TRACK_VALUES = {
-    "init_sweeps": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "freeze_z_H": (lambda v: isinstance(v, bool), "true or false"),
-    "freeze_Sigma_B": (lambda v: isinstance(v, bool), "true or false"),
-    "subsample_rate": (lambda v: (_is_int(v) or isinstance(v, float)) and 0 < v <= 1,
-                       "a number in (0, 1]"),
-}
-
 
 def track_config_from_dict(d: dict) -> TrackConfig:
     unknown = set(d) - _TRACK_FIELDS
     if unknown:
         raise ValidationError(f"unknown track config keys: {sorted(unknown)}")
-    for key, (ok, want) in _TRACK_VALUES.items():
-        if key in d and not ok(d[key]):
-            raise ValidationError(f"track {key} must be {want}, got {d[key]!r}")
     kw = dict(d)
     raw = kw.get("per_frame_schedule")
     if raw is not None:
@@ -248,51 +205,40 @@ def track_config_from_dict(d: dict) -> TrackConfig:
     return TrackConfig(**kw)
 
 
-@dataclass(frozen=True)
-class Config:
-    """Parsed top-level configuration file."""
+def load_config(path: str | None, dim: int, base: HyperParams | None = None
+                ) -> tuple[HyperParams, TrackConfig, TransformCandidates]:
+    """The settings of a config file for data of dimension ``dim``: its
+    hyperparameters over ``base`` (``HyperParams.default(dim)`` when None),
+    its track config, and the transform candidates of its grid sizes.
 
-    hyper: dict | None = None
-    track: dict | None = None
-    candidates: dict | None = None
-
-    def resolve_hyper(self, dim: int, base: HyperParams | None = None) -> HyperParams:
-        """The config's hyperparameters over ``base``, checked against ``dim``."""
-        if self.hyper is None:
-            return base if base is not None else HyperParams.default(dim)
-        hyper = hyper_from_dict(self.hyper, dim=dim, base=base)
-        hyper.validate(dim)
-        return hyper
-
-    def resolve_track(self) -> TrackConfig:
-        return TrackConfig() if self.track is None else track_config_from_dict(self.track)
-
-    def candidate_sizes(self) -> tuple[int | None, int | None]:
-        if self.candidates is None:
-            return None, None
-        unknown = set(self.candidates) - {"M_r", "M_t"}
+    No path reads as an empty config.  Anything wrong with the file, its JSON
+    syntax included, is a ``ValidationError`` prefixed ``config file PATH:``.
+    """
+    try:
+        raw = {}
+        if path is not None:
+            with open(path) as fh:
+                raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValidationError("config file must hold a JSON object")
+        unknown = set(raw) - {"hyper", "track", "candidates"}
+        if unknown:
+            raise ValidationError(f"unknown config sections: {sorted(unknown)}")
+        for name, sec in raw.items():
+            if not isinstance(sec, dict):
+                raise ValidationError(f"config section {name} must be a JSON object, got {sec!r}")
+        hyper = hyper_from_dict(raw.get("hyper", {}), dim, base)
+        if hyper.dim != dim:
+            raise ValidationError(f"mu_H_prior must have shape ({dim},), got ({hyper.dim},)")
+        tcfg = track_config_from_dict(raw.get("track", {}))
+        sizes = raw.get("candidates", {})
+        unknown = set(sizes) - {"M_r", "M_t"}
         if unknown:
             raise ValidationError(f"unknown candidates keys: {sorted(unknown)}")
-        return self.candidates.get("M_r"), self.candidates.get("M_t")
-
-
-def load_config(path: str) -> Config:
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValidationError("config file must hold a JSON object")
-    unknown = set(raw) - {"hyper", "track", "candidates"}
-    if unknown:
-        raise ValidationError(f"unknown config sections: {sorted(unknown)}")
-    cfg = Config(hyper=raw.get("hyper"), track=raw.get("track"),
-                 candidates=raw.get("candidates"))
-    if cfg.hyper is not None:
-        bad = set(cfg.hyper) - _HYPER_FIELDS
-        if bad:
-            raise ValidationError(f"unknown hyperparameter keys: {sorted(bad)}")
-    cfg.resolve_track()
-    cfg.candidate_sizes()
-    return cfg
+        candidates = make_transform_candidates(dim, hyper, sizes.get("M_r"), sizes.get("M_t"))
+    except (ValidationError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"config file {path}: {exc}") from None
+    return hyper, tcfg, candidates
 
 
 # --------------------------------------------------------------------------
@@ -365,22 +311,20 @@ def write_states(path: str, states: list[ModelState],
 
 def read_states(path: str) -> list[StateRecord]:
     out: list[StateRecord] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-            if rec.get("format_version") != FORMAT_VERSION:
-                raise ValidationError(
-                    f"line {lineno}: unsupported format_version {rec.get('format_version')!r}")
+    for lineno, rec in _json_lines(path):
+        if not isinstance(rec, dict) or "t" not in rec or "state" not in rec:
+            raise ValidationError(f"line {lineno}: state record needs 't' and 'state'")
+        if rec.get("format_version") != FORMAT_VERSION:
+            raise ValidationError(
+                f"line {lineno}: unsupported format_version {rec.get('format_version')!r}")
+        try:
+            state = state_from_dict(rec["state"])
             hyper = None
             if rec.get("hyper") is not None:
-                hyper = hyper_from_dict(rec["hyper"],
-                                        dim=int(rec["state"]["dim"]))
-            out.append(StateRecord(t=int(rec["t"]),
-                                   state=state_from_dict(rec["state"]), hyper=hyper))
+                hyper = hyper_from_dict(rec["hyper"], state.dim)
+            out.append(StateRecord(t=int(rec["t"]), state=state, hyper=hyper))
+        except KeyError as exc:
+            raise ValidationError(f"line {lineno}: state record lacks {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
     return out

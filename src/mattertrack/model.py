@@ -107,15 +107,15 @@ def sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
 
 
 def _check_forward_inputs(hyper: HyperParams, K: int, L: int, N: int) -> int:
-    """Validate ``sample_forward``'s sizes and hyperparameters; returns the
-    state dimension."""
+    """Check ``sample_forward``'s sizes against each other and against the
+    lengths of ``alpha`` and ``beta``; returns the state dimension."""
     if min(K, L, N) < 1:
         raise ValidationError(f"K, L, N must be at least 1, got {(K, L, N)}")
     if L < K:
         raise ValidationError(f"need L >= K, got L={L}, K={K}")
-    dim = int(np.asarray(hyper.mu_H_prior).shape[0])
-    hyper.validate(dim)
-    return dim
+    hyper.alpha_vec(K)
+    hyper.beta_vec(L)
+    return hyper.dim
 
 
 def _sample_forward(hyper: HyperParams, K: int, L: int, N: int, seed,
@@ -135,7 +135,7 @@ def _sample_latents(hyper: HyperParams, K: int, L: int, N: int, seed,
     """The latent half of ``_sample_forward``: every draw before the points,
     and the generator positioned where the points' draws begin."""
     if candidates is None:
-        candidates = make_transform_candidates(int(np.asarray(hyper.mu_H_prior).shape[0]), hyper)
+        candidates = make_transform_candidates(hyper.dim, hyper)
     rng = _as_generator(seed)
     draw = {name: stack[0] for name, stack in
             LatentStack.sample(hyper, K, L, N, [rng], candidates)._asdict().items()}
@@ -175,7 +175,7 @@ class LatentStack(NamedTuple):
         acts row by row, matrix by matrix or column by column, so draw r is
         the same, bit for bit, as a stack of draw r alone.
         """
-        dim = int(np.asarray(hyper.mu_H_prior).shape[0])
+        dim = hyper.dim
         R, counts = len(rngs), (K, L, L)
         alpha, beta = hyper.alpha_vec(K), hyper.beta_vec(L)
         nu = np.repeat([hyper.nu_H, hyper.nu_B, hyper.nu_V], counts)

@@ -54,6 +54,19 @@ def _per_point_cluster_losses(obs: Observations, rotations: np.ndarray,
     return out
 
 
+def _reseed_empty_clusters(z_H: np.ndarray, z_B: np.ndarray, point_loss: np.ndarray,
+                           empty: np.ndarray) -> np.ndarray:
+    """``z_H`` with each cluster of ``empty`` moved onto its own particle: the
+    one, of those not yet taken, whose members' summed loss is largest."""
+    member_loss = np.bincount(z_B, weights=point_loss, minlength=len(z_H))
+    z_H = z_H.copy()
+    for k in empty:
+        worst = int(np.argmax(member_loss))
+        z_H[worst] = k
+        member_loss[worst] = -np.inf
+    return z_H
+
+
 @dataclass(frozen=True)
 class SvaResult:
     z_B: np.ndarray
@@ -70,8 +83,9 @@ def sva_cluster(obs: Observations, K: int, L: int, seed: int,
                 max_iter: int = 50) -> SvaResult:
     """Run the alternating minimization from a hierarchical K-means start.
 
-    Clusters that lose all their points are reseeded at the particle whose
-    members fit worst.  Terminates at an assignment fixpoint or ``max_iter``.
+    Clusters that lose all their points are reseeded at the particles whose
+    members fit worst, one particle each.  Terminates at an assignment
+    fixpoint or ``max_iter``.
     """
     N, d = len(obs), obs.dim
     if not N >= L >= K >= 1:
@@ -93,13 +107,8 @@ def sva_cluster(obs: Observations, K: int, L: int, seed: int,
         owned = np.bincount(point_k, minlength=K)
         if iterations > 1 and np.any(owned == 0):
             per_point = _per_point_cluster_losses(obs, rotations, translations, mu_H)
-            current = per_point[np.arange(N), point_k]
-            for k in np.where(owned == 0)[0]:
-                member_loss = np.zeros(L)
-                np.add.at(member_loss, z_B, current)
-                worst = int(np.argmax(member_loss))
-                z_H = z_H.copy()
-                z_H[worst] = k
+            z_H = _reseed_empty_clusters(z_H, z_B, per_point[np.arange(N), point_k],
+                                         np.where(owned == 0)[0])
             point_k = z_H[z_B]
 
         # block 1: particle means = centroids of assigned points

@@ -244,15 +244,22 @@ def scene_spec_from_dict(d: dict) -> SceneSpec:
     known = {"bodies", "extent", "background_dots", "flicker_prob", "frames",
              "velocity_noise", "velocity_outlier_prob", "velocity_outlier_scale",
              "occlude_background"}
+    if not isinstance(d, dict):
+        raise ValidationError("a scene spec must be a JSON object")
     unknown = set(d) - known
     if unknown:
         raise ValidationError(f"unknown scene keys: {sorted(unknown)}")
     body_known = {"kind", "center", "size", "num_dots", "velocity", "omega"}
     bodies = []
     for i, bd in enumerate(d.get("bodies", [])):
+        if not isinstance(bd, dict):
+            raise ValidationError(f"body {i} must be a JSON object")
         extra = set(bd) - body_known
         if extra:
             raise ValidationError(f"unknown body keys in body {i}: {sorted(extra)}")
+        missing = {"kind", "center", "size", "num_dots"} - set(bd)
+        if missing:
+            raise ValidationError(f"body {i} needs keys {sorted(missing)}")
         size = bd["size"]
         bodies.append(Body(
             kind=bd["kind"],

@@ -38,16 +38,18 @@ from .gibbs import (
 )
 from .initialization import data_dependent_hyperparams, init_state
 from .rng import SUBSAMPLE, substream
-from .types import HyperParams, ModelState, Observations, ValidationError
+from .types import HyperParams, ModelState, Observations, ValidationError, is_int, is_real
 
 
 @dataclass(frozen=True)
 class TrackConfig:
     """Knobs of the sequential tracking procedure.
 
-    ``per_frame_schedule`` holds step names in run order.  A frozen
-    quantity's step is left out: ``freeze_Sigma_B`` drops ``particle_covs``
-    from frame 0 on, ``freeze_z_H`` drops ``assign_particles`` after frame 0.
+    Construction checks every knob's type and range, raising a
+    ``ValidationError`` that names it.  ``per_frame_schedule`` holds step
+    names in run order.  A frozen quantity's step is left out:
+    ``freeze_Sigma_B`` drops ``particle_covs`` from frame 0 on, ``freeze_z_H``
+    drops ``assign_particles`` after frame 0.
     """
 
     init_sweeps: int = 50
@@ -57,10 +59,14 @@ class TrackConfig:
     subsample_rate: float = 1.0
 
     def __post_init__(self):
-        if self.init_sweeps < 0:
-            raise ValidationError("init_sweeps must be non-negative")
-        if not 0 < self.subsample_rate <= 1:
-            raise ValidationError(f"subsample_rate must be in (0, 1], got {self.subsample_rate}")
+        sweeps, rate = self.init_sweeps, self.subsample_rate
+        for key, ok, want in (
+                ("init_sweeps", is_int(sweeps) and sweeps >= 0, "an integer >= 0"),
+                ("freeze_z_H", isinstance(self.freeze_z_H, bool), "true or false"),
+                ("freeze_Sigma_B", isinstance(self.freeze_Sigma_B, bool), "true or false"),
+                ("subsample_rate", is_real(rate) and 0 < rate <= 1, "a number in (0, 1]")):
+            if not ok:
+                raise ValidationError(f"track {key} must be {want}, got {getattr(self, key)!r}")
         if self.per_frame_schedule is not None:
             object.__setattr__(self, "per_frame_schedule",
                                SweepSchedule(self.per_frame_schedule).steps)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +34,37 @@ def check_dim(dim: int) -> int:
 
 
 def _as_floats(x, name: str, shape: tuple | None = None) -> np.ndarray:
-    arr = np.array(x, dtype=np.float64)
-    if shape is not None and arr.shape != shape:
-        raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
+    try:
+        arr = np.array(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be an array of numbers") from None
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} must be finite")
+    if shape is not None and arr.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}")
     return arr
+
+
+def is_int(x) -> bool:
+    """Whether ``x`` is an integer, which a bool is not."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """Whether ``x`` is a finite real number, which a bool is not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _as_float(x, name: str, ok=lambda v: True, want: str = "a finite number") -> float:
+    """``x`` as a float if it is a finite real number that passes ``ok``; a
+    ``ValidationError`` naming ``name`` otherwise."""
+    if not (is_real(x) and ok(x)):
+        raise ValidationError(f"{name} must be {want}, got {x!r}")
+    return float(x)
+
+
+def _positive(x, name: str) -> float:
+    return _as_float(x, name, lambda v: v > 0, "a positive number")
 
 
 def _is_spd(mat: np.ndarray, name: str) -> None:
@@ -101,8 +127,11 @@ class HyperParams:
     """Fixed priors and noise scales of the generative model.
 
     ``alpha`` / ``beta`` may be scalars (symmetric Dirichlet) or full
-    concentration vectors.  Degrees of freedom are floored to D + 2 on
-    construction so Inverse-Wishart means exist.
+    concentration vectors.  D is the length of ``mu_H_prior``.  Construction
+    checks every field, raising a ``ValidationError`` that names it: each is
+    a finite number (never a bool) or array of the right shape and range,
+    and each ``Psi_*`` is symmetric positive definite.  Degrees of freedom
+    are then floored to D + 2 so Inverse-Wishart means exist.
     """
 
     alpha: float | np.ndarray
@@ -125,17 +154,40 @@ class HyperParams:
     outlier_gamma_rate: float = 1.0
 
     def __post_init__(self):
-        for name in ("mu_H_prior",):
-            object.__setattr__(self, name, _as_floats(getattr(self, name), name))
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        mu = _as_floats(self.mu_H_prior, "mu_H_prior")
+        if mu.shape not in ((2,), (3,)):
+            raise ValidationError(f"mu_H_prior must have shape (2,) or (3,), got {mu.shape}")
+        put("mu_H_prior", mu)
+        dim = mu.shape[0]
         for psi, nu in (("Psi_H", "nu_H"), ("Psi_B", "nu_B"), ("Psi_V", "nu_V")):
-            mat = _as_floats(getattr(self, psi), psi)
-            object.__setattr__(self, psi, mat)
-            floor = mat.shape[0] + 2
-            object.__setattr__(self, nu, max(float(getattr(self, nu)), float(floor)))
+            mat = _as_floats(getattr(self, psi), psi, (dim, dim))
+            _is_spd(mat, psi)
+            put(psi, mat)
+            put(nu, max(_as_float(getattr(self, nu), nu), dim + 2.0))
+        for name in ("sigma2_mu_H", "sigma2_V", "s2", "outlier_gamma_shape",
+                     "outlier_gamma_rate"):
+            put(name, _positive(getattr(self, name), name))
+        put("kappa_vmf", _as_float(self.kappa_vmf, "kappa_vmf", lambda v: v >= 0,
+                                   "a non-negative number"))
+        put("theta_max", _as_float(self.theta_max, "theta_max", lambda v: 0 < v <= math.pi,
+                                   "a number in (0, pi]"))
+        if self.sigma2_F is not None:
+            put("sigma2_F", _positive(self.sigma2_F, "sigma2_F"))
+        put("p_outlier", _as_float(self.p_outlier, "p_outlier", lambda v: 0 <= v < 1,
+                                   "a number in [0, 1)"))
         for name in ("alpha", "beta"):
             val = getattr(self, name)
-            if not np.isscalar(val):
-                object.__setattr__(self, name, _as_floats(val, name))
+            if isinstance(val, (list, tuple, np.ndarray)):
+                vec = _as_floats(val, name)
+                if vec.ndim != 1 or np.any(vec <= 0):
+                    raise ValidationError(f"{name} must be a positive number or a vector "
+                                          f"of them, got {vec.tolist()}")
+                put(name, vec)
+            else:
+                put(name, _positive(val, name))
 
     @classmethod
     def default(cls, dim: int) -> "HyperParams":
@@ -165,44 +217,16 @@ class HyperParams:
 
     @staticmethod
     def _conc(val, size: int, name: str) -> np.ndarray:
-        if np.isscalar(val):
-            vec = np.full(size, float(val))
-        else:
-            vec = np.asarray(val, dtype=np.float64)
-            if vec.shape != (size,):
-                raise ValidationError(f"{name} must have length {size}, got {vec.shape}")
-        if np.any(vec <= 0):
-            raise ValidationError(f"{name} entries must be positive")
-        return vec
+        if isinstance(val, float):
+            return np.full(size, val)
+        if val.shape != (size,):
+            raise ValidationError(f"{name} must have length {size}, got {val.shape}")
+        return val
 
-    def validate(self, dim: int) -> None:
-        check_dim(dim)
-        if self.mu_H_prior.shape != (dim,):
-            raise ValidationError(f"mu_H_prior must have shape ({dim},)")
-        for name in ("sigma2_mu_H", "sigma2_V", "s2"):
-            if not float(getattr(self, name)) > 0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.kappa_vmf < 0:
-            raise ValidationError(f"kappa_vmf must be non-negative, got {self.kappa_vmf}")
-        if not 0 < self.theta_max <= math.pi:
-            raise ValidationError(f"theta_max must be in (0, pi], got {self.theta_max}")
-        for psi, nu in (("Psi_H", "nu_H"), ("Psi_B", "nu_B"), ("Psi_V", "nu_V")):
-            mat = getattr(self, psi)
-            if mat.shape != (dim, dim):
-                raise ValidationError(f"{psi} must have shape ({dim}, {dim})")
-            _is_spd(mat, psi)
-            if getattr(self, nu) < dim + 2:
-                raise ValidationError(f"{nu} must be at least dim + 2")
-        if self.sigma2_F is not None and not self.sigma2_F > 0:
-            raise ValidationError(f"sigma2_F must be positive, got {self.sigma2_F}")
-        if not 0 <= self.p_outlier < 1:
-            raise ValidationError(f"p_outlier must be in [0, 1), got {self.p_outlier}")
-        if self.p_outlier > 0:
-            for name in ("outlier_gamma_shape", "outlier_gamma_rate"):
-                if not float(getattr(self, name)) > 0:
-                    raise ValidationError(f"{name} must be positive")
-        self._conc(self.alpha, 1 if np.isscalar(self.alpha) else len(self.alpha), "alpha")
-        self._conc(self.beta, 1 if np.isscalar(self.beta) else len(self.beta), "beta")
+    @property
+    def dim(self) -> int:
+        """D: the length of ``mu_H_prior``, whose shape every matrix field follows."""
+        return self.mu_H_prior.shape[0]
 
     def replace(self, **kw) -> "HyperParams":
         return dataclasses.replace(self, **kw)

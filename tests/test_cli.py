@@ -218,12 +218,36 @@ def test_empty_observation_file_is_a_one_line_error(tmp_path, command):
     assert not out.exists()
 
 
+EYE3 = json.dumps(np.eye(3).tolist())
+
+
 @pytest.mark.parametrize("text,message", [
     ('{"track": {"per_frame_schedule": {"steps": [["assign_points", 0]]}}}',
      "schedule repeat counts must be integers >= 1, got ['assign_points', 0]"),
     ('{"track": ', "Expecting value: line 1 column 11 (char 10)"),
     ('{"track": {"freeze_z_H": "no"}}', "track freeze_z_H must be true or false, got 'no'"),
-], ids=["zero-repeat", "malformed-json", "string-freeze-flag"])
+    ('{"hyper": {"s2": "x"}}', "s2 must be a positive number, got 'x'"),
+    ('{"hyper": {"Psi_B": "x"}}', "Psi_B must be an array of numbers"),
+    ('{"hyper": {"nu_B": "x"}}', "nu_B must be a finite number, got 'x'"),
+    ('{"hyper": {"p_outlier": "x"}}', "p_outlier must be a number in [0, 1), got 'x'"),
+    ('{"hyper": {"sigma2_F": "x"}}', "sigma2_F must be a positive number, got 'x'"),
+    ('{"hyper": {"kappa_vmf": null}}', "kappa_vmf must be a non-negative number, got None"),
+    ('{"hyper": {"nu_B": NaN}}', "nu_B must be a finite number, got nan"),
+    ('{"hyper": {"kappa_vmf": NaN}}', "kappa_vmf must be a non-negative number, got nan"),
+    ('{"hyper": {"sigma2_mu_H": Infinity}}', "sigma2_mu_H must be a positive number, got inf"),
+    ('{"hyper": {"alpha": [1, 0]}}',
+     "alpha must be a positive number or a vector of them, got [1.0, 0.0]"),
+    (f'{{"hyper": {{"mu_H_prior": [0, 0, 0], "Psi_H": {EYE3}, "Psi_B": {EYE3}, '
+     f'"Psi_V": {EYE3}}}}}', "mu_H_prior must have shape (2,), got (3,)"),
+    ('{"hyper": []}', "config section hyper must be a JSON object, got []"),
+    ('{"candidates": {"M_r": "x"}}', "M_r must be an integer >= 1, got 'x'"),
+    ('{"candidates": {"M_r": 0}}', "M_r must be an integer >= 1, got 0"),
+    ('{"candidates": {"M_r": true}}', "M_r must be an integer >= 1, got True"),
+    ('{"candidates": {"M_t": 2.5}}', "M_t must be an integer >= 1, got 2.5"),
+], ids=["zero-repeat", "malformed-json", "string-freeze-flag", "s2-str", "Psi_B-str",
+        "nu_B-str", "p_outlier-str", "sigma2_F-str", "kappa-null", "nu_B-nan", "kappa-nan",
+        "sigma2_mu_H-inf", "alpha-zero", "3d-hyper", "hyper-list", "M_r-str", "M_r-0",
+        "M_r-bool", "M_t-2.5"])
 def test_bad_config_file_is_a_one_line_error(tmp_path, text, message):
     obs, conf, out = tmp_path / "obs.jsonl", tmp_path / "conf.json", tmp_path / "o"
     run_cli(["simulate", "-N", "40", "-L", "4", "--seed", "1", "--out", str(obs)])
@@ -233,6 +257,67 @@ def test_bad_config_file_is_a_one_line_error(tmp_path, text, message):
                                 catch_exceptions=False)
     assert result.exit_code == 1, result.output
     assert result.output.splitlines() == [f"Error: config file {conf}: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "track", "geweke"])
+def test_concentration_vector_of_the_wrong_length_is_a_one_line_error(tmp_path, command):
+    # checked before any draw, not in the first sweep
+    obs, conf, out = tmp_path / "obs.jsonl", tmp_path / "conf.json", tmp_path / "o"
+    run_cli(["simulate", "-N", "40", "-L", "4", "--seed", "1", "--out", str(obs)])
+    conf.write_text(json.dumps({"hyper": {"alpha": [1, 2]}}))
+    data = [] if command in ("simulate", "geweke") else ["--obs", str(obs)]
+    result = CliRunner().invoke(main, [command, *data, "-K", "3", "-L", "4",
+                                       "--config", str(conf), "--out", str(out)],
+                                catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == ["Error: alpha must have length 3, got (2,)"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,files,message", [
+    ("track", {"obs": '{"t": 0, "points": [5]}'},
+     "line 1: point 0 must be an object with 'x' and 'v'"),
+    ("fit", {"obs": '{"t": 0, "points": {"x": [0, 0]}}'},
+     "line 1: frame record needs 't' and a 'points' list"),
+    ("sva", {"obs": '{"t": 0, "points": [{"x": ["a", 0], "v": [0, 0]}]}'},
+     "frame 0: positions must be an array of numbers"),
+    ("track", {"obs": '{"t": 0, "points": [{"x": [0, 0], "v": [0, null]}]}'},
+     "frame 0: velocities must be finite"),
+    ("fit", {"obs": '{"t": 0, "points": [{"x": [0, 0], "v": [0, 0]}, {"x": [1], "v": [0, 0]}]}'},
+     "frame 0: positions must be an array of numbers"),
+    ("track", {"resume": '{"format_version": 1, "t": 0, "hyper": null}'},
+     "line 1: state record needs 't' and 'state'"),
+    ("track", {"resume": '{"format_version": 1, "t": 0, "state": {"particles": []}}'},
+     "line 1: state record lacks 'dim'"),
+    ("eval", {"states": '[1, 2]'}, "line 1: state record needs 't' and 'state'"),
+    ("eval", {"gt": '7'}, "line 1: label record needs 'labels'"),
+    ("rdk-gen", {"spec": '{"bodies": [{"kind": "disk", "center": [0, 0], "size": 0.1}]}'},
+     "scene spec {spec}: body 0 needs keys ['num_dots']"),
+    ("rdk-gen", {"spec": '{"bodies": ['},
+     "scene spec {spec}: Expecting value: line 2 column 1 (char 13)"),
+], ids=["point-not-object", "points-not-list", "str-coordinate", "null-velocity",
+        "ragged-points", "state-missing", "state-without-dim", "state-not-object",
+        "labels-not-object", "body-without-num_dots", "spec-malformed-json"])
+def test_malformed_input_file_is_a_one_line_error(tmp_path, command, files, message):
+    obs, gt, states, out = (tmp_path / n for n in ("obs.jsonl", "gt.jsonl", "s.jsonl", "o"))
+    run_cli(["simulate", "-N", "40", "-L", "4", "--seed", "1", "--out", str(obs),
+             "--labels-out", str(gt), "--state-out", str(states)])
+    paths = {"obs": obs, "gt": gt, "states": states, "resume": tmp_path / "resume.jsonl",
+             "spec": tmp_path / "scene.json"}
+    for name, text in files.items():
+        paths[name].write_text(text + "\n")
+    args = {"track": ["--obs", str(obs), "-K", "2", "-L", "4"]
+            + (["--resume-from", str(paths["resume"])] if "resume" in files else []),
+            "fit": ["--obs", str(obs), "-K", "2", "-L", "4"],
+            "sva": ["--obs", str(obs), "-K", "2", "-L", "4"],
+            "eval": ["--states", str(states), "--obs", str(obs), "--gt", str(gt)],
+            "rdk-gen": ["--spec", str(paths["spec"])]}[command]
+    result = CliRunner().invoke(main, [command, *args, "--out", str(out)],
+                                catch_exceptions=False)
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == [
+        "Error: " + message.format(spec=paths["spec"])]
     assert not out.exists()
 
 

@@ -66,16 +66,16 @@ def test_geweke_rejects_fewer_than_one_sweep_per_iteration():
 
 
 def test_geweke_validates_its_hyperparameters_once(monkeypatch):
-    # the 101 forward draws of the run skip the validation that
-    # sample_forward does on every call
+    # hyperparameters check themselves when built, and the run's 101 forward
+    # draws build none
     from mattertrack.types import HyperParams
 
     calls = []
-    validate = HyperParams.validate
-    monkeypatch.setattr(HyperParams, "validate",
-                        lambda self, dim: calls.append(dim) or validate(self, dim))
+    post_init = HyperParams.__post_init__
+    monkeypatch.setattr(HyperParams, "__post_init__",
+                        lambda self: calls.append(self) or post_init(self))
     run_geweke(default_check_hyper(2), K=1, L=2, N=8, iterations=100, seed=0)
-    assert calls == [2]
+    assert len(calls) == 1
 
 
 def test_geweke_rejects_bad_sizes():

@@ -141,22 +141,20 @@ def test_config_file_sections_and_unknown_keys(tmp_path):
         "track": {"init_sweeps": 5, "subsample_rate": 0.5},
         "candidates": {"M_r": 9, "M_t": 9},
     }))
-    cfg = mio.load_config(good)
-    hyper = cfg.resolve_hyper(2)
+    hyper, tcfg, cands = mio.load_config(good, 2)
     assert hyper.s2 == 0.02
-    tcfg = cfg.resolve_track()
     assert tcfg.init_sweeps == 5
-    assert cfg.candidate_sizes() == (9, 9)
+    assert (len(cands.rotations), len(cands.translations)) == (9, 9)
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"hyper": {}, "tracking": {}}))
     with pytest.raises(ValidationError, match="tracking"):
-        mio.load_config(bad)
+        mio.load_config(bad, 2)
 
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps({"track": {"warmup": 3}}))
     with pytest.raises(ValidationError, match="warmup"):
-        mio.load_config(bad2)
+        mio.load_config(bad2, 2)
 
 
 def test_schedule_dict_roundtrip():
@@ -182,7 +180,7 @@ def test_schedule_repeat_counts_are_integers_of_at_least_one(tmp_path, entry):
     path.write_text(json.dumps({"track": {"per_frame_schedule": raw}}))
     # the error names the offending entry, also when it sits inside a block
     with pytest.raises(ValidationError, match="integers >= 1") as err:
-        mio.load_config(path)
+        mio.load_config(path, 2)
     assert repr(entry) in str(err.value)
 
 
@@ -212,7 +210,7 @@ def test_track_values_of_the_wrong_type_are_rejected_by_name(tmp_path, key, valu
     path = tmp_path / "conf.json"
     path.write_text(json.dumps({"track": {key: value}}))
     with pytest.raises(ValidationError, match=f"track {key} must be"):
-        mio.load_config(path)
+        mio.load_config(path, 2)
 
 
 def test_track_values_of_the_right_type_load():
@@ -223,11 +221,12 @@ def test_track_values_of_the_right_type_load():
     assert mio.track_config_from_dict({"subsample_rate": 0.25}).subsample_rate == 0.25
 
 
-def test_hyperparameters_are_checked_against_the_dimension():
-    cfg = mio.Config(hyper={"Psi_B": np.eye(3).tolist()})
-    assert cfg.resolve_hyper(3).Psi_B.shape == (3, 3)
+def test_hyperparameters_are_checked_against_the_dimension(tmp_path):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"hyper": {"Psi_B": np.eye(3).tolist()}}))
+    assert mio.load_config(path, 3)[0].Psi_B.shape == (3, 3)
     with pytest.raises(ValidationError, match=r"Psi_B must have shape \(2, 2\)"):
-        cfg.resolve_hyper(2)
+        mio.load_config(path, 2)
 
 
 def test_track_config_schedule_roundtrip():
@@ -255,14 +254,14 @@ def test_per_frame_schedule_rejects_flags(tmp_path, flag):
     path = tmp_path / "conf.json"
     path.write_text(json.dumps({"track": track_section}))
     with pytest.raises(ValidationError, match=flag):
-        mio.load_config(path)
+        mio.load_config(path, 2)
 
 
 def test_load_config_rejects_unknown_schedule_step(tmp_path):
     path = tmp_path / "conf.json"
     path.write_text(json.dumps({"track": {"per_frame_schedule": {"steps": ["warp"]}}}))
     with pytest.raises(ValidationError, match="warp"):
-        mio.load_config(path)
+        mio.load_config(path, 2)
 
 
 def test_track_config_freeze_z_H_holds_for_config_steps():
@@ -286,10 +285,8 @@ def test_readme_config_example_loads(tmp_path):
     block = section[section.index("```json") + len("```json"):]
     path = tmp_path / "conf.json"
     path.write_text(block[:block.index("```")])
-    cfg = mio.load_config(path)
-    hyper = cfg.resolve_hyper(2)
-    hyper.validate(2)
-    assert cfg.resolve_track().per_frame_schedule == (
+    _, tcfg, _ = mio.load_config(path, 2)
+    assert tcfg.per_frame_schedule == (
         "assign_points_spatial", "particle_weights", "particle_means", "particle_means")
 
 

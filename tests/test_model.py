@@ -91,9 +91,8 @@ def test_forward_deterministic_for_fixed_seed():
 
 
 def test_forward_invalid_hyper_names_field():
-    hyper = diag_hyper(2).replace(sigma2_V=-1.0)
     with pytest.raises(ValidationError, match="sigma2_V"):
-        sample_forward(hyper, K=1, L=1, N=1, seed=0)
+        diag_hyper(2).replace(sigma2_V=-1.0)
 
 
 def test_forward_output_satisfies_invariants():

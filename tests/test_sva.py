@@ -8,7 +8,7 @@ import pytest
 from mattertrack.distributions import rotation_2d
 from mattertrack.evaluation import adjusted_rand_index
 from mattertrack.initialization import kabsch_align
-from mattertrack.sva import sva_cluster, sva_loss
+from mattertrack.sva import _reseed_empty_clusters, sva_cluster, sva_loss
 from mattertrack.synth import Body, SceneSpec, make_rigid_scene
 from mattertrack.types import Observations
 
@@ -142,3 +142,13 @@ def test_sva_assignment_block_is_pointwise_optimal():
             losses.append(float(np.sum((x[n] + v[n] - pred) ** 2)))
         chosen = res.z_H[res.z_B[n]]
         assert losses[chosen] <= min(losses) + 1e-9
+
+
+def test_clusters_empty_at_once_are_reseeded_at_distinct_particles():
+    # particles 0 and 2 carry the largest member losses, in that order
+    z_H = np.zeros(4, dtype=np.int64)
+    z_B = np.array([0, 0, 1, 2, 2, 3])
+    point_loss = np.array([5.0, 4.0, 1.0, 3.0, 3.0, 0.5])
+    out = _reseed_empty_clusters(z_H, z_B, point_loss, np.array([1, 2]))
+    np.testing.assert_array_equal(out, [1, 0, 2, 0])
+    np.testing.assert_array_equal(z_H, 0)
